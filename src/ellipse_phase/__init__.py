@@ -9,6 +9,7 @@ from .divisor import (
     Divisor,
     EllipticFunction,
     PoleValue,
+    SigmaQuotient,
     build_elliptic,
     eval_elliptic,
     make_divisor,
@@ -29,12 +30,10 @@ from .errors import (
 from .lattice import (
     CellCoordinates,
     Lattice,
-    LatticePoint,
     coordinates,
     make_lattice,
     reduce_basis,
     reduce_to_cell,
-    shells,
     torus_distance,
 )
 from .render import Coloring, RenderSpec, render_phase_portrait, render_pixels
@@ -65,7 +64,6 @@ from .weierstrass import (
     SigmaEvaluator,
     eta,
     sigma,
-    sigma_quasi_reduce,
     wrap_angle,
 )
 
@@ -85,7 +83,6 @@ __all__ = [
     "IllConditioned",
     "IoFailure",
     "Lattice",
-    "LatticePoint",
     "LogValue",
     "PhaseFunctionSpec",
     "PoleOrZeroHit",
@@ -94,6 +91,7 @@ __all__ = [
     "RatioConstant",
     "RenderSpec",
     "SigmaEvaluator",
+    "SigmaQuotient",
     "TooManyPoleHits",
     "UnbalancedDivisor",
     "VMethod",
@@ -115,9 +113,7 @@ __all__ = [
     "render_phase_portrait",
     "render_pixels",
     "report_passes",
-    "shells",
     "sigma",
-    "sigma_quasi_reduce",
     "solve_exponent",
     "synthesize",
     "torus_distance",

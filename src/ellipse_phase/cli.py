@@ -196,33 +196,36 @@ _COMMANDS = {
 
 
 def _load_config() -> dict:
+    """Flag defaults from ./ellipse-phase.json; bad JSON or a non-object is a ValueError."""
     if not os.path.exists(CONFIG_PATH):
         return {}
-    try:
-        with open(CONFIG_PATH, "r", encoding="utf-8") as fh:
+    with open(CONFIG_PATH, "r", encoding="utf-8") as fh:
+        try:
             cfg = json.load(fh)
-        return cfg if isinstance(cfg, dict) else {}
-    except (OSError, json.JSONDecodeError):
-        return {}
+        except ValueError as exc:
+            raise ValueError(f"{CONFIG_PATH}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{CONFIG_PATH}: expected a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    config = _load_config()
-    if config:
-        parser.set_defaults(**config)
-        for action in parser._subparsers._group_actions:
-            for sub in action.choices.values():
-                sub.set_defaults(**config)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else _VALIDATION
+        config = _load_config()
+        if config:
+            parser.set_defaults(**config)
+            for action in parser._subparsers._group_actions:
+                for sub in action.choices.values():
+                    sub.set_defaults(**config)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code == 0 else _VALIDATION
 
-    if SEED_ENV in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ[SEED_ENV])
+        if SEED_ENV in os.environ and hasattr(args, "seed"):
+            args.seed = int(os.environ[SEED_ENV])
 
-    try:
         return _COMMANDS[args.command](args)
     except (
         AccuracyNotMet,

@@ -3,14 +3,16 @@
 A balanced divisor whose zero and pole sums are lattice-congruent (Abel's
 condition) is realized as g(z) = scale * prod sigma(z - zero) / prod sigma(z - pole),
 made genuinely periodic by shifting one zero by the lattice part of the sum
-defect so the sums match exactly.
+defect so the sums match exactly.  Both g and the synthesized f are evaluated
+through a `SigmaQuotient` whose congruent factors were cancelled once, when it
+was built.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AbelViolation
 from .lattice import Lattice, coordinates, reduce_to_cell, torus_distance
@@ -55,17 +57,40 @@ class PoleValue:
 
 
 @dataclass(frozen=True)
+class SigmaQuotient:
+    """exp(exponent*z + log_scale) * prod sigma(z - zero) / prod sigma(z - pole).
+
+    Built only by `_cancel_congruent`, so no zero is congruent to a pole.
+    """
+
+    exponent: complex
+    log_scale: complex
+    zeros: tuple[complex, ...]
+    poles: tuple[complex, ...]
+
+
+@dataclass(frozen=True)
 class EllipticFunction:
     """scale * prod sigma(z - zero) / prod sigma(z - pole), multiplicities expanded.
 
     Lists have equal length and exactly equal sums (after the construction-time
-    adjustment), which makes the quotient fully periodic.
+    adjustment), which makes the quotient fully periodic.  `quotient` is the
+    derived evaluation form, with the fast-series quasi-periods of the lattice.
     """
 
     lattice: Lattice
     zero_points: tuple[complex, ...]
     pole_points: tuple[complex, ...]
     scale: complex = 1.0 + 0j
+    quotient: SigmaQuotient = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # scale 0 is the zero function: the empty quotient with log scale -inf
+        ev = SigmaEvaluator(self.lattice)
+        points = (self.zero_points, self.pole_points) if self.scale else ((), ())
+        log_scale = cmath.log(complex(self.scale)) if self.scale else complex(-math.inf, 0.0)
+        q = _cancel_congruent(*points, self.lattice, ev.eta1, ev.eta2, log_scale=log_scale)
+        object.__setattr__(self, "quotient", q)
 
 
 def _merge_points(entries, lat: Lattice) -> list[tuple[complex, int]]:
@@ -136,14 +161,16 @@ def _cancel_congruent(
     lat: Lattice,
     eta1: complex,
     eta2: complex,
+    exponent: complex = 0j,
+    log_scale: complex = 0j,
     tol: float = 1e-12,
-):
-    """Cancel lattice-congruent numerator/denominator sigma shifts.
+) -> SigmaQuotient:
+    """The quotient exp(exponent*z + log_scale) * prod sigma(z - n) / prod sigma(z - d).
 
-    For a congruent pair w1 (numerator) and w2 = w1 + lam (denominator),
+    Lattice-congruent numerator/denominator shifts are cancelled: for a pair
+    w1 (numerator) and w2 = w1 + lam (denominator),
     sigma(z - w1) / sigma(z - w2) = eps(lam) * exp(eta(lam) (z - w2 + lam/2)),
-    which folds into an extra linear exponent and constant.  Returns
-    (numer', denom', extra_exponent, extra_log_scale).
+    which folds into the exponent and the log scale.
     """
     numer = list(numer)
     denom = list(denom)
@@ -182,27 +209,22 @@ def _cancel_congruent(
                 break
             if not hit:
                 i += 1
-    return tuple(numer), tuple(denom), extra_a, extra_logc
+    return SigmaQuotient(exponent + extra_a, extra_logc + log_scale, tuple(numer), tuple(denom))
 
 
-def _eval_quotient(
-    ev: SigmaEvaluator,
-    z: complex,
-    numer,
-    denom,
-    log_extra: complex,
-) -> LogValue | PoleValue:
-    """Evaluate exp(log_extra) * prod sigma(z - n) / prod sigma(z - d) in log form."""
+def _eval_quotient(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
+    """q(z) in log form; LogValue.zero() at zeros, PoleValue at poles."""
+    z = complex(z)
     zero_hits = 0
     pole_hits = 0
-    total = log_extra
-    for w in numer:
+    total = q.exponent * z + q.log_scale
+    for w in q.zeros:
         lv = sigma(ev, z - w)
         if lv.is_zero():
             zero_hits += 1
         else:
             total += lv.log()
-    for w in denom:
+    for w in q.poles:
         lv = sigma(ev, z - w)
         if lv.is_zero():
             pole_hits += 1
@@ -219,11 +241,4 @@ def _eval_quotient(
 
 def eval_elliptic(g: EllipticFunction, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
     """g(z) in log form; LogValue.zero() at zeros, PoleValue at poles."""
-    z = complex(z)
-    if g.scale == 0:
-        return LogValue.zero()
-    numer, denom, extra_a, extra_logc = _cancel_congruent(
-        g.zero_points, g.pole_points, g.lattice, ev.eta1, ev.eta2
-    )
-    log_extra = cmath.log(complex(g.scale)) + extra_a * z + extra_logc
-    return _eval_quotient(ev, z, numer, denom, log_extra)
+    return _eval_quotient(g.quotient, ev, z)

@@ -8,6 +8,7 @@ basis can be Gauss-reduced for numerical conditioning.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,19 +39,12 @@ class CellCoordinates:
     n: int
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """Integer coordinates (m, n) and the point value m*p1 + n*p2."""
-
-    m: int
-    n: int
-    value: complex
-
-
 def make_lattice(p1: complex, p2: complex, degeneracy_eps: float = DEGENERACY_EPS) -> Lattice:
     """Build a lattice from a period pair, rejecting (near-)real ratios."""
     p1 = complex(p1)
     p2 = complex(p2)
+    if not (cmath.isfinite(p1) and cmath.isfinite(p2)):
+        raise DegenerateLattice("periods must be finite")
     if p1 == 0 or p2 == 0:
         raise DegenerateLattice("periods must be nonzero")
     omega = p2 / p1
@@ -100,29 +94,13 @@ def torus_distance(a: complex, b: complex, lat: Lattice) -> float:
     )
 
 
-def shells(lat: Lattice, N: int) -> list[LatticePoint]:
-    """Nonzero lattice points with sup-norm shell index <= N, in deterministic order.
-
-    Shell k holds the points with max(|m|, |n|) = k; shells are emitted in
-    increasing k and sorted by (m, n) within a shell.  (0, 0) is excluded.
-    """
-    if N < 0:
-        raise ValueError("shell count must be >= 0")
-    pts: list[LatticePoint] = []
-    for k in range(1, N + 1):
-        ring = [(-k, n) for n in range(-k, k + 1)]
-        ring += [(k, n) for n in range(-k, k + 1)]
-        ring += [(m, s * k) for m in range(-k + 1, k) for s in (-1, 1)]
-        for m, n in sorted(ring):
-            pts.append(LatticePoint(m, n, m * lat.p1 + n * lat.p2))
-    return pts
-
-
 @lru_cache(maxsize=8)
 def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer coordinate arrays for shells(lat, N), in the same order.
+    """Integer coordinates (m, n) of the nonzero lattice points with shell index <= N.
 
-    Cached and shared; treat the returned arrays as read-only.
+    Shell k holds the points with max(|m|, |n|) = k; shells come in increasing
+    k and are sorted by (m, n) within a shell.  (0, 0) is excluded.  Cached
+    and shared; treat the returned arrays as read-only.
     """
     r = np.arange(-N, N + 1)
     m, n = np.meshgrid(r, r, indexing="ij")

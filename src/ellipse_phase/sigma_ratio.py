@@ -8,12 +8,11 @@ is independent of z and equals exp(v_j) with
 
     v_j = -3*xi0/p_j + xi0 * p_j^2 * sum_{lam in L \\ {0, -p_j}} 1/(lam (lam+p_j)^2).
 
-Equivalently v_j = -eta_j * xi0 in terms of the quasi-period eta_j.  Both routes
-are implemented: DirectSum evaluates the lattice sum literally (with the pairing
-lam <-> -lam-p_j, which combines two O(1/|lam|^3) terms into one O(1/|lam|^4)
-term, -p_j/(lam^2 (lam+p_j)^2), and turns the O(1/N) truncation tail into
-O(1/N^2)); ViaEta reuses the theta-series quasi-period and is the accurate
-default.
+Equivalently v_j = -eta_j * xi0 in terms of the quasi-period eta_j, and both
+routes compute it that way: DirectSum takes eta_j from the paired lattice sum
+`weierstrass.eta_from_sum` over the shells (the same sum the DirectProduct
+evaluator uses for its eta, with an O(1/N^2) truncation tail); ViaEta reuses
+the theta-series quasi-period and is the accurate default.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PoleOrZeroHit
 from .lattice import Lattice, _shell_arrays, _unit_frame_distance
-from .weierstrass import SNAP_TOL, SigmaEvaluator, sigma, wrap_angle
+from .weierstrass import SigmaEvaluator, eta, eta_from_sum, sigma, wrap_angle
 
 
 class VMethod(str, enum.Enum):
@@ -45,11 +42,6 @@ class RatioConstant:
     method: VMethod
     shells_used: int
     error_bound: float
-
-
-def _paired_term(lam: complex, pj: complex) -> complex:
-    """Combined summand for the orbit {lam, -lam-p_j}: -p_j/(lam^2 (lam+p_j)^2)."""
-    return -pj / (lam**2 * (lam + pj) ** 2)
 
 
 def _direct_sum_tail(lat: Lattice, pj_abs: float, N: int) -> float:
@@ -83,26 +75,19 @@ def v_constant(
     pj = lat.p1 if j == 1 else lat.p2
 
     if method is VMethod.VIA_ETA:
-        ev = SigmaEvaluator(lat)
-        etaj = ev.eta1 if j == 1 else ev.eta2
-        v = -etaj * xi0
+        v = -eta(SigmaEvaluator(lat), j) * xi0
         return RatioConstant(xi0, j, v, method, 0, 1e-13 * (1.0 + abs(v)))
 
     if shells < 2:
         raise ValueError("DirectSum needs shells >= 2")
     m, n = _shell_arrays(shells)
-    lam = m * lat.p1 + n * lat.p2
-    lam = lam[np.abs(lam + pj) > SNAP_TOL]
-    # half of each paired term per orbit member; a fixed point of the pairing
-    # (lam = -lam-p_j) would then enter with exactly its own weight
-    s = complex(np.sum(-pj / (2.0 * lam**2 * (lam + pj) ** 2)))
-    v = -3.0 * xi0 / pj + xi0 * pj**2 * s
+    v = -xi0 * eta_from_sum(m * lat.p1 + n * lat.p2, pj)
     bound = abs(xi0) * abs(pj) ** 2 * _direct_sum_tail(lat, abs(pj), shells) * 1.2
     return RatioConstant(xi0, j, v, method, shells, bound)
 
 
-def ratio_residual(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> float:
-    """|R_j(z) * exp(-v_j) - 1| with v_j from the quasi-period route.
+def _log_ratio(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> complex:
+    """log R_j(z), the four-sigma ratio, as an unwrapped sum of principal logs.
 
     Raises PoleOrZeroHit when any of the four sigma arguments lies on the
     lattice; the caller should resample z.
@@ -115,10 +100,14 @@ def ratio_residual(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> floa
     parts = [sigma(ev, w) for w in (z, z - xi0, z - xi0 + pj, z + pj)]
     if any(p.is_zero() for p in parts):
         raise PoleOrZeroHit("a sigma argument lies on the lattice")
-    log_ratio = parts[0].log() - parts[1].log() + parts[2].log() - parts[3].log()
-    etaj = ev.eta1 if j == 1 else ev.eta2
-    v = -etaj * xi0
-    delta = complex(log_ratio.real - v.real, wrap_angle(log_ratio.imag - v.imag))
+    return parts[0].log() - parts[1].log() + parts[2].log() - parts[3].log()
+
+
+def ratio_residual(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> float:
+    """|R_j(z) * exp(-v_j) - 1| with v_j from the quasi-period route."""
+    lr = _log_ratio(ev, xi0, j, z)
+    v = -eta(ev, j) * complex(xi0)
+    delta = complex(lr.real - v.real, wrap_angle(lr.imag - v.imag))
     if delta.real > 300.0:
         return math.inf
     return abs(cmath.exp(delta) - 1.0)

@@ -14,14 +14,13 @@ so |f| picks up a positive constant and the phase is fully periodic.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 from .divisor import (
     Divisor,
     EllipticFunction,
     PoleValue,
+    SigmaQuotient,
     _cancel_congruent,
     _eval_quotient,
     build_elliptic,
@@ -29,17 +28,15 @@ from .divisor import (
 )
 from .errors import IllConditioned, UnbalancedDivisor
 from .lattice import Lattice, reduce_to_cell, torus_distance
-from .weierstrass import SNAP_TOL, LogValue, SigmaEvaluator
-
-TAU = 2.0 * math.pi
+from .weierstrass import SNAP_TOL, TAU, LogValue, SigmaEvaluator
 
 
 @dataclass(frozen=True)
 class PhaseFunctionSpec:
     """Complete description of a synthesized f, plus its evaluation form.
 
-    The eval_* fields are derived: the sigma-ratio factors congruent to g's
-    zero at xi0 and pole at 0 are cancelled symbolically, folding their
+    `quotient` is derived: the sigma-ratio factors congruent to g's zero at
+    xi0 and pole at 0 are cancelled symbolically, folding their
     quasi-periodicity factors into the exponent and scale, so evaluation is
     total away from the intended divisor.
     """
@@ -53,10 +50,16 @@ class PhaseFunctionSpec:
     alpha2: float
     g: EllipticFunction
     divisor: Divisor
-    eval_exponent: complex
-    eval_log_scale: complex
-    eval_zeros: tuple[complex, ...]
-    eval_poles: tuple[complex, ...]
+    quotient: SigmaQuotient
+
+    # read by the sigma replay of bench/layers.py, which counts the factors
+    @property
+    def eval_zeros(self) -> tuple[complex, ...]:
+        return self.quotient.zeros
+
+    @property
+    def eval_poles(self) -> tuple[complex, ...]:
+        return self.quotient.poles
 
 
 def xi0_from_multipliers(alpha1: float, alpha2: float, lat: Lattice) -> complex:
@@ -105,13 +108,13 @@ def _finalize(
     d: Divisor,
     ev: SigmaEvaluator,
 ) -> PhaseFunctionSpec:
-    """Attach the cancelled evaluation form to the synthesized data."""
-    numer = (0j,) + g.zero_points
-    denom = (xi0,) + g.pole_points
-    eval_zeros, eval_poles, extra_a, extra_logc = _cancel_congruent(
-        numer, denom, lat, ev.eta1, ev.eta2
+    """Attach the cancelled evaluation form: g's quotient times sigma(z)/sigma(z - xi0)."""
+    if g.scale == 0:
+        raise ValueError("g must not vanish identically")
+    gq = g.quotient
+    quotient = _cancel_congruent(
+        (0j,) + gq.zeros, (xi0,) + gq.poles, lat, ev.eta1, ev.eta2, a + gq.exponent, gq.log_scale
     )
-    scale_log = cmath.log(complex(g.scale)) if g.scale not in (1, 1 + 0j) else 0j
     return PhaseFunctionSpec(
         lattice=lat,
         xi0=xi0,
@@ -122,10 +125,7 @@ def _finalize(
         alpha2=alpha2,
         g=g,
         divisor=d,
-        eval_exponent=a + extra_a,
-        eval_log_scale=extra_logc + scale_log,
-        eval_zeros=eval_zeros,
-        eval_poles=eval_poles,
+        quotient=quotient,
     )
 
 
@@ -155,6 +155,4 @@ def eval_f(spec: PhaseFunctionSpec, ev: SigmaEvaluator, z: complex) -> LogValue 
     Zeros of f (the divisor's zeros + L) return LogValue.zero(); poles return
     a PoleValue with the local multiplicity.
     """
-    z = complex(z)
-    log_extra = spec.eval_exponent * z + spec.eval_log_scale
-    return _eval_quotient(ev, z, spec.eval_zeros, spec.eval_poles, log_extra)
+    return _eval_quotient(spec.quotient, ev, z)

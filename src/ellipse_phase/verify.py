@@ -19,10 +19,9 @@ import numpy as np
 from .divisor import PoleValue
 from .errors import ContourTooClose, PoleOrZeroHit, TooManyPoleHits
 from .lattice import Lattice, reduce_to_cell, torus_distance
+from .sigma_ratio import _log_ratio
 from .synthesis import PhaseFunctionSpec, eval_f
-from .weierstrass import LogValue, SigmaEvaluator, sigma, wrap_angle
-
-TAU = 2.0 * math.pi
+from .weierstrass import TAU, SigmaEvaluator, wrap_angle
 
 #: required clearance between the contour and any zero/pole, as a fraction of
 #: the shorter period (used when the divisor is known; quadrature error decays
@@ -265,14 +264,7 @@ def ratio_z_independence(ev: SigmaEvaluator, xi0: complex, j: int, z_samples) ->
     The ratio sigma(z) sigma(z - xi0 + p_j) / (sigma(z - xi0) sigma(z + p_j))
     is constant in z; this measures how constant the evaluations are.
     """
-    xi0 = complex(xi0)
-    pj = ev.lattice.p1 if j == 1 else ev.lattice.p2
-    logs = []
-    for z in z_samples:
-        parts = [sigma(ev, w) for w in (z, z - xi0, z - xi0 + pj, z + pj)]
-        if any(p.is_zero() for p in parts):
-            raise PoleOrZeroHit("sample hit a sigma zero")
-        logs.append(parts[0].log() - parts[1].log() + parts[2].log() - parts[3].log())
+    logs = [_log_ratio(ev, xi0, j, z) for z in z_samples]
     worst = 0.0
     for i in range(len(logs)):
         for k in range(i + 1, len(logs)):

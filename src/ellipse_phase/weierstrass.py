@@ -18,6 +18,8 @@ Quasi-periods: sigma(z + p_j) = -sigma(z) * exp(eta_j (z + p_j/2)).  For the
 reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
 pair for the original basis is the integer change-of-basis combination.
+DirectProduct takes eta_j from the paired lattice sum `eta_from_sum`, which
+also gives the DirectSum constant v_j = -xi0 * eta_j of sigma_ratio.
 
 All values are returned in log form (LogValue) because |sigma| grows like
 exp(quadratic) across cells.
@@ -39,7 +41,7 @@ from .lattice import (
     _unit_frame_distance,
     coordinates,
     reduce_basis,
-    reduce_to_cell,
+    torus_distance,
 )
 
 TAU = 2.0 * math.pi
@@ -141,13 +143,19 @@ def _theta_coefficients(q: complex, im_omega: float) -> list[complex]:
     return coeffs
 
 
-def _is_lattice_point(z: complex, lat: Lattice, tol: float = SNAP_TOL) -> bool:
-    cc = reduce_to_cell(z, lat)
-    return any(
-        abs(cc.z0 - (i * lat.p1 + j * lat.p2)) <= tol
-        for i in (-1, 0, 1)
-        for j in (-1, 0, 1)
-    )
+def _paired_term(lam, pj: complex):
+    """Combined summand for the orbit {lam, -lam-p_j}: -p_j/(lam^2 (lam+p_j)^2)."""
+    return -pj / (lam**2 * (lam + pj) ** 2)
+
+
+def eta_from_sum(lam: np.ndarray, pj: complex) -> complex:
+    """eta_j = 3/p_j - p_j^2 * sum 1/(lam (lam+p_j)^2) over the points lam != -p_j.
+
+    Each orbit member of the pairing lam <-> -lam-p_j contributes half a paired
+    term, which turns the O(1/N) truncation tail into O(1/N^2).
+    """
+    lam = lam[np.abs(lam + pj) > SNAP_TOL]
+    return 3.0 / pj - pj**2 * (0.5 * complex(np.sum(_paired_term(lam, pj))))
 
 
 class SigmaEvaluator:
@@ -195,8 +203,8 @@ class SigmaEvaluator:
         if self.backend is Backend.DIRECT_PRODUCT:
             m, n = _shell_arrays(self.truncation_shells)
             self._product_points = m * lattice.p1 + n * lattice.p2
-            self.eta1 = self._eta_from_sum(1)
-            self.eta2 = self._eta_from_sum(2)
+            self.eta1 = eta_from_sum(self._product_points, lattice.p1)
+            self.eta2 = eta_from_sum(self._product_points, lattice.p2)
         else:
             self._product_points = None
             # [p1; p2] = det * [[d, -b], [-c, a]] [P1; P2] with integer entries
@@ -204,14 +212,6 @@ class SigmaEvaluator:
             det = a * d - b * c
             self.eta1 = det * (d * eta1_red - b * eta2_red)
             self.eta2 = det * (-c * eta1_red + a * eta2_red)
-
-    def _eta_from_sum(self, j: int) -> complex:
-        """3/p_j - p_j^2 * sum 1/(lam (lam+p_j)^2), by the symmetrized pairing."""
-        pj = self.lattice.p1 if j == 1 else self.lattice.p2
-        lam = self._product_points
-        lam = lam[np.abs(lam + pj) > SNAP_TOL]
-        s = np.sum(-pj / (2.0 * lam**2 * (lam + pj) ** 2))
-        return 3.0 / pj - pj**2 * complex(s)
 
     def _theta1_log(self, u: complex) -> complex:
         """Principal log of theta1(u | omega'), skipping negligible terms."""
@@ -256,7 +256,7 @@ class SigmaEvaluator:
         return LogValue.from_log(log_sigma)
 
     def _sigma_direct(self, z: complex) -> LogValue:
-        if _is_lattice_point(z, self.lattice):
+        if torus_distance(z, 0j, self.lattice) <= SNAP_TOL:
             return LogValue.zero()
         w = z / self._product_points
         terms = np.log1p(-w) + w + 0.5 * (w * w)
@@ -293,28 +293,3 @@ def eta(ev: SigmaEvaluator, j: int) -> complex:
     if j == 2:
         return ev.eta2
     raise ValueError("j must be 1 or 2")
-
-
-def sigma_quasi_reduce(ev: SigmaEvaluator, z: complex) -> tuple[complex, LogValue]:
-    """Range reduction: z0 in the cell centered at 0 and the exact correction.
-
-    Returns (z0, correction) with sigma(z) = sigma(z0) * correction, the
-    correction being the accumulated quasi-periodicity factor
-    (-1)^{m+n+mn} exp((m*eta1 + n*eta2) (z0 + lam/2)) for lam = m*p1 + n*p2.
-    """
-    lat = ev.lattice
-    cc = reduce_to_cell(z, lat)
-    z0, m, n = cc.z0, cc.m, cc.n
-    s, t = coordinates(z0, lat)
-    if s >= 0.5:
-        z0 -= lat.p1
-        m += 1
-    if t >= 0.5:
-        z0 -= lat.p2
-        n += 1
-    if m == 0 and n == 0:
-        return z0, LogValue.one()
-    lam = m * lat.p1 + n * lat.p2
-    corr = (m * ev.eta1 + n * ev.eta2) * (z0 + lam / 2)
-    phase = corr.imag + (math.pi if (m % 2 or n % 2) else 0.0)
-    return z0, LogValue(corr.real, wrap_angle(phase))

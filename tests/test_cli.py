@@ -78,6 +78,23 @@ class TestSigmaCommand:
         assert r.returncode == 1
         assert "DegenerateLattice" in r.stderr
 
+    def test_nan_period_is_validation_error(self):
+        r = run_cli("sigma", "--lattice", '{"p1": [NaN, 0], "p2": [0, 1]}', "--z", "0.4,0")
+        assert r.returncode == 1
+        assert "DegenerateLattice" in r.stderr
+
+    def test_negative_value_attached_with_equals(self):
+        # a value starting with "-" must be attached to its flag with "="
+        neg = run_cli("sigma", "--lattice", LATTICE, "--z=-0.3,0.2")
+        pos = run_cli("sigma", "--lattice", LATTICE, "--z", "0.3,-0.2")
+        assert neg.returncode == 0, neg.stderr
+        nm = dict(kv.split("=") for kv in neg.stdout.split())
+        pm = dict(kv.split("=") for kv in pos.stdout.split())
+        # sigma is odd: same modulus, phase shifted by pi
+        assert float(nm["log_mag"]) == pytest.approx(float(pm["log_mag"]), abs=1e-13)
+        turn = abs(float(nm["phase"]) - float(pm["phase"]))
+        assert turn == pytest.approx(math.pi, abs=1e-13)
+
 
 class TestEtaAndVj:
     def test_eta_square_lattice(self):
@@ -220,6 +237,23 @@ class TestConfigAndSeed:
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["samples_used"] == 36
 
+    @pytest.mark.parametrize("text", ['{"grid": "6x6",', "[1, 2]"])
+    def test_malformed_config_is_validation_error(self, tmp_path, text):
+        synth = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR)
+        (tmp_path / "spec.json").write_text(synth.stdout)
+        (tmp_path / "ellipse-phase.json").write_text(text)
+        r = run_cli("verify", "--spec", "spec.json", cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert "ellipse-phase.json" in r.stderr
+
+    def test_unreadable_config_is_io_error(self, tmp_path):
+        (tmp_path / "ellipse-phase.json").mkdir()
+        r = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR, cwd=tmp_path)
+        assert r.returncode == 3, r.stderr
+        assert r.stdout == ""
+        assert "ellipse-phase.json" in r.stderr
+
 
 class TestSpecReload:
     def test_reload_evaluates_identically(self):
@@ -232,3 +266,9 @@ class TestSpecReload:
         assert not v.is_zero()
         reparsed = spec_from_obj(json.loads(synth.stdout))
         assert eval_f(reparsed, ev, 0.11 + 0.22j) == v
+
+    def test_vanishing_g_rejected(self):
+        obj = json.loads(run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR).stdout)
+        obj["g"]["scale"] = [0.0, 0.0]
+        with pytest.raises(ValueError):
+            spec_from_obj(obj)

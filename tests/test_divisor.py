@@ -18,6 +18,8 @@ from ellipse_phase import (
     wrap_angle,
 )
 
+from ellipse_phase import divisor
+
 from conftest import random_cell_point, random_lattice
 from wp_oracle import wp, wp_lattice_sum
 
@@ -161,6 +163,25 @@ class TestEvalElliptic:
         val = eval_elliptic(g, square_ev, 0.7 + 0.8j)
         expected = -cmath.exp(square_ev.eta1 * ((0.7 + 0.8j) - (1.2 + 0.3j) + 0.5))
         assert rel_diff(val, LogValue.from_complex(expected)) <= 1e-12
+        assert (g.quotient.zeros, g.quotient.poles) == ((), ())
+
+    def test_quotient_cancelled_once(self, square, square_ev, monkeypatch):
+        g = EllipticFunction(square, (0.2 + 0.3j, 0.4), (1.2 + 0.3j, 0.6 + 0.1j), 1.0)
+        assert g == EllipticFunction(square, g.zero_points, g.pole_points, g.scale)
+        before = eval_elliptic(g, square_ev, 0.7 + 0.8j)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("congruent factors cancelled at evaluation time")
+
+        monkeypatch.setattr(divisor, "_cancel_congruent", refuse)
+        assert eval_elliptic(g, square_ev, 0.7 + 0.8j) == before
+        assert eval_elliptic(g, square_ev, 0.4).is_zero()
+        assert eval_elliptic(g, square_ev, 0.6 + 0.1j) == PoleValue(1)
+
+    def test_zero_scale_is_zero_everywhere(self, square, square_ev):
+        g = EllipticFunction(square, (0.2 + 0.3j,), (0.6 + 0.1j,), 0)
+        for z in (0.7 + 0.8j, 0.2 + 0.3j, 0.6 + 0.1j):
+            assert eval_elliptic(g, square_ev, z) == LogValue.zero()
 
 
 class TestWpOracle:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ellipse_phase import (
@@ -6,12 +8,17 @@ from ellipse_phase import (
     make_lattice,
     reduce_basis,
     reduce_to_cell,
-    shells,
     torus_distance,
 )
 from ellipse_phase.lattice import _shell_arrays, _unit_frame_distance
 
 from conftest import random_lattice
+
+
+def shell_points(lat, N):
+    """(m, n, m*p1 + n*p2) for the shells up to N, in enumeration order."""
+    m, n = _shell_arrays(N)
+    return list(zip(m.tolist(), n.tolist(), (m * lat.p1 + n * lat.p2).tolist()))
 
 
 class TestMakeLattice:
@@ -26,6 +33,11 @@ class TestMakeLattice:
     def test_zero_period_rejected(self):
         with pytest.raises(DegenerateLattice):
             make_lattice(0, 1j)
+
+    def test_non_finite_period_rejected(self):
+        for p1, p2 in ((math.nan, 1j), (1, complex(0, math.inf)), (complex(math.nan, 0), 1j)):
+            with pytest.raises(DegenerateLattice, match="finite"):
+                make_lattice(p1, p2)
 
     def test_ratio_arithmetic(self):
         lat = make_lattice(2, 1 + 1j)
@@ -68,36 +80,37 @@ class TestReduce:
 
 class TestShells:
     def test_empty(self):
-        lat = make_lattice(1, 1j)
-        assert shells(lat, 0) == []
+        m, n = _shell_arrays(0)
+        assert len(m) == len(n) == 0
 
     def test_counts(self):
-        lat = make_lattice(1, 1j)
-        assert len(shells(lat, 1)) == 8
-        assert len(shells(lat, 2)) == 24
+        assert len(_shell_arrays(1)[0]) == 8
+        assert len(_shell_arrays(2)[0]) == 24
         for N in (3, 5):
-            pts = shells(lat, N)
-            assert len(pts) == (2 * N + 1) ** 2 - 1
-            assert len({(p.m, p.n) for p in pts}) == len(pts)
+            m, n = _shell_arrays(N)
+            assert len(m) == (2 * N + 1) ** 2 - 1
+            assert len(set(zip(m.tolist(), n.tolist()))) == len(m)
 
     def test_grouped_by_shell(self):
-        lat = make_lattice(1, 1j)
-        ks = [max(abs(p.m), abs(p.n)) for p in shells(lat, 4)]
+        m, n = _shell_arrays(4)
+        ks = [max(abs(a), abs(b)) for a, b in zip(m.tolist(), n.tolist())]
         assert ks == sorted(ks)
         assert 0 not in ks
 
     def test_values_consistent(self):
         lat = make_lattice(1.3 - 0.2j, 0.4 + 1.1j)
-        for p in shells(lat, 2):
-            assert p.value == p.m * lat.p1 + p.n * lat.p2
+        for m, n, value in shell_points(lat, 2):
+            s, t = coordinates(value, lat)
+            assert abs(s - m) < 1e-12 and abs(t - n) < 1e-12
 
     def test_array_enumeration_matches(self):
-        lat = make_lattice(1, 1j)
+        # shell by shell, each sorted by (m, n) within the shell
+        expected = []
+        for k in range(1, 4):
+            ring = [(m, n) for m in range(-k, k + 1) for n in range(-k, k + 1)]
+            expected += sorted(p for p in ring if max(abs(p[0]), abs(p[1])) == k)
         m, n = _shell_arrays(3)
-        listed = shells(lat, 3)
-        assert [(a, b) for a, b in zip(m.tolist(), n.tolist())] == [
-            (p.m, p.n) for p in listed
-        ]
+        assert list(zip(m.tolist(), n.tolist())) == expected
 
 
 def _in_lattice(z, lat, tol=1e-9):
@@ -118,10 +131,10 @@ class TestReduceBasis:
         assert mat == ((1, 0), (-1, 1))
         # both bases generate the same points
         old = make_lattice(1, 1 + 1j)
-        for p in shells(red, 3):
-            assert _in_lattice(p.value, old)
-        for p in shells(old, 3):
-            assert _in_lattice(p.value, red)
+        for _, _, value in shell_points(red, 3):
+            assert _in_lattice(value, old)
+        for _, _, value in shell_points(old, 3):
+            assert _in_lattice(value, red)
 
     def test_long_shear(self):
         red, mat = reduce_basis(make_lattice(1, 10 + 1j))
@@ -157,10 +170,10 @@ class TestReduceBasis:
         for _ in range(20):
             lat = random_lattice(rng)
             red, mat = reduce_basis(lat)
-            for p in shells(red, 1):
-                assert _in_lattice(p.value, lat)
-            for p in shells(lat, 1):
-                assert _in_lattice(p.value, red)
+            for _, _, value in shell_points(red, 1):
+                assert _in_lattice(value, lat)
+            for _, _, value in shell_points(lat, 1):
+                assert _in_lattice(value, red)
             # matrix really maps old basis to new
             (a, b), (c, d) = mat
             assert abs(red.p1 - (a * lat.p1 + b * lat.p2)) < 1e-12
@@ -178,5 +191,5 @@ class TestHelpers:
         # shells then obey |m p1 + n p2| >= k * frame distance
         lat = make_lattice(1.1 - 0.4j, 0.2 + 0.9j)
         c = _unit_frame_distance(lat)
-        for p in shells(lat, 4):
-            assert abs(p.value) >= max(abs(p.m), abs(p.n)) * c - 1e-12
+        for m, n, value in shell_points(lat, 4):
+            assert abs(value) >= max(abs(m), abs(n)) * c - 1e-12

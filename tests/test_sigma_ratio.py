@@ -9,7 +9,8 @@ from ellipse_phase import (
     ratio_residual,
     v_constant,
 )
-from ellipse_phase.sigma_ratio import VMethod, _paired_term
+from ellipse_phase.sigma_ratio import VMethod
+from ellipse_phase.weierstrass import _paired_term
 
 from conftest import random_cell_point, random_lattice
 
@@ -122,3 +123,11 @@ class TestRatioResidual:
         ev = SigmaEvaluator(make_lattice(1, 1j))
         with pytest.raises(PoleOrZeroHit):
             ratio_residual(ev, 0.3 + 0.2j, 1, 0.0)
+        # z - xi0 + p_j on the lattice
+        with pytest.raises(PoleOrZeroHit):
+            ratio_residual(ev, 0.3 + 0.2j, 2, 0.3 - 0.8j)
+
+    def test_j_validation(self):
+        ev = SigmaEvaluator(make_lattice(1, 1j))
+        with pytest.raises(ValueError):
+            ratio_residual(ev, 0.3 + 0.2j, 3, 0.41 + 0.27j)

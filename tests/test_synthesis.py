@@ -19,6 +19,8 @@ from ellipse_phase import (
     xi0_from_multipliers,
 )
 
+from ellipse_phase import divisor, synthesis
+
 from conftest import random_cell_point, random_lattice
 
 TAU = 2 * math.pi
@@ -155,6 +157,20 @@ class TestSynthesize:
         # the g pole at 0 cancels against the sigma-ratio zero
         value = eval_f(spec, ev, 0)
         assert not value.is_zero() and not isinstance(value, PoleValue)
+
+    def test_eval_uses_prebuilt_quotient(self, square, monkeypatch):
+        d = make_divisor([(0.3 + 0.4j, 1)], [(0.6 + 0.1j, 1)], square)
+        spec = synthesize(d, 1, -1, square)
+        ev = SigmaEvaluator(square)
+        before = eval_f(spec, ev, 0.7 + 0.8j)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("congruent factors cancelled at evaluation time")
+
+        monkeypatch.setattr(divisor, "_cancel_congruent", refuse)
+        monkeypatch.setattr(synthesis, "_cancel_congruent", refuse)
+        assert eval_f(spec, ev, 0.7 + 0.8j) == before
+        assert (spec.eval_zeros, spec.eval_poles) == (spec.quotient.zeros, spec.quotient.poles)
 
     def test_xi0_zero_collapses_ratio(self, square):
         # balanced divisor with equal sums: f = exp(a z) g(z)

@@ -6,6 +6,7 @@ from ellipse_phase import (
     ContourTooClose,
     GridSpec,
     LogValue,
+    PoleOrZeroHit,
     QuadratureSpec,
     SigmaEvaluator,
     TooManyPoleHits,
@@ -183,6 +184,17 @@ class TestRatioZIndependence:
         ev = SigmaEvaluator(lat)
         samples = [random_cell_point(rng, lat) for _ in range(5)]
         assert ratio_z_independence(ev, 0.5 - 0.4j, 2, samples) <= 1e-8
+
+    def test_j_validation(self, square_ev):
+        with pytest.raises(ValueError):
+            ratio_z_independence(square_ev, 0.3 + 0.2j, 3, [0.41 + 0.27j, 0.2 + 0.6j])
+
+    def test_pole_hit(self, square_ev):
+        with pytest.raises(PoleOrZeroHit):
+            ratio_z_independence(square_ev, 0.3 + 0.2j, 1, [0.41 + 0.27j, 1.0 + 1.0j])
+        # z - xi0 on the lattice
+        with pytest.raises(PoleOrZeroHit):
+            ratio_z_independence(square_ev, 0.3 + 0.2j, 1, [0.41 + 0.27j, 0.3 + 0.2j])
 
 
 class TestVerifySpec:

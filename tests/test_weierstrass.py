@@ -12,7 +12,6 @@ from ellipse_phase import (
     make_lattice,
     reduce_basis,
     sigma,
-    sigma_quasi_reduce,
     wrap_angle,
 )
 from ellipse_phase.sigma_ratio import VMethod, v_constant
@@ -170,27 +169,13 @@ class TestQuasiPeriodicity:
                 )
                 assert rel_diff(lhs, rhs) <= 1e-8
 
-    def test_quasi_reduce_identity_in_cell(self, square_fast):
-        z0, corr = sigma_quasi_reduce(square_fast, 0.2 + 0.1j)
-        assert z0 == 0.2 + 0.1j
-        assert corr == LogValue.one()
-
-    def test_quasi_reduce_single_step(self, square_fast):
-        z0 = 0.2 + 0.1j
-        back, corr = sigma_quasi_reduce(square_fast, z0 + 1)
-        assert abs(back - z0) < 1e-14
-        expected = LogValue.from_complex(-cmath.exp(square_fast.eta1 * (z0 + 0.5)))
-        assert log_distance(corr, expected) <= 1e-12
-
     def test_quasi_reduce_against_direct_product(self, square_fast, square_direct):
-        z0 = 0.2 - 0.3j
-        z = z0 + 5 * 1 - 3 * 1j
-        back, corr = sigma_quasi_reduce(square_fast, z)
-        assert abs(back - z0) < 1e-12
-        reduced_value = sigma(square_fast, back) * corr
+        # the fast path reduces z by 5 and -3 periods; the product sums directly
+        z = 0.2 - 0.3j + 5 * 1 - 3 * 1j
+        fast_value = sigma(square_fast, z)
         direct_value = sigma(square_direct, z)
-        assert log_distance(reduced_value, direct_value) <= square_direct.a_priori_bound(z)
-        assert log_distance(reduced_value, direct_value) <= 0.2
+        assert log_distance(fast_value, direct_value) <= square_direct.a_priori_bound(z)
+        assert log_distance(fast_value, direct_value) <= 0.2
 
 
 class TestBackends:
