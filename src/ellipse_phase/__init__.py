@@ -28,7 +28,6 @@ from .errors import (
     UnbalancedDivisor,
 )
 from .lattice import (
-    CellCoordinates,
     Lattice,
     coordinates,
     make_lattice,
@@ -71,7 +70,6 @@ __all__ = [
     "AbelViolation",
     "AccuracyNotMet",
     "Backend",
-    "CellCoordinates",
     "Coloring",
     "ContourCount",
     "ContourTooClose",

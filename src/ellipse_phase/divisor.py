@@ -99,7 +99,7 @@ def _merge_points(entries, lat: Lattice) -> list[tuple[complex, int]]:
         mult = int(mult)
         if mult < 1:
             raise ValueError("multiplicities must be positive integers")
-        point = reduce_to_cell(complex(point), lat).z0
+        point = reduce_to_cell(complex(point), lat)
         for i, (q, m) in enumerate(merged):
             if torus_distance(point, q, lat) <= MERGE_TOL:
                 merged[i] = (q, m + mult)
@@ -129,7 +129,7 @@ def make_divisor(zeros, poles, lat: Lattice) -> Divisor:
 def validate_abel(d: Divisor, lat: Lattice, tol: float = ABEL_TOL) -> tuple[bool, complex]:
     """Check equal counts and lattice-congruent sums; defect = reduced sum difference."""
     diff = d.zero_sum() - d.pole_sum()
-    defect = reduce_to_cell(diff, lat).z0
+    defect = reduce_to_cell(diff, lat)
     balanced = d.zero_count() == d.pole_count()
     congruent = torus_distance(diff, 0.0, lat) <= tol
     return balanced and congruent, defect

@@ -3,7 +3,9 @@
 Numbers are serialized with 17 significant digits so every double round-trips
 exactly.  Complex scalars travel as [re, im]; lattices as
 {"p1": [re, im], "p2": [re, im]}; divisors as
-{"zeros": [[re, im, mult], ...], "poles": [[re, im, mult], ...]}.
+{"zeros": [[re, im, mult], ...], "poles": [[re, im, mult], ...]}.  A spec is
+reloaded by re-synthesizing it from its lattice, divisor and m; its derived
+fields must match the re-derived ones exactly.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import math
 
 from .divisor import Divisor, EllipticFunction, make_divisor
 from .lattice import Lattice, make_lattice
-from .synthesis import PhaseFunctionSpec, _finalize
+from .synthesis import PhaseFunctionSpec, synthesize
 from .verify import VerificationReport
-from .weierstrass import SigmaEvaluator
 
 
 def _format_float(x: float) -> str:
@@ -81,15 +82,6 @@ def elliptic_to_obj(g: EllipticFunction) -> dict:
     }
 
 
-def elliptic_from_obj(obj, lat: Lattice) -> EllipticFunction:
-    return EllipticFunction(
-        lat,
-        tuple(complex_from_obj(p) for p in obj["zeros"]),
-        tuple(complex_from_obj(p) for p in obj["poles"]),
-        complex_from_obj(obj.get("scale", [1.0, 0.0])),
-    )
-
-
 def spec_to_obj(spec: PhaseFunctionSpec) -> dict:
     return {
         "lattice": lattice_to_obj(spec.lattice),
@@ -103,23 +95,21 @@ def spec_to_obj(spec: PhaseFunctionSpec) -> dict:
 
 
 def spec_from_obj(obj) -> PhaseFunctionSpec:
-    """Rebuild a spec, re-deriving the cancelled evaluation form deterministically."""
+    """Re-synthesize a spec from its lattice, divisor and m.
+
+    The stored derived fields must equal the re-derived ones after the same
+    17-digit round trip; the first that differs raises ValueError.
+    """
     lat = lattice_from_obj(obj["lattice"])
-    g = elliptic_from_obj(obj["g"], lat)
     d = divisor_from_obj(obj["divisor"], lat)
-    ev = SigmaEvaluator(lat)
-    return _finalize(
-        lat,
-        complex_from_obj(obj["xi0"]),
-        complex_from_obj(obj["a"]),
-        int(obj["m"][0]),
-        int(obj["m"][1]),
-        float(obj["alpha"][0]),
-        float(obj["alpha"][1]),
-        g,
-        d,
-        ev,
-    )
+    spec = synthesize(d, int(obj["m"][0]), int(obj["m"][1]), lat)
+    derived = json.loads(dumps(spec_to_obj(spec)))
+    for key in ("xi0", "a", "alpha", "g"):
+        if obj[key] != derived[key]:
+            raise ValueError(
+                f"spec field {key!r} is {obj[key]} but lattice, divisor and m give {derived[key]}"
+            )
+    return spec
 
 
 def report_to_obj(report: VerificationReport) -> dict:

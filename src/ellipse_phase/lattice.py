@@ -30,16 +30,7 @@ class Lattice:
     omega: complex
 
 
-@dataclass(frozen=True)
-class CellCoordinates:
-    """Cell representative z0 and integers (m, n) with z = z0 + m*p1 + n*p2."""
-
-    z0: complex
-    m: int
-    n: int
-
-
-def make_lattice(p1: complex, p2: complex, degeneracy_eps: float = DEGENERACY_EPS) -> Lattice:
+def make_lattice(p1: complex, p2: complex) -> Lattice:
     """Build a lattice from a period pair, rejecting (near-)real ratios."""
     p1 = complex(p1)
     p2 = complex(p2)
@@ -48,24 +39,26 @@ def make_lattice(p1: complex, p2: complex, degeneracy_eps: float = DEGENERACY_EP
     if p1 == 0 or p2 == 0:
         raise DegenerateLattice("periods must be nonzero")
     omega = p2 / p1
-    if abs(omega.imag) < degeneracy_eps:
+    if abs(omega.imag) < DEGENERACY_EPS:
         raise DegenerateLattice(f"period ratio {omega} is too close to real")
     return Lattice(p1, p2, omega)
 
 
 def coordinates(z: complex, lat: Lattice) -> tuple[float, float]:
-    """Real coordinates (s, t) with z = s*p1 + t*p2."""
+    """Real coordinates (s, t) with z = s*p1 + t*p2; a non-finite z is a ValueError."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
     w = z / lat.p1
     t = w.imag / lat.omega.imag
     s = w.real - t * lat.omega.real
     return s, t
 
 
-def reduce_to_cell(z: complex, lat: Lattice) -> CellCoordinates:
+def reduce_to_cell(z: complex, lat: Lattice) -> complex:
     """Reduce z into the half-open fundamental cell.
 
-    Total function: returns the representative z0 with coordinates in [0, 1)^2
-    and the integers (m, n) such that z = z0 + m*p1 + n*p2.
+    Returns the representative z0 = z - m*p1 - n*p2 (integers m, n) whose
+    coordinates lie in [0, 1)^2.
     """
     z = complex(z)
     s, t = coordinates(z, lat)
@@ -81,14 +74,14 @@ def reduce_to_cell(z: complex, lat: Lattice) -> CellCoordinates:
             break
         m += dm
         n += dn
-    return CellCoordinates(z0, m, n)
+    return z0
 
 
 def torus_distance(a: complex, b: complex, lat: Lattice) -> float:
     """Distance between a and b on the torus C/L (exact for small separations)."""
-    cc = reduce_to_cell(a - b, lat)
+    z0 = reduce_to_cell(a - b, lat)
     return min(
-        abs(cc.z0 - (i * lat.p1 + j * lat.p2))
+        abs(z0 - (i * lat.p1 + j * lat.p2))
         for i in (-1, 0, 1)
         for j in (-1, 0, 1)
     )

@@ -71,6 +71,8 @@ def v_constant(
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
     xi0 = complex(xi0)
+    if not cmath.isfinite(xi0):
+        raise ValueError(f"xi0 {xi0} is not finite")
     method = VMethod(method)
     pj = lat.p1 if j == 1 else lat.p2
 

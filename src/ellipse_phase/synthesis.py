@@ -35,10 +35,10 @@ from .weierstrass import SNAP_TOL, TAU, LogValue, SigmaEvaluator
 class PhaseFunctionSpec:
     """Complete description of a synthesized f, plus its evaluation form.
 
-    `quotient` is derived: the sigma-ratio factors congruent to g's zero at
-    xi0 and pole at 0 are cancelled symbolically, folding their
-    quasi-periodicity factors into the exponent and scale, so evaluation is
-    total away from the intended divisor.
+    Built only by `synthesize`.  `quotient` is derived: the sigma-ratio
+    factors congruent to g's zero at xi0 and pole at 0 are cancelled
+    symbolically, folding their quasi-periodicity factors into the exponent
+    and scale, so evaluation is total away from the intended divisor.
     """
 
     lattice: Lattice
@@ -65,7 +65,7 @@ class PhaseFunctionSpec:
 def xi0_from_multipliers(alpha1: float, alpha2: float, lat: Lattice) -> complex:
     """Cell representative of (alpha1*p2 - alpha2*p1) / (2*pi*i)."""
     w = (alpha1 * lat.p2 - alpha2 * lat.p1) / (TAU * 1j)
-    return reduce_to_cell(w, lat).z0
+    return reduce_to_cell(w, lat)
 
 
 def xi0_from_divisor(d: Divisor, lat: Lattice) -> complex:
@@ -75,7 +75,7 @@ def xi0_from_divisor(d: Divisor, lat: Lattice) -> complex:
             f"{d.zero_count()} zeros vs {d.pole_count()} poles; "
             "the phase cannot be doubly periodic"
         )
-    return reduce_to_cell(d.pole_sum() - d.zero_sum(), lat).z0
+    return reduce_to_cell(d.pole_sum() - d.zero_sum(), lat)
 
 
 def solve_exponent(lat: Lattice, v1: complex, v2: complex, m1: int, m2: int) -> complex:
@@ -96,41 +96,11 @@ def solve_exponent(lat: Lattice, v1: complex, v2: complex, m1: int, m2: int) -> 
     return complex(x, y)
 
 
-def _finalize(
-    lat: Lattice,
-    xi0: complex,
-    a: complex,
-    m1: int,
-    m2: int,
-    alpha1: float,
-    alpha2: float,
-    g: EllipticFunction,
-    d: Divisor,
-    ev: SigmaEvaluator,
-) -> PhaseFunctionSpec:
-    """Attach the cancelled evaluation form: g's quotient times sigma(z)/sigma(z - xi0)."""
-    if g.scale == 0:
-        raise ValueError("g must not vanish identically")
-    gq = g.quotient
-    quotient = _cancel_congruent(
-        (0j,) + gq.zeros, (xi0,) + gq.poles, lat, ev.eta1, ev.eta2, a + gq.exponent, gq.log_scale
-    )
-    return PhaseFunctionSpec(
-        lattice=lat,
-        xi0=xi0,
-        a=a,
-        m1=m1,
-        m2=m2,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        g=g,
-        divisor=d,
-        quotient=quotient,
-    )
-
-
 def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
-    """Build the full doubly-periodic-phase function for a balanced divisor."""
+    """Build the full doubly-periodic-phase function for a balanced divisor.
+
+    xi0, a, alpha and g are derived from the lattice, the divisor and (m1, m2).
+    """
     ev = SigmaEvaluator(lat)
     xi0 = xi0_from_divisor(d, lat)
     if torus_distance(xi0, 0.0, lat) <= SNAP_TOL:
@@ -146,7 +116,12 @@ def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
         lat,
     )
     g = build_elliptic(g_divisor, lat)
-    return _finalize(lat, xi0, a, int(m1), int(m2), alpha1, alpha2, g, d, ev)
+    # the evaluation form: g's quotient times sigma(z) / sigma(z - xi0)
+    gq = g.quotient
+    quotient = _cancel_congruent(
+        (0j,) + gq.zeros, (xi0,) + gq.poles, lat, ev.eta1, ev.eta2, a + gq.exponent, gq.log_scale
+    )
+    return PhaseFunctionSpec(lat, xi0, a, int(m1), int(m2), alpha1, alpha2, g, d, quotient)
 
 
 def eval_f(spec: PhaseFunctionSpec, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:

@@ -166,7 +166,7 @@ def _contour_clear(lat: Lattice, offset: complex, known_points, clearance: float
     corners = [offset, offset + lat.p1, offset + lat.p1 + lat.p2, offset + lat.p2]
     sides = list(zip(corners, corners[1:] + corners[:1]))
     for p in known_points:
-        base = reduce_to_cell(p, lat).z0
+        base = reduce_to_cell(p, lat)
         for i in (-1, 0, 1):
             for j in (-1, 0, 1):
                 q = base + i * lat.p1 + j * lat.p2
@@ -255,7 +255,7 @@ def divisor_sum(
     representative for the un-offset cell.
     """
     _, moment, _, _ = _contour_integrals(fval, lat, offset, quad, known_points)
-    return reduce_to_cell(moment, lat).z0
+    return reduce_to_cell(moment, lat)
 
 
 def ratio_z_independence(ev: SigmaEvaluator, xi0: complex, j: int, z_samples) -> float:
@@ -294,7 +294,7 @@ def verify_spec(
     winding, moment, _, used_offset = _contour_integrals(fval, lat, 0j, quad, known)
     nearest = int(round(winding.real))
     distance = float(abs(winding - nearest))
-    dsum = reduce_to_cell(moment, lat).z0
+    dsum = reduce_to_cell(moment, lat)
 
     zero_count = spec.divisor.zero_count()
     return VerificationReport(
@@ -305,7 +305,7 @@ def verify_spec(
         zero_count=zero_count,
         pole_count=zero_count - int(nearest),
         divisor_sum_mod_L=dsum,
-        xi0_recovered=reduce_to_cell(-moment, lat).z0,
+        xi0_recovered=reduce_to_cell(-moment, lat),
         samples_used=grid.nx * grid.ny,
         contour_offset=used_offset,
         winding_distance=distance,

@@ -180,33 +180,29 @@ class SigmaEvaluator:
         if self.truncation_shells < 1:
             raise ValueError("truncation_shells must be >= 1")
 
-        self._frame_dist = _unit_frame_distance(lattice)
-        reduced, basis_matrix = reduce_basis(lattice)
-        self._reduced = reduced
-        self._basis_matrix = basis_matrix
-        if math.pi * reduced.omega.imag / 2 > 650.0:
-            raise AccuracyNotMet(
-                "reduced aspect ratio too extreme for the theta backend"
-            )
-
-        q = cmath.exp(1j * math.pi * reduced.omega)
-        self._coeffs = _theta_coefficients(q, reduced.omega.imag)
-        self._coeff_logabs = [math.log(abs(c)) for c in self._coeffs]
-        t1p = 2 * sum(c * (2 * k + 1) for k, c in enumerate(self._coeffs))
-        t1ppp = -2 * sum(c * (2 * k + 1) ** 3 for k, c in enumerate(self._coeffs))
-        self._log_t1p = cmath.log(t1p)
-        self._log_prefactor = cmath.log(reduced.p1 / math.pi)
-        eta1_red = -(math.pi**2) * t1ppp / (3 * reduced.p1 * t1p)
-        eta2_red = (eta1_red * reduced.p2 - TAU * 1j) / reduced.p1
-        self._eta_reduced = (eta1_red, eta2_red)
-
         if self.backend is Backend.DIRECT_PRODUCT:
+            self._frame_dist = _unit_frame_distance(lattice)
             m, n = _shell_arrays(self.truncation_shells)
             self._product_points = m * lattice.p1 + n * lattice.p2
             self.eta1 = eta_from_sum(self._product_points, lattice.p1)
             self.eta2 = eta_from_sum(self._product_points, lattice.p2)
         else:
-            self._product_points = None
+            reduced, basis_matrix = reduce_basis(lattice)
+            self._reduced = reduced
+            if math.pi * reduced.omega.imag / 2 > 650.0:
+                raise AccuracyNotMet(
+                    "reduced aspect ratio too extreme for the theta backend"
+                )
+            q = cmath.exp(1j * math.pi * reduced.omega)
+            self._coeffs = _theta_coefficients(q, reduced.omega.imag)
+            self._coeff_logabs = [math.log(abs(c)) for c in self._coeffs]
+            t1p = 2 * sum(c * (2 * k + 1) for k, c in enumerate(self._coeffs))
+            t1ppp = -2 * sum(c * (2 * k + 1) ** 3 for k, c in enumerate(self._coeffs))
+            self._log_t1p = cmath.log(t1p)
+            self._log_prefactor = cmath.log(reduced.p1 / math.pi)
+            eta1_red = -(math.pi**2) * t1ppp / (3 * reduced.p1 * t1p)
+            eta2_red = (eta1_red * reduced.p2 - TAU * 1j) / reduced.p1
+            self._eta_reduced = (eta1_red, eta2_red)
             # [p1; p2] = det * [[d, -b], [-c, a]] [P1; P2] with integer entries
             (a, b), (c, d) = basis_matrix
             det = a * d - b * c

@@ -83,6 +83,14 @@ class TestSigmaCommand:
         assert r.returncode == 1
         assert "DegenerateLattice" in r.stderr
 
+    @pytest.mark.parametrize("backend", ["fast", "direct"])
+    @pytest.mark.parametrize("z", ["nan,0", "inf,0"])
+    def test_non_finite_point_is_validation_error(self, backend, z):
+        r = run_cli("sigma", "--lattice", LATTICE, f"--z={z}", "--backend", backend)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "not finite" in r.stderr
+
     def test_negative_value_attached_with_equals(self):
         # a value starting with "-" must be attached to its flag with "="
         neg = run_cli("sigma", "--lattice", LATTICE, "--z=-0.3,0.2")
@@ -117,6 +125,13 @@ class TestEtaAndVj:
         diff = abs(complex(*ve["v"]) - complex(*vd["v"]))
         assert diff <= vd["error_bound"]
 
+    @pytest.mark.parametrize("method", ["eta", "direct"])
+    def test_vj_non_finite_xi0_is_validation_error(self, method):
+        r = run_cli("vj", "--lattice", LATTICE, "--xi0=nan,0", "--j", "1", "--method", method)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "not finite" in r.stderr
+
 
 class TestSynthVerifyRoundtrip:
     def test_pipeline(self, tmp_path):
@@ -146,20 +161,27 @@ class TestSynthVerifyRoundtrip:
         assert r.returncode == 1
         assert "UnbalancedDivisor" in r.stderr
 
+    def test_non_finite_divisor_point_exit_code(self):
+        r = run_cli(
+            "synth", "--lattice", LATTICE,
+            "--divisor", '{"zeros": [[NaN, 0.4, 1]], "poles": [[0.6, 0.1, 1]]}',
+        )
+        assert r.returncode == 1
+        assert "not finite" in r.stderr
+
     def test_unknown_subcommand(self):
         r = run_cli("nonsense")
         assert r.returncode == 1
         assert "usage" in r.stderr.lower()
 
     def test_tolerance_failure_exit_code(self, tmp_path):
-        # corrupting the stored multiplier must trip the verifier (exit 2)
+        # an untouched spec cannot meet an impossible tolerance (exit 2)
         synth = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR)
-        obj = json.loads(synth.stdout)
-        obj["alpha"][0] += 0.5
-        spec_path = tmp_path / "bad.json"
-        spec_path.write_text(dumps(obj))
-        r = run_cli("verify", "--spec", str(spec_path))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(synth.stdout)
+        r = run_cli("verify", "--spec", str(spec_path), "--tol=1e-300")
         assert r.returncode == 2
+        assert json.loads(r.stdout)["reliable"] is True
 
     def test_help_exits_zero(self):
         r = run_cli("--help")
@@ -268,7 +290,24 @@ class TestSpecReload:
         assert eval_f(reparsed, ev, 0.11 + 0.22j) == v
 
     def test_vanishing_g_rejected(self):
+        # a re-derived g has scale 1, so a stored scale 0 is a mismatch
         obj = json.loads(run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR).stdout)
         obj["g"]["scale"] = [0.0, 0.0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spec field 'g'"):
             spec_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "command, field", [("verify", "xi0"), ("verify", "a"), ("verify", "alpha"), ("plot", "alpha")]
+    )
+    def test_edited_derived_field_exits_1(self, tmp_path, command, field):
+        obj = json.loads(run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR).stdout)
+        obj[field][0] += 0.5
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(dumps(obj))
+        out = tmp_path / "bad.ppm"
+        args = ["--out", str(out)] if command == "plot" else []
+        r = run_cli(command, "--spec", str(spec_path), *args)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert f"spec field '{field}'" in r.stderr
+        assert not out.exists()

@@ -44,38 +44,50 @@ class TestMakeLattice:
         assert lat.omega == (1 + 1j) / 2
 
 
+def assert_lattice_vector(w, lat, tol=0.0):
+    """w = m*p1 + n*p2 with integers (m, n), up to `tol` in each coordinate."""
+    s, t = coordinates(w, lat)
+    assert abs(s - round(s)) <= tol and abs(t - round(t)) <= tol
+
+
 class TestReduce:
     def test_origin_fixed(self):
         lat = make_lattice(1, 1j)
-        cc = reduce_to_cell(0, lat)
-        assert (cc.z0, cc.m, cc.n) == (0, 0, 0)
+        assert reduce_to_cell(0, lat) == 0
 
     def test_lattice_point_maps_to_origin(self):
         lat = make_lattice(1, 1j)
-        cc = reduce_to_cell(1, lat)
-        assert (cc.z0, cc.m, cc.n) == (0, 1, 0)
+        z0 = reduce_to_cell(1, lat)
+        assert z0 == 0
+        assert coordinates(1 - z0, lat) == (1.0, 0.0)
 
     def test_interior_point_fixed(self):
         lat = make_lattice(1, 1j)
-        cc = reduce_to_cell(0.5 + 0.5j, lat)
-        assert (cc.z0, cc.m, cc.n) == (0.5 + 0.5j, 0, 0)
+        assert reduce_to_cell(0.5 + 0.5j, lat) == 0.5 + 0.5j
 
     def test_roundtrip_and_range(self, rng):
         for _ in range(200):
             lat = random_lattice(rng)
             z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            cc = reduce_to_cell(z, lat)
-            back = cc.z0 + cc.m * lat.p1 + cc.n * lat.p2
-            assert abs(back - z) <= 1e-12 * (1 + abs(z))
-            s, t = coordinates(cc.z0, lat)
+            z0 = reduce_to_cell(z, lat)
+            assert_lattice_vector(z - z0, lat, tol=1e-12 * (1 + abs(z)))
+            s, t = coordinates(z0, lat)
             assert 0 <= s < 1 and 0 <= t < 1
 
     def test_idempotent_on_representative(self, rng):
         for _ in range(100):
             lat = random_lattice(rng)
-            z0 = reduce_to_cell(complex(rng.uniform(-9, 9), rng.uniform(-9, 9)), lat).z0
-            cc = reduce_to_cell(z0, lat)
-            assert (cc.z0, cc.m, cc.n) == (z0, 0, 0)
+            z0 = reduce_to_cell(complex(rng.uniform(-9, 9), rng.uniform(-9, 9)), lat)
+            assert reduce_to_cell(z0, lat) == z0
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf), -math.inf])
+    def test_non_finite_point_rejected(self, z):
+        lat = make_lattice(1, 1j)
+        for call in (coordinates, reduce_to_cell):
+            with pytest.raises(ValueError, match="not finite"):
+                call(z, lat)
+        with pytest.raises(ValueError, match="not finite"):
+            torus_distance(z, 0.5, lat)
 
 
 class TestShells:

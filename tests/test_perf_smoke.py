@@ -1,0 +1,79 @@
+"""Coarse timing budgets that catch order-of-magnitude slowdowns.
+
+Each budget is at least 10x the median measured on a 2-core Intel Xeon with
+Python 3.11 (noted next to it), because shared hosts can run at half speed
+for minutes.  The benchmark under bench/ is the real measurement; these only
+guard against a gross regression slipping through the unit tests.
+"""
+
+import json
+import statistics
+import time
+
+import pytest
+
+from ellipse_phase import (
+    RenderSpec,
+    SigmaEvaluator,
+    eval_f,
+    make_divisor,
+    make_lattice,
+    render_pixels,
+    sigma,
+    synthesize,
+)
+from ellipse_phase.jsonio import dumps, spec_from_obj, spec_to_obj
+
+LAT = make_lattice(1, 0.2 + 1.1j)
+PAIRS = [
+    (0.12 + 0.31j, 0.71 + 0.05j),
+    (0.43 + 0.88j, 0.25 + 0.52j),
+    (0.64 + 0.17j, 0.93 + 0.77j),
+    (0.86 + 0.62j, 0.38 + 0.99j),
+    (0.29 + 1.02j, 0.57 + 0.41j),
+]
+
+
+def median_ms(fn, repeats=5):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+@pytest.fixture(scope="module")
+def spec5():
+    d = make_divisor([(z, 1) for z, _ in PAIRS], [(p, 1) for _, p in PAIRS], LAT)
+    return synthesize(d, 1, -1, LAT)
+
+
+def test_evaluator_construction():
+    # measured median ~2 ms for 100 evaluators
+    assert median_ms(lambda: [SigmaEvaluator(LAT) for _ in range(100)]) < 25.0
+
+
+def test_fast_sigma_calls():
+    # measured median ~8 ms for 1,000 calls
+    ev = SigmaEvaluator(LAT)
+    zs = [complex(0.013 * k, 0.007 * k) + 0.11 for k in range(1000)]
+    assert median_ms(lambda: [sigma(ev, z) for z in zs]) < 100.0
+
+
+def test_spec_round_trip(spec5):
+    # measured median ~2.5 ms: synthesize, dumps, then spec_from_obj (which synthesizes again)
+    def round_trip():
+        text = dumps(spec_to_obj(synthesize(spec5.divisor, 1, -1, LAT)))
+        spec_from_obj(json.loads(text))
+
+    assert median_ms(round_trip) < 30.0
+
+
+def test_render_small_portrait(spec5):
+    # measured median ~90 ms for 32x32 pixels of a 5-pair spec
+    ev = SigmaEvaluator(LAT)
+    rspec = RenderSpec(
+        center=(LAT.p1 + LAT.p2) / 2, width=2.0, height=2.0, width_px=32, height_px=32
+    )
+    assert median_ms(lambda: render_pixels(lambda z: eval_f(spec5, ev, z), rspec), 3) < 1000.0

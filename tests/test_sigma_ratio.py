@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -98,6 +99,13 @@ class TestVConstant:
             v_constant(lat, 0.1, 3)
         with pytest.raises(ValueError):
             v_constant(lat, 0.1, 1, method=VMethod.DIRECT_SUM, shells=1)
+
+    @pytest.mark.parametrize("method", list(VMethod))
+    def test_non_finite_xi0_rejected(self, method):
+        lat = make_lattice(1, 1j)
+        for xi0 in (complex(math.nan, 0), complex(0, math.inf)):
+            with pytest.raises(ValueError, match="not finite"):
+                v_constant(lat, xi0, 1, method=method)
 
 
 class TestRatioResidual:

@@ -117,6 +117,12 @@ class TestSigmaBasics:
         with pytest.raises(AccuracyNotMet):
             sigma(square_fast, 123456.25 + 98765.5j)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(math.inf, 0), complex(0, -math.inf)])
+    def test_non_finite_point_rejected(self, square_fast, square_direct, z):
+        for ev in (square_fast, square_direct):
+            with pytest.raises(ValueError, match="not finite"):
+                sigma(ev, z)
+
 
 class TestEta:
     def test_square_lattice_value(self, square_fast):
@@ -210,6 +216,15 @@ class TestBackends:
             (16 / 3) * 0.5**3 / 200
         )
         assert math.isinf(square_direct.a_priori_bound(150.0))
+
+    def test_direct_skips_theta_setup(self):
+        # Im(P2/P1) = 500 is beyond the theta backend but fine for the lattice sum
+        lat = make_lattice(1, 500j)
+        ev = SigmaEvaluator(lat, backend=Backend.DIRECT_PRODUCT, truncation_shells=200)
+        assert abs(eta(ev, 1) - math.pi**2 / 3) <= 1e-6
+        assert not sigma(ev, 0.3 + 0.2j).is_zero()
+        with pytest.raises(AccuracyNotMet):
+            SigmaEvaluator(lat)
 
     def test_truncation_shells_validated(self):
         with pytest.raises(ValueError):
