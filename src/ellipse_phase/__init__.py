@@ -51,7 +51,6 @@ from .verify import (
     QuadratureSpec,
     VerificationReport,
     count_zeros_poles,
-    divisor_sum,
     phase_periodicity,
     ratio_z_independence,
     report_passes,
@@ -97,7 +96,6 @@ __all__ = [
     "build_elliptic",
     "coordinates",
     "count_zeros_poles",
-    "divisor_sum",
     "eta",
     "eval_elliptic",
     "eval_f",

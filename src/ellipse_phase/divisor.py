@@ -15,11 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import AbelViolation
-from .lattice import Lattice, coordinates, reduce_to_cell, torus_distance
+from .lattice import SNAP_TOL, Lattice, coordinates, reduce_to_cell, torus_distance
 from .weierstrass import LogValue, SigmaEvaluator, sigma, wrap_angle
-
-#: Points closer than this on the torus are treated as the same divisor point.
-MERGE_TOL = 1e-12
 
 #: Allowed distance of the zero/pole sum defect from the lattice.
 ABEL_TOL = 1e-9
@@ -96,12 +93,13 @@ class EllipticFunction:
 def _merge_points(entries, lat: Lattice) -> list[tuple[complex, int]]:
     merged: list[tuple[complex, int]] = []
     for point, mult in entries:
-        mult = int(mult)
-        if mult < 1:
+        mult = float(mult)
+        if not mult.is_integer() or mult < 1:
             raise ValueError("multiplicities must be positive integers")
+        mult = int(mult)
         point = reduce_to_cell(complex(point), lat)
         for i, (q, m) in enumerate(merged):
-            if torus_distance(point, q, lat) <= MERGE_TOL:
+            if torus_distance(point, q, lat) <= SNAP_TOL:
                 merged[i] = (q, m + mult)
                 break
         else:
@@ -115,7 +113,7 @@ def make_divisor(zeros, poles, lat: Lattice) -> Divisor:
     ps = _merge_points(poles, lat)
     for i, (zp, zm) in enumerate(zs):
         for k, (pp, pm) in enumerate(ps):
-            if pm and torus_distance(zp, pp, lat) <= MERGE_TOL:
+            if pm and torus_distance(zp, pp, lat) <= SNAP_TOL:
                 common = min(zm, pm)
                 zm -= common
                 ps[k] = (pp, pm - common)
@@ -126,12 +124,12 @@ def make_divisor(zeros, poles, lat: Lattice) -> Divisor:
     return Divisor(tuple(zs), tuple(ps))
 
 
-def validate_abel(d: Divisor, lat: Lattice, tol: float = ABEL_TOL) -> tuple[bool, complex]:
+def validate_abel(d: Divisor, lat: Lattice) -> tuple[bool, complex]:
     """Check equal counts and lattice-congruent sums; defect = reduced sum difference."""
     diff = d.zero_sum() - d.pole_sum()
     defect = reduce_to_cell(diff, lat)
     balanced = d.zero_count() == d.pole_count()
-    congruent = torus_distance(diff, 0.0, lat) <= tol
+    congruent = torus_distance(diff, 0.0, lat) <= ABEL_TOL
     return balanced and congruent, defect
 
 
@@ -163,7 +161,6 @@ def _cancel_congruent(
     eta2: complex,
     exponent: complex = 0j,
     log_scale: complex = 0j,
-    tol: float = 1e-12,
 ) -> SigmaQuotient:
     """The quotient exp(exponent*z + log_scale) * prod sigma(z - n) / prod sigma(z - d).
 
@@ -181,7 +178,7 @@ def _cancel_congruent(
         s, t = coordinates(w2 - w1, lat)
         m, n = round(s), round(t)
         lam = m * lat.p1 + n * lat.p2
-        if abs((w2 - w1) - lam) <= tol:
+        if abs((w2 - w1) - lam) <= SNAP_TOL:
             return m, n, lam
         return None
 

@@ -69,8 +69,8 @@ def divisor_to_obj(d: Divisor) -> dict:
 
 
 def divisor_from_obj(obj, lat: Lattice) -> Divisor:
-    zeros = [(complex(e[0], e[1]), int(e[2]) if len(e) > 2 else 1) for e in obj.get("zeros", [])]
-    poles = [(complex(e[0], e[1]), int(e[2]) if len(e) > 2 else 1) for e in obj.get("poles", [])]
+    zeros = [(complex(e[0], e[1]), e[2] if len(e) > 2 else 1) for e in obj.get("zeros", [])]
+    poles = [(complex(e[0], e[1]), e[2] if len(e) > 2 else 1) for e in obj.get("poles", [])]
     return make_divisor(zeros, poles, lat)
 
 
@@ -98,11 +98,15 @@ def spec_from_obj(obj) -> PhaseFunctionSpec:
     """Re-synthesize a spec from its lattice, divisor and m.
 
     The stored derived fields must equal the re-derived ones after the same
-    17-digit round trip; the first that differs raises ValueError.
+    17-digit round trip; the first that differs raises ValueError, as does a
+    non-integral m.
     """
     lat = lattice_from_obj(obj["lattice"])
     d = divisor_from_obj(obj["divisor"], lat)
-    spec = synthesize(d, int(obj["m"][0]), int(obj["m"][1]), lat)
+    m1, m2 = (float(v) for v in obj["m"][:2])
+    if not (m1.is_integer() and m2.is_integer()):
+        raise ValueError(f"spec field 'm' must hold integers, got {obj['m']}")
+    spec = synthesize(d, int(m1), int(m2), lat)
     derived = json.loads(dumps(spec_to_obj(spec)))
     for key in ("xi0", "a", "alpha", "g"):
         if obj[key] != derived[key]:

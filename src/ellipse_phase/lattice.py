@@ -20,6 +20,9 @@ from .errors import DegenerateLattice
 #: Smallest |Im(p2/p1)| accepted before the pair counts as collinear.
 DEGENERACY_EPS = 1e-12
 
+#: Points closer than this mod L are the same point (lattice points: exact zeros).
+SNAP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Lattice:

@@ -27,8 +27,8 @@ from .divisor import (
     make_divisor,
 )
 from .errors import IllConditioned, UnbalancedDivisor
-from .lattice import Lattice, reduce_to_cell, torus_distance
-from .weierstrass import SNAP_TOL, TAU, LogValue, SigmaEvaluator
+from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
+from .weierstrass import TAU, LogValue, SigmaEvaluator
 
 
 @dataclass(frozen=True)

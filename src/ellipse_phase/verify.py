@@ -31,6 +31,12 @@ CLEARANCE_FRACTION = 0.01
 #: blind-probe gate on |f'/f| at the nodes, matching a ~1e-3 clearance.
 PROBE_DERIVATIVE_GATE = 1e3
 
+#: central-difference step for f'/f along a contour side.
+FD_STEP = 1e-5
+
+#: random contour offsets tried after the requested one.
+OFFSET_RETRIES = 10
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -52,25 +58,27 @@ class QuadratureSpec:
 
     panels_per_side: int = 32
     nodes_per_panel: int = 8
-    fd_step: float = 1e-5
     seed: int = 1337
-    max_offset_retries: int = 10
 
     def __post_init__(self):
         if self.panels_per_side < 1 or self.nodes_per_panel < 2:
             raise ValueError("need >= 1 panel per side and >= 2 nodes per panel")
-        if self.fd_step <= 0:
-            raise ValueError("finite-difference step must be positive")
 
 
 @dataclass(frozen=True)
 class ContourCount:
-    """Winding result: zeros minus poles, a total-variation estimate, diagnostics."""
+    """One contour pass: zeros minus poles, the raw integrals, diagnostics.
+
+    raw_winding = (1/2*pi*i) * integral of f'/f dz     -> zeros minus poles
+    raw_moment  = (1/2*pi*i) * integral of z f'/f dz   -> zero sum minus pole sum
+    Both are over d(F + offset) and unreduced; for equal zero/pole counts the
+    moment is translation invariant mod L.
+    """
 
     zeros_minus_poles: int
-    zeros_plus_poles_estimate: float
     raw_winding: complex
     integer_distance: float
+    raw_moment: complex
     offset: complex
 
 
@@ -150,7 +158,7 @@ def _offset_candidates(lat: Lattice, offset: complex, quad: QuadratureSpec):
     yield complex(offset)
     rng = random.Random(quad.seed)
     radius = 0.13 * min(abs(lat.p1), abs(lat.p2))
-    for _ in range(quad.max_offset_retries):
+    for _ in range(OFFSET_RETRIES):
         yield radius * math.sqrt(rng.random()) * cmath.exp(1j * TAU * rng.random())
 
 
@@ -175,21 +183,22 @@ def _contour_clear(lat: Lattice, offset: complex, known_points, clearance: float
     return True
 
 
-def _contour_integrals(
+def count_zeros_poles(
     fval,
     lat: Lattice,
     offset: complex,
-    quad: QuadratureSpec,
+    quad: QuadratureSpec = QuadratureSpec(),
     known_points=(),
-):
-    """(winding, moment, variation, offset) for f'/f over d(F + offset).
+) -> ContourCount:
+    """One argument-principle pass over d(F + offset): winding and moment of f'/f.
 
-    winding  = (1/2*pi*i) * integral of f'/f dz        -> zeros minus poles
-    moment   = (1/2*pi*i) * integral of z * f'/f dz    -> zero sum minus pole sum
-    variation = (1/2*pi) * integral of |Im(f'/f dz)|   -> total phase turn
+    The winding is 0 for a doubly periodic phase.  With known zeros/poles
+    the offset must clear them geometrically; without,
+    a node where |f'/f| exceeds the probe gate rejects the offset.
     """
     t, weights = _gauss_nodes(quad)
     clearance = CLEARANCE_FRACTION * min(abs(lat.p1), abs(lat.p2))
+    gate = math.inf if known_points else PROBE_DERIVATIVE_GATE
     last_error = None
     for cand in _offset_candidates(lat, offset, quad):
         if known_points and not _contour_clear(lat, cand, known_points, clearance):
@@ -198,64 +207,26 @@ def _contour_integrals(
         edges = [lat.p1, lat.p2, -lat.p1, -lat.p2]
         winding = 0j
         moment = 0j
-        variation = 0.0
-        # with a known divisor the geometric check above already guarantees
-        # clearance; the derivative gate is the probe for black-box functions
-        gate = math.inf if known_points else PROBE_DERIVATIVE_GATE
         try:
             for corner, edge in zip(corners, edges):
                 direction = edge / abs(edge)
                 for tk, wk in zip(t, weights):
                     z = corner + tk * edge
-                    psi = _log_derivative(fval, z, direction, quad.fd_step)
+                    psi = _log_derivative(fval, z, direction, FD_STEP)
                     if abs(psi) > gate:
                         raise PoleOrZeroHit("contour runs too close to a zero/pole")
                     winding += wk * psi * edge
                     moment += wk * z * psi * edge
-                    variation += wk * abs((psi * edge).imag)
         except PoleOrZeroHit as exc:
             last_error = exc
             continue
-        return (
-            complex(winding) / (TAU * 1j),
-            complex(moment) / (TAU * 1j),
-            float(variation) / TAU,
-            cand,
-        )
+        winding = complex(winding) / (TAU * 1j)
+        nearest = int(round(winding.real))
+        distance = float(abs(winding - nearest))
+        return ContourCount(nearest, winding, distance, complex(moment) / (TAU * 1j), cand)
     raise ContourTooClose(
         f"no offset kept the contour clear of zeros/poles: {last_error}"
     )
-
-
-def count_zeros_poles(
-    fval,
-    lat: Lattice,
-    offset: complex,
-    quad: QuadratureSpec = QuadratureSpec(),
-    known_points=(),
-) -> ContourCount:
-    """Argument-principle winding over an offset cell; 0 for doubly periodic phase."""
-    winding, _, variation, used = _contour_integrals(fval, lat, offset, quad, known_points)
-    nearest = int(round(winding.real))
-    distance = float(abs(winding - nearest))
-    return ContourCount(nearest, variation, winding, distance, used)
-
-
-def divisor_sum(
-    fval,
-    lat: Lattice,
-    offset: complex,
-    quad: QuadratureSpec = QuadratureSpec(),
-    known_points=(),
-) -> complex:
-    """(1/2*pi*i) * integral of z f'/f over d(F + offset), reduced to the cell.
-
-    For equal zero/pole counts the sum of divisor points is translation
-    invariant mod L, so re-reducing the offset-cell value lands on the
-    representative for the un-offset cell.
-    """
-    _, moment, _, _ = _contour_integrals(fval, lat, offset, quad, known_points)
-    return reduce_to_cell(moment, lat)
 
 
 def ratio_z_independence(ev: SigmaEvaluator, xi0: complex, j: int, z_samples) -> float:
@@ -291,10 +262,7 @@ def verify_spec(
     res2, mult2 = phase_periodicity(fval, lat.p2, grid)
 
     known = [p for p, _ in spec.divisor.zeros] + [p for p, _ in spec.divisor.poles]
-    winding, moment, _, used_offset = _contour_integrals(fval, lat, 0j, quad, known)
-    nearest = int(round(winding.real))
-    distance = float(abs(winding - nearest))
-    dsum = reduce_to_cell(moment, lat)
+    count = count_zeros_poles(fval, lat, 0j, quad, known)
 
     zero_count = spec.divisor.zero_count()
     return VerificationReport(
@@ -303,13 +271,13 @@ def verify_spec(
         multiplier1=math.exp(mult1.real),
         multiplier2=math.exp(mult2.real),
         zero_count=zero_count,
-        pole_count=zero_count - int(nearest),
-        divisor_sum_mod_L=dsum,
-        xi0_recovered=reduce_to_cell(-moment, lat),
+        pole_count=zero_count - count.zeros_minus_poles,
+        divisor_sum_mod_L=reduce_to_cell(count.raw_moment, lat),
+        xi0_recovered=reduce_to_cell(-count.raw_moment, lat),
         samples_used=grid.nx * grid.ny,
-        contour_offset=used_offset,
-        winding_distance=distance,
-        reliable=distance < 0.1,
+        contour_offset=count.offset,
+        winding_distance=count.integer_distance,
+        reliable=count.integer_distance < 0.1,
     )
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import AccuracyNotMet
 from .lattice import (
+    SNAP_TOL,
     Lattice,
     _shell_arrays,
     _unit_frame_distance,
@@ -45,12 +46,6 @@ from .lattice import (
 )
 
 TAU = 2.0 * math.pi
-
-#: Inputs within this distance of a lattice point (after reduction) are exact zeros.
-SNAP_TOL = 1e-12
-
-#: log-magnitude ceiling for converting a LogValue back to a raw complex number.
-OVERFLOW_LOG = 700.0
 
 #: double-precision unit roundoff, used in error certificates.
 _EPS = 2.2e-16
@@ -76,20 +71,9 @@ class LogValue:
     phase: float
 
     @staticmethod
-    def from_complex(w: complex) -> "LogValue":
-        w = complex(w)
-        if w == 0:
-            return LogValue(-math.inf, 0.0)
-        return LogValue(math.log(abs(w)), wrap_angle(cmath.phase(w)))
-
-    @staticmethod
     def from_log(log_w: complex) -> "LogValue":
         """LogValue of exp(log_w) for an unwrapped complex logarithm."""
         return LogValue(log_w.real, wrap_angle(log_w.imag))
-
-    @staticmethod
-    def one() -> "LogValue":
-        return LogValue(0.0, 0.0)
 
     @staticmethod
     def zero() -> "LogValue":
@@ -101,26 +85,6 @@ class LogValue:
     def log(self) -> complex:
         """The principal complex logarithm (finite values only)."""
         return complex(self.log_mag, self.phase)
-
-    def to_complex(self) -> complex:
-        """Raw complex value; raises OverflowError once exp would overflow."""
-        if self.is_zero():
-            return 0j
-        if self.log_mag > OVERFLOW_LOG:
-            raise OverflowError(f"log magnitude {self.log_mag:.3g} exceeds {OVERFLOW_LOG:g}")
-        return cmath.exp(complex(self.log_mag, self.phase))
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero() or other.is_zero():
-            return LogValue.zero()
-        return LogValue(self.log_mag + other.log_mag, wrap_angle(self.phase + other.phase))
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero():
-            raise ZeroDivisionError("division by a zero LogValue")
-        if self.is_zero():
-            return LogValue.zero()
-        return LogValue(self.log_mag - other.log_mag, wrap_angle(self.phase - other.phase))
 
 
 class Backend(str, enum.Enum):

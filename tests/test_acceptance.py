@@ -21,7 +21,6 @@ from ellipse_phase import (
     PoleOrZeroHit,
     SigmaEvaluator,
     count_zeros_poles,
-    divisor_sum,
     eval_f,
     make_divisor,
     make_lattice,
@@ -148,8 +147,7 @@ def test_a5_argument_principle():
             result = count_zeros_poles(fval, lat, 0j, known_points=known)
             assert result.zeros_minus_poles == 0
             assert result.integer_distance < 0.01
-            dsum = divisor_sum(fval, lat, 0j, known_points=known)
-            assert torus_distance(dsum, -spec.xi0, lat) <= 1e-6
+            assert torus_distance(result.raw_moment, -spec.xi0, lat) <= 1e-6
 
 
 def test_a6_sigma_basics():
@@ -166,7 +164,7 @@ def test_a6_sigma_basics():
             assert abs(wrap_angle(f.phase - b.phase - math.pi)) <= 1e-10
         for scale in (1e-3, 1e-4, 1e-5):
             z = scale * cmath.exp(1.1j)
-            err = rel_diff(sigma(ev, z), LogValue.from_complex(z))
+            err = rel_diff(sigma(ev, z), LogValue.from_log(cmath.log(z)))
             assert err <= 1e-5 * (scale / 1e-3) ** 2
         for _ in range(10):
             lat = random_lattice(rng)

@@ -169,6 +169,14 @@ class TestSynthVerifyRoundtrip:
         assert r.returncode == 1
         assert "not finite" in r.stderr
 
+    def test_non_integer_multiplicity_exit_code(self):
+        r = run_cli(
+            "synth", "--lattice", LATTICE,
+            "--divisor", '{"zeros": [[0.3, 0.4, 1.5]], "poles": [[0.6, 0.1, 1]]}',
+        )
+        assert r.returncode == 1
+        assert "multiplicities must be positive integers" in r.stderr
+
     def test_unknown_subcommand(self):
         r = run_cli("nonsense")
         assert r.returncode == 1
@@ -206,7 +214,7 @@ class TestPlot:
         assert header.startswith(b"P6\n24 24\n255\n")
 
     def test_unit_pixel_of_constant_one(self):
-        one = lambda z: LogValue.one()
+        one = lambda z: LogValue(0.0, 0.0)
         spec = RenderSpec(center=0j, width=1.0, height=1.0, width_px=1, height_px=1)
         # phase 0 maps to hue 0.5: full-saturation cyan
         assert render_pixels(one, spec) == bytes((0, 255, 255))
@@ -237,7 +245,7 @@ class TestPlot:
             output_path=str(tmp_path / "missing_dir" / "x.ppm"),
         )
         with pytest.raises(IoFailure):
-            render_phase_portrait(lambda z: LogValue.one(), spec)
+            render_phase_portrait(lambda z: LogValue(0.0, 0.0), spec)
 
 
 class TestConfigAndSeed:
@@ -311,3 +319,15 @@ class TestSpecReload:
         assert r.stdout == ""
         assert f"spec field '{field}'" in r.stderr
         assert not out.exists()
+
+    def test_non_integer_m_exits_1(self, tmp_path):
+        # a truncated 1.9 would reload as m1 = 1 and match the stored a
+        synth = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR, "--m1", "1")
+        obj = json.loads(synth.stdout)
+        obj["m"] = [1.9, 0]
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(dumps(obj))
+        r = run_cli("verify", "--spec", str(spec_path))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "spec field 'm'" in r.stderr

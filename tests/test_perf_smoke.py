@@ -21,6 +21,7 @@ from ellipse_phase import (
     render_pixels,
     sigma,
     synthesize,
+    verify_spec,
 )
 from ellipse_phase.jsonio import dumps, spec_from_obj, spec_to_obj
 
@@ -77,3 +78,11 @@ def test_render_small_portrait(spec5):
         center=(LAT.p1 + LAT.p2) / 2, width=2.0, height=2.0, width_px=32, height_px=32
     )
     assert median_ms(lambda: render_pixels(lambda z: eval_f(spec5, ev, z), rspec), 3) < 1000.0
+
+
+def test_verify_three_pairs():
+    # measured median ~145 ms: grid, contour and report for a 3-pair spec
+    pairs = PAIRS[:3]
+    d = make_divisor([(z, 1) for z, _ in pairs], [(p, 1) for _, p in pairs], LAT)
+    spec = synthesize(d, 0, 0, LAT)
+    assert median_ms(lambda: verify_spec(spec), 3) < 1500.0

@@ -12,7 +12,6 @@ from ellipse_phase import (
     TooManyPoleHits,
     build_elliptic,
     count_zeros_poles,
-    divisor_sum,
     eval_elliptic,
     eval_f,
     make_divisor,
@@ -138,15 +137,17 @@ class TestCountZerosPoles:
 
 
 class TestDivisorSum:
+    """The moment (1/2*pi*i) * integral of z f'/f is the divisor sum mod L."""
+
     def test_constant(self, square):
-        value = divisor_sum(const_stub, square, 0.01 + 0.007j)
+        value = count_zeros_poles(const_stub, square, 0.01 + 0.007j).raw_moment
         assert torus_distance(value, 0, square) <= 1e-9
 
     def test_single_pair(self, square, square_ev):
         d = make_divisor([(0.3, 1)], [(0.5, 1)], square)
         spec = synthesize(d, 0, 0, square)
         fval = lambda z: eval_f(spec, square_ev, z)
-        value = divisor_sum(fval, square, 0j, known_points=[0.3, 0.5])
+        value = count_zeros_poles(fval, square, 0j, known_points=[0.3, 0.5]).raw_moment
         assert torus_distance(value, 0.8, square) <= 1e-6
         assert torus_distance(value, -spec.xi0, square) <= 1e-6
 
@@ -159,14 +160,14 @@ class TestDivisorSum:
         spec = synthesize(d, 0, 0, lat)
         fval = lambda z: eval_f(spec, ev, z)
         known = [p for p, _ in d.zeros] + [p for p, _ in d.poles]
-        value = divisor_sum(fval, lat, 0j, known_points=known)
+        value = count_zeros_poles(fval, lat, 0j, known_points=known).raw_moment
         assert torus_distance(value, -spec.xi0, lat) <= 1e-6
 
     def test_offset_invariance(self, square, square_ev, sample_spec):
         fval = lambda z: eval_f(sample_spec, square_ev, z)
         known = [0.3 + 0.4j, 0.6 + 0.1j]
-        a = divisor_sum(fval, square, 0.02 + 0.03j, known_points=known)
-        b = divisor_sum(fval, square, -0.05 + 0.01j, known_points=known)
+        a = count_zeros_poles(fval, square, 0.02 + 0.03j, known_points=known).raw_moment
+        b = count_zeros_poles(fval, square, -0.05 + 0.01j, known_points=known).raw_moment
         assert torus_distance(a, b, square) <= 2e-6
 
 
@@ -212,3 +213,21 @@ class TestVerifySpec:
         ) <= 1e-6
         assert report.samples_used == 100
         assert report_passes(report, sample_spec)
+
+    @pytest.mark.parametrize("p2", [1j, 1 + 1j], ids=["square", "sheared"])
+    def test_report_reads_one_contour_pass(self, p2):
+        lat = make_lattice(1, p2)
+        d = make_divisor(
+            [(0.3 + 0.4j, 1), (0.7 + 0.2j, 1)], [(0.6 + 0.1j, 1), (0.2 + 0.7j, 1)], lat
+        )
+        spec = synthesize(d, 1, 0, lat)
+        quad = QuadratureSpec(seed=9)
+        report = verify_spec(spec, quad=quad)
+        ev = SigmaEvaluator(lat)
+        known = [p for p, _ in d.zeros] + [p for p, _ in d.poles]
+        count = count_zeros_poles(lambda z: eval_f(spec, ev, z), lat, 0j, quad, known)
+        assert report.contour_offset == count.offset
+        assert report.winding_distance == count.integer_distance
+        assert report.pole_count == report.zero_count - count.zeros_minus_poles
+        assert report.divisor_sum_mod_L == reduce_to_cell(count.raw_moment, lat)
+        assert report.xi0_recovered == reduce_to_cell(-count.raw_moment, lat)
