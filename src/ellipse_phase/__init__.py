@@ -7,7 +7,6 @@ periodicity numerically, and render domain-coloring portraits.
 
 from .divisor import (
     Divisor,
-    EllipticFunction,
     PoleValue,
     SigmaQuotient,
     build_elliptic,
@@ -75,7 +74,6 @@ __all__ = [
     "DegenerateLattice",
     "Divisor",
     "EllipsePhaseError",
-    "EllipticFunction",
     "GridSpec",
     "IllConditioned",
     "IoFailure",

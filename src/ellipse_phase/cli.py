@@ -195,8 +195,8 @@ _COMMANDS = {
 }
 
 
-def _load_config() -> dict:
-    """Flag defaults from ./ellipse-phase.json; bad JSON or a non-object is a ValueError."""
+def _load_config(subparsers) -> dict:
+    """Flag defaults from ./ellipse-phase.json, parsed as argv would be; else ValueError."""
     if not os.path.exists(CONFIG_PATH):
         return {}
     with open(CONFIG_PATH, "r", encoding="utf-8") as fh:
@@ -206,18 +206,29 @@ def _load_config() -> dict:
             raise ValueError(f"{CONFIG_PATH}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{CONFIG_PATH}: expected a JSON object, got {type(cfg).__name__}")
+    for key, value in cfg.items():
+        actions = [a for sub in subparsers for a in sub._actions if a.dest == key]
+        if not any(a.option_strings for a in actions):
+            raise ValueError(f"{CONFIG_PATH}: {key!r} is not a flag of any subcommand")
+        for action in actions:
+            try:
+                if not (isinstance(value, str) or (action.type and type(value) in (int, float))):
+                    raise ValueError
+                cfg[key] = (action.type or str)(str(value))
+                if action.choices is not None and cfg[key] not in action.choices:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{CONFIG_PATH}: --{key} cannot take {value!r}") from None
     return cfg
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        config = _load_config()
-        if config:
-            parser.set_defaults(**config)
-            for action in parser._subparsers._group_actions:
-                for sub in action.choices.values():
-                    sub.set_defaults(**config)
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        config = _load_config(subparsers)
+        for sub in subparsers:
+            sub.set_defaults(**config)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -1,22 +1,20 @@
 """Zero/pole multisets in the fundamental cell and their sigma-quotient realization.
 
 A balanced divisor whose zero and pole sums are lattice-congruent (Abel's
-condition) is realized as g(z) = scale * prod sigma(z - zero) / prod sigma(z - pole),
+condition) is realized as g(z) = prod sigma(z - zero) / prod sigma(z - pole),
 made genuinely periodic by shifting one zero by the lattice part of the sum
-defect so the sums match exactly.  Both g and the synthesized f are evaluated
-through a `SigmaQuotient` whose congruent factors were cancelled once, when it
-was built.
+defect so the sums match exactly.  Both g and the synthesized f are a
+`SigmaQuotient`, evaluated by the same `_eval_quotient`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AbelViolation
 from .lattice import SNAP_TOL, Lattice, coordinates, reduce_to_cell, torus_distance
-from .weierstrass import LogValue, SigmaEvaluator, sigma, wrap_angle
+from .weierstrass import LogValue, SigmaEvaluator, sigma
 
 #: Allowed distance of the zero/pole sum defect from the lattice.
 ABEL_TOL = 1e-9
@@ -57,37 +55,15 @@ class PoleValue:
 class SigmaQuotient:
     """exp(exponent*z + log_scale) * prod sigma(z - zero) / prod sigma(z - pole).
 
-    Built only by `_cancel_congruent`, so no zero is congruent to a pole.
+    Built only by `build_elliptic` and `_cancel_congruent`, so no zero is
+    congruent to a pole, except that `build_elliptic`'s defect shift can move a
+    zero onto a pole that lay within ABEL_TOL (but not SNAP_TOL) of it.
     """
 
     exponent: complex
     log_scale: complex
     zeros: tuple[complex, ...]
     poles: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
-class EllipticFunction:
-    """scale * prod sigma(z - zero) / prod sigma(z - pole), multiplicities expanded.
-
-    Lists have equal length and exactly equal sums (after the construction-time
-    adjustment), which makes the quotient fully periodic.  `quotient` is the
-    derived evaluation form, with the fast-series quasi-periods of the lattice.
-    """
-
-    lattice: Lattice
-    zero_points: tuple[complex, ...]
-    pole_points: tuple[complex, ...]
-    scale: complex = 1.0 + 0j
-    quotient: SigmaQuotient = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        # scale 0 is the zero function: the empty quotient with log scale -inf
-        ev = SigmaEvaluator(self.lattice)
-        points = (self.zero_points, self.pole_points) if self.scale else ((), ())
-        log_scale = cmath.log(complex(self.scale)) if self.scale else complex(-math.inf, 0.0)
-        q = _cancel_congruent(*points, self.lattice, ev.eta1, ev.eta2, log_scale=log_scale)
-        object.__setattr__(self, "quotient", q)
 
 
 def _merge_points(entries, lat: Lattice) -> list[tuple[complex, int]]:
@@ -133,8 +109,8 @@ def validate_abel(d: Divisor, lat: Lattice) -> tuple[bool, complex]:
     return balanced and congruent, defect
 
 
-def build_elliptic(d: Divisor, lat: Lattice, scale: complex = 1.0 + 0j) -> EllipticFunction:
-    """Realize a valid divisor as a periodic sigma quotient.
+def build_elliptic(d: Divisor, lat: Lattice) -> SigmaQuotient:
+    """Realize a valid divisor as a periodic sigma quotient with unit scale.
 
     Multiplicities are expanded, then the lexicographically largest zero (by
     real, then imaginary part) absorbs the full sum defect, which Abel's
@@ -150,7 +126,7 @@ def build_elliptic(d: Divisor, lat: Lattice, scale: complex = 1.0 + 0j) -> Ellip
         delta = sum(zero_pts) - sum(pole_pts)
         idx = max(range(len(zero_pts)), key=lambda i: (zero_pts[i].real, zero_pts[i].imag))
         zero_pts[idx] -= delta
-    return EllipticFunction(lat, tuple(zero_pts), tuple(pole_pts), complex(scale))
+    return SigmaQuotient(0j, 0j, tuple(zero_pts), tuple(pole_pts))
 
 
 def _cancel_congruent(
@@ -160,9 +136,8 @@ def _cancel_congruent(
     eta1: complex,
     eta2: complex,
     exponent: complex = 0j,
-    log_scale: complex = 0j,
 ) -> SigmaQuotient:
-    """The quotient exp(exponent*z + log_scale) * prod sigma(z - n) / prod sigma(z - d).
+    """The quotient exp(exponent*z) * prod sigma(z - n) / prod sigma(z - d).
 
     Lattice-congruent numerator/denominator shifts are cancelled: for a pair
     w1 (numerator) and w2 = w1 + lam (denominator),
@@ -206,7 +181,7 @@ def _cancel_congruent(
                 break
             if not hit:
                 i += 1
-    return SigmaQuotient(exponent + extra_a, extra_logc + log_scale, tuple(numer), tuple(denom))
+    return SigmaQuotient(exponent + extra_a, extra_logc, tuple(numer), tuple(denom))
 
 
 def _eval_quotient(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
@@ -233,9 +208,9 @@ def _eval_quotient(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue
         return PoleValue(pole_hits)
     if zero_hits:
         return LogValue.zero()
-    return LogValue(total.real, wrap_angle(total.imag))
+    return LogValue.from_log(total)
 
 
-def eval_elliptic(g: EllipticFunction, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
+def eval_elliptic(g: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
     """g(z) in log form; LogValue.zero() at zeros, PoleValue at poles."""
-    return _eval_quotient(g.quotient, ev, z)
+    return _eval_quotient(g, ev, z)

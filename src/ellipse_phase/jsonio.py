@@ -10,10 +10,11 @@ fields must match the re-derived ones exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
-from .divisor import Divisor, EllipticFunction, make_divisor
+from .divisor import Divisor, SigmaQuotient, make_divisor
 from .lattice import Lattice, make_lattice
 from .synthesis import PhaseFunctionSpec, synthesize
 from .verify import VerificationReport
@@ -50,6 +51,8 @@ def complex_to_obj(z: complex) -> list[float]:
 
 
 def complex_from_obj(obj) -> complex:
+    if not (isinstance(obj, list) and len(obj) == 2):
+        raise ValueError(f"expected a complex number as [re, im], got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
 
 
@@ -69,16 +72,21 @@ def divisor_to_obj(d: Divisor) -> dict:
 
 
 def divisor_from_obj(obj, lat: Lattice) -> Divisor:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a divisor object with zeros and poles, got {obj!r}")
+    for e in [*obj.get("zeros", []), *obj.get("poles", [])]:
+        if not (isinstance(e, list) and len(e) in (2, 3)):
+            raise ValueError(f"divisor entries must be [re, im] or [re, im, mult], got {e!r}")
     zeros = [(complex(e[0], e[1]), e[2] if len(e) > 2 else 1) for e in obj.get("zeros", [])]
     poles = [(complex(e[0], e[1]), e[2] if len(e) > 2 else 1) for e in obj.get("poles", [])]
     return make_divisor(zeros, poles, lat)
 
 
-def elliptic_to_obj(g: EllipticFunction) -> dict:
+def elliptic_to_obj(g: SigmaQuotient) -> dict:
     return {
-        "zeros": [complex_to_obj(p) for p in g.zero_points],
-        "poles": [complex_to_obj(p) for p in g.pole_points],
-        "scale": complex_to_obj(complex(g.scale)),
+        "zeros": [complex_to_obj(p) for p in g.zeros],
+        "poles": [complex_to_obj(p) for p in g.poles],
+        "scale": complex_to_obj(cmath.exp(g.log_scale)),
     }
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .divisor import (
     Divisor,
-    EllipticFunction,
     PoleValue,
     SigmaQuotient,
     _cancel_congruent,
@@ -48,7 +47,7 @@ class PhaseFunctionSpec:
     m2: int
     alpha1: float
     alpha2: float
-    g: EllipticFunction
+    g: SigmaQuotient
     divisor: Divisor
     quotient: SigmaQuotient
 
@@ -116,11 +115,8 @@ def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
         lat,
     )
     g = build_elliptic(g_divisor, lat)
-    # the evaluation form: g's quotient times sigma(z) / sigma(z - xi0)
-    gq = g.quotient
-    quotient = _cancel_congruent(
-        (0j,) + gq.zeros, (xi0,) + gq.poles, lat, ev.eta1, ev.eta2, a + gq.exponent, gq.log_scale
-    )
+    # the evaluation form: g times sigma(z) / sigma(z - xi0)
+    quotient = _cancel_congruent((0j,) + g.zeros, (xi0,) + g.poles, lat, ev.eta1, ev.eta2, a)
     return PhaseFunctionSpec(lat, xi0, a, int(m1), int(m2), alpha1, alpha2, g, d, quotient)
 
 

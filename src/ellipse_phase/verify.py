@@ -246,14 +246,12 @@ def ratio_z_independence(ev: SigmaEvaluator, xi0: complex, j: int, z_samples) ->
 
 def verify_spec(
     spec: PhaseFunctionSpec,
-    ev: SigmaEvaluator | None = None,
     grid: GridSpec | None = None,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> VerificationReport:
     """Full report for a synthesized function: periodicity, winding, divisor sum."""
     lat = spec.lattice
-    if ev is None:
-        ev = SigmaEvaluator(lat)
+    ev = SigmaEvaluator(lat)
     if grid is None:
         grid = GridSpec(lat)
     fval = lambda z: eval_f(spec, ev, z)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ellipse_phase import Lattice, make_lattice
+from ellipse_phase import Lattice, SigmaEvaluator, make_lattice
 
 
 def random_lattice(rng: random.Random) -> Lattice:
@@ -25,3 +25,14 @@ def random_cell_point(rng: random.Random, lat: Lattice, margin: float = 0.05) ->
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def evaluator_inits(monkeypatch):
+    """A list that grows by one for each SigmaEvaluator built during the test."""
+    calls = []
+    init = SigmaEvaluator.__init__
+    monkeypatch.setattr(
+        SigmaEvaluator, "__init__", lambda self, *a, **k: calls.append(1) or init(self, *a, **k)
+    )
+    return calls

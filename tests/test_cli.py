@@ -177,6 +177,22 @@ class TestSynthVerifyRoundtrip:
         assert r.returncode == 1
         assert "multiplicities must be positive integers" in r.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sigma", "--lattice", '{"p1": [1], "p2": [0, 1]}', "--z=0.3,0.2"),
+            ("synth", "--lattice", LATTICE, "--divisor", '{"zeros": [[0.3]], '
+             '"poles": [[0.6, 0.1]]}'),
+            ("synth", "--lattice", LATTICE, "--divisor", "[]"),
+        ],
+        ids=["short-period", "short-divisor-entry", "divisor-not-object"],
+    )
+    def test_malformed_json_shape_exit_code(self, args):
+        r = run_cli(*args)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert r.stderr.startswith("ValueError: "), r.stderr
+
     def test_unknown_subcommand(self):
         r = run_cli("nonsense")
         assert r.returncode == 1
@@ -276,6 +292,28 @@ class TestConfigAndSeed:
         assert r.returncode == 1, r.stderr
         assert r.stdout == ""
         assert "ellipse-phase.json" in r.stderr
+
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            ('{"grid": 5}', ("verify", "--spec", "spec.json")),
+            ('{"resolution": 8}', ("plot", "--spec", "spec.json", "--out", "p.ppm")),
+            ('{"center": 5}', ("plot", "--spec", "spec.json", "--out", "p.ppm")),
+            ('{"seed": 7.5}', ("verify", "--spec", "spec.json")),
+            ('{"shells": 2.5}', ("sigma", "--lattice", LATTICE, "--z=0.3,0.2")),
+            ('{"gird": "3x3"}', ("verify", "--spec", "spec.json")),
+        ],
+    )
+    def test_config_value_checked_like_its_flag(self, tmp_path, config, command):
+        synth = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR)
+        (tmp_path / "spec.json").write_text(synth.stdout)
+        (tmp_path / "ellipse-phase.json").write_text(config)
+        r = run_cli(*command, cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert r.stderr.startswith("ValueError: ellipse-phase.json: "), r.stderr
+        assert next(iter(json.loads(config))) in r.stderr
+        assert not (tmp_path / "p.ppm").exists()
 
     def test_unreadable_config_is_io_error(self, tmp_path):
         (tmp_path / "ellipse-phase.json").mkdir()

@@ -4,7 +4,6 @@ import pytest
 
 from ellipse_phase import (
     AbelViolation,
-    EllipticFunction,
     LogValue,
     PoleValue,
     SigmaEvaluator,
@@ -13,6 +12,7 @@ from ellipse_phase import (
     make_divisor,
     make_lattice,
     reduce_to_cell,
+    synthesize,
     torus_distance,
     validate_abel,
     wrap_angle,
@@ -92,7 +92,7 @@ class TestValidateAbel:
 class TestBuildElliptic:
     def test_empty_divisor_is_constant(self, square, square_ev):
         g = build_elliptic(make_divisor([], [], square), square)
-        assert g.zero_points == () and g.pole_points == ()
+        assert g.zeros == () and g.poles == ()
         assert eval_elliptic(g, square_ev, 0.123 + 0.456j) == LogValue(0.0, 0.0)
 
     def test_invalid_divisor_rejected(self, square):
@@ -110,16 +110,37 @@ class TestBuildElliptic:
                 lat,
             )
             g = build_elliptic(d, lat)
-            assert abs(sum(g.zero_points) - sum(g.pole_points)) <= 1e-12
+            assert abs(sum(g.zeros) - sum(g.poles)) <= 1e-12
 
     def test_adjustment_keeps_divisor_class(self, square):
         # sums 1.8 vs 0.8: the lattice defect 1 is absorbed by one zero
         d = make_divisor([(0.9, 1), (0.9, 1)], [(0.3, 1), (0.5, 1)], square)
         g = build_elliptic(d, square)
-        assert sorted(p.real for p in g.pole_points) == [0.3, 0.5]
-        moved = [p for p in g.zero_points if abs(p - 0.9) > 1e-9]
+        assert sorted(p.real for p in g.poles) == [0.3, 0.5]
+        moved = [p for p in g.zeros if abs(p - 0.9) > 1e-9]
         assert len(moved) == 1
         assert abs(reduce_to_cell(moved[0], square) - 0.9) <= 1e-12
+
+    def test_output_needs_no_cancellation(self, rng):
+        # make_divisor cancels congruent pairs and the defect shift is a lattice
+        # vector, so g is already in the form _cancel_congruent would give
+        for case in range(60):
+            base = random_lattice(rng)
+            lat = make_lattice(base.p1, base.p2 + (case % 5 - 2) * base.p1)
+            ev = SigmaEvaluator(lat)
+            n = rng.randint(1, 4)
+            zeros = [(random_cell_point(rng, lat), rng.randint(1, 2)) for _ in range(n)]
+            if case % 3 == 0:
+                zeros[0] = (0j, zeros[0][1])
+            poles = [(random_cell_point(rng, lat), m) for _, m in zeros[1:]]
+            # the last pole balances the sums, so Abel's condition holds
+            rest = sum(p * m for p, m in zeros) - sum(p * m for p, m in poles)
+            poles += [(rest / zeros[0][1], zeros[0][1])]
+            # a congruent input pair, w and w + p1 - p2
+            w = random_cell_point(rng, lat)
+            d = make_divisor(zeros + [(w, 1)], poles + [(w + lat.p1 - lat.p2, 1)], lat)
+            for g in (build_elliptic(d, lat), synthesize(d, 0, 0, lat).g):
+                assert divisor._cancel_congruent(g.zeros, g.poles, lat, ev.eta1, ev.eta2) == g
 
 
 class TestEvalElliptic:
@@ -167,29 +188,27 @@ class TestEvalElliptic:
 
     def test_congruent_factors_cancel(self, square, square_ev):
         # a zero and a pole in the same class reduce to a pure exponential factor
-        g = EllipticFunction(square, (0.2 + 0.3j,), (1.2 + 0.3j,), 1.0)
-        val = eval_elliptic(g, square_ev, 0.7 + 0.8j)
+        q = divisor._cancel_congruent(
+            (0.2 + 0.3j,), (1.2 + 0.3j,), square, square_ev.eta1, square_ev.eta2
+        )
+        val = eval_elliptic(q, square_ev, 0.7 + 0.8j)
         expected = -cmath.exp(square_ev.eta1 * ((0.7 + 0.8j) - (1.2 + 0.3j) + 0.5))
         assert rel_diff(val, LogValue.from_log(cmath.log(expected))) <= 1e-12
-        assert (g.quotient.zeros, g.quotient.poles) == ((), ())
+        assert (q.zeros, q.poles) == ((), ())
 
     def test_quotient_cancelled_once(self, square, square_ev, monkeypatch):
-        g = EllipticFunction(square, (0.2 + 0.3j, 0.4), (1.2 + 0.3j, 0.6 + 0.1j), 1.0)
-        assert g == EllipticFunction(square, g.zero_points, g.pole_points, g.scale)
-        before = eval_elliptic(g, square_ev, 0.7 + 0.8j)
+        q = divisor._cancel_congruent(
+            (0.2 + 0.3j, 0.4), (1.2 + 0.3j, 0.6 + 0.1j), square, square_ev.eta1, square_ev.eta2
+        )
+        before = eval_elliptic(q, square_ev, 0.7 + 0.8j)
 
         def refuse(*args, **kwargs):
             raise AssertionError("congruent factors cancelled at evaluation time")
 
         monkeypatch.setattr(divisor, "_cancel_congruent", refuse)
-        assert eval_elliptic(g, square_ev, 0.7 + 0.8j) == before
-        assert eval_elliptic(g, square_ev, 0.4).is_zero()
-        assert eval_elliptic(g, square_ev, 0.6 + 0.1j) == PoleValue(1)
-
-    def test_zero_scale_is_zero_everywhere(self, square, square_ev):
-        g = EllipticFunction(square, (0.2 + 0.3j,), (0.6 + 0.1j,), 0)
-        for z in (0.7 + 0.8j, 0.2 + 0.3j, 0.6 + 0.1j):
-            assert eval_elliptic(g, square_ev, z) == LogValue.zero()
+        assert eval_elliptic(q, square_ev, 0.7 + 0.8j) == before
+        assert eval_elliptic(q, square_ev, 0.4).is_zero()
+        assert eval_elliptic(q, square_ev, 0.6 + 0.1j) == PoleValue(1)
 
 
 class TestWpOracle:

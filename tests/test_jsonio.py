@@ -63,6 +63,13 @@ class TestRoundTrip:
         assert_reload_identical(synthesize(d, 2, -1, lat))
 
 
+def test_reload_builds_one_evaluator(evaluator_inits):
+    obj = json.loads(unit_square_text())
+    evaluator_inits.clear()
+    spec_from_obj(obj)
+    assert len(evaluator_inits) == 1
+
+
 def _edit_xi0(obj):
     obj["xi0"][1] += 1e-9
 

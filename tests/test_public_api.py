@@ -12,7 +12,18 @@ from pathlib import Path
 import pytest
 
 import ellipse_phase
-from ellipse_phase import make_divisor, make_lattice, synthesize
+from ellipse_phase import (
+    SigmaEvaluator,
+    eval_elliptic,
+    eval_f,
+    make_divisor,
+    make_lattice,
+    sigma,
+    synthesize,
+    wrap_angle,
+)
+
+from conftest import random_cell_point
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 BENCH_MODULES = ("workloads.py", "layers.py")
@@ -59,3 +70,24 @@ def test_spec_exposes_factor_shifts():
     shifts = spec.eval_zeros + spec.eval_poles
     assert shifts == spec.quotient.zeros + spec.quotient.poles
     assert shifts == (0.3 + 0.4j, 0.6 + 0.1j)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [make_lattice(1.1 - 0.2j, 0.3 + 0.9j), make_lattice(1, 1 + 1j)],
+    ids=["skew", "shear-k1"],
+)
+def test_spec_g_satisfies_literal_formula(lat, rng):
+    # bench/workloads.py gates its oracle on
+    # log f(z) = a*z + log g(z) + log sigma(z) - log sigma(z - xi0), read via spec.g
+    ev = SigmaEvaluator(lat)
+    for pairs in range(1, 6):
+        points = [(random_cell_point(rng, lat), 1) for _ in range(2 * pairs)]
+        d = make_divisor(points[:pairs], points[pairs:], lat)
+        spec = synthesize(d, rng.randint(-2, 2), rng.randint(-2, 2), lat)
+        for _ in range(4):
+            z = random_cell_point(rng, lat)
+            g = eval_elliptic(spec.g, ev, z)
+            literal = spec.a * z + g.log() + sigma(ev, z).log() - sigma(ev, z - spec.xi0).log()
+            gap = eval_f(spec, ev, z).log() - literal
+            assert abs(complex(gap.real, wrap_angle(gap.imag))) <= 1e-9

@@ -113,13 +113,13 @@ class TestSynthesize:
     def test_g_divisor_extends_input(self, square, rng):
         d = random_balanced_divisor(rng, square, 2)
         spec = synthesize(d, 0, 0, square)
-        assert len(spec.g.zero_points) == 3
-        assert len(spec.g.pole_points) == 3
+        assert len(spec.g.zeros) == 3
+        assert len(spec.g.poles) == 3
         g_classes = sorted(
-            torus_distance(p, spec.xi0, square) < 1e-9 for p in spec.g.zero_points
+            torus_distance(p, spec.xi0, square) < 1e-9 for p in spec.g.zeros
         )
         assert g_classes[-1]  # xi0 appears among g's zeros
-        assert any(abs(p) < 1e-12 for p in spec.g.pole_points)
+        assert any(abs(p) < 1e-12 for p in spec.g.poles)
 
     def test_multiplier_realness_and_value(self, rng):
         for _ in range(3):
@@ -171,6 +171,12 @@ class TestSynthesize:
         monkeypatch.setattr(synthesis, "_cancel_congruent", refuse)
         assert eval_f(spec, ev, 0.7 + 0.8j) == before
         assert (spec.eval_zeros, spec.eval_poles) == (spec.quotient.zeros, spec.quotient.poles)
+
+    def test_one_evaluator_per_spec(self, square, rng, evaluator_inits):
+        # g and f share the evaluator that synthesize builds for the quasi-periods
+        d = random_balanced_divisor(rng, square, 3)
+        synthesize(d, 1, -1, square)
+        assert len(evaluator_inits) == 1
 
     def test_xi0_zero_collapses_ratio(self, square):
         # balanced divisor with equal sums: f = exp(a z) g(z)

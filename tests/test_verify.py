@@ -100,13 +100,13 @@ class TestCountZerosPoles:
 
     def test_wp_like(self, square, square_ev, wp_like):
         fval = lambda z: eval_elliptic(wp_like, square_ev, z)
-        known = list(wp_like.zero_points) + list(wp_like.pole_points)
+        known = list(wp_like.zeros) + list(wp_like.poles)
         result = count_zeros_poles(fval, square, 0j, known_points=known)
         assert result.zeros_minus_poles == 0
         assert result.integer_distance <= 1e-6
         # zero count = winding + known pole count
-        assert result.zeros_minus_poles + len(wp_like.pole_points) == len(
-            wp_like.zero_points
+        assert result.zeros_minus_poles + len(wp_like.poles) == len(
+            wp_like.zeros
         )
 
     def test_synthesized_three_pairs(self, square, square_ev):
