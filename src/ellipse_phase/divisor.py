@@ -56,8 +56,7 @@ class SigmaQuotient:
     """exp(exponent*z + log_scale) * prod sigma(z - zero) / prod sigma(z - pole).
 
     Built only by `build_elliptic` and `_cancel_congruent`, so no zero is
-    congruent to a pole, except that `build_elliptic`'s defect shift can move a
-    zero onto a pole that lay within ABEL_TOL (but not SNAP_TOL) of it.
+    congruent to a pole.
     """
 
     exponent: complex
@@ -114,8 +113,8 @@ def build_elliptic(d: Divisor, lat: Lattice) -> SigmaQuotient:
 
     Multiplicities are expanded, then the lexicographically largest zero (by
     real, then imaginary part) absorbs the full sum defect, which Abel's
-    condition makes a lattice vector.  Afterwards the zero and pole sums agree
-    exactly and the quotient picks up no stray exponential factor.
+    condition makes a lattice vector.  The sums then agree exactly, so no
+    stray exponential factor appears; AbelViolation if that zero hits a pole.
     """
     ok, defect = validate_abel(d, lat)
     if not ok:
@@ -126,6 +125,9 @@ def build_elliptic(d: Divisor, lat: Lattice) -> SigmaQuotient:
         delta = sum(zero_pts) - sum(pole_pts)
         idx = max(range(len(zero_pts)), key=lambda i: (zero_pts[i].real, zero_pts[i].imag))
         zero_pts[idx] -= delta
+        for p in pole_pts:
+            if torus_distance(zero_pts[idx], p, lat) <= SNAP_TOL:
+                raise AbelViolation(f"the defect shift moves zero {zero_pts[idx]} onto pole {p}")
     return SigmaQuotient(0j, 0j, tuple(zero_pts), tuple(pole_pts))
 
 

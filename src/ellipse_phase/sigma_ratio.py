@@ -9,10 +9,10 @@ is independent of z and equals exp(v_j) with
     v_j = -3*xi0/p_j + xi0 * p_j^2 * sum_{lam in L \\ {0, -p_j}} 1/(lam (lam+p_j)^2).
 
 Equivalently v_j = -eta_j * xi0 in terms of the quasi-period eta_j, and both
-routes compute it that way: DirectSum takes eta_j from the paired lattice sum
-`weierstrass.eta_from_sum` over the shells (the same sum the DirectProduct
-evaluator uses for its eta, with an O(1/N^2) truncation tail); ViaEta reuses
-the theta-series quasi-period and is the accurate default.
+routes compute it that way: DirectSum is -xi0 times the eta_j of a
+DirectProduct evaluator over the shells (its paired lattice sum has an
+O(1/N^2) truncation tail); ViaEta reuses the theta-series quasi-period and is
+the accurate default.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import PoleOrZeroHit
-from .lattice import Lattice, _shell_arrays, _unit_frame_distance
-from .weierstrass import SigmaEvaluator, eta, eta_from_sum, sigma, wrap_angle
+from .lattice import Lattice, _unit_frame_distance
+from .weierstrass import Backend, SigmaEvaluator, eta, sigma, wrap_angle
 
 
 class VMethod(str, enum.Enum):
@@ -82,8 +82,7 @@ def v_constant(
 
     if shells < 2:
         raise ValueError("DirectSum needs shells >= 2")
-    m, n = _shell_arrays(shells)
-    v = -xi0 * eta_from_sum(m * lat.p1 + n * lat.p2, pj)
+    v = -xi0 * eta(SigmaEvaluator(lat, Backend.DIRECT_PRODUCT, shells), j)
     bound = abs(xi0) * abs(pj) ** 2 * _direct_sum_tail(lat, abs(pj), shells) * 1.2
     return RatioConstant(xi0, j, v, method, shells, bound)
 

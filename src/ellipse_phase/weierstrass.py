@@ -18,8 +18,8 @@ Quasi-periods: sigma(z + p_j) = -sigma(z) * exp(eta_j (z + p_j/2)).  For the
 reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
 pair for the original basis is the integer change-of-basis combination.
-DirectProduct takes eta_j from the paired lattice sum `eta_from_sum`, which
-also gives the DirectSum constant v_j = -xi0 * eta_j of sigma_ratio.
+DirectProduct sums eta_j by the paired lattice sum `eta_from_sum` when `eta`
+asks for it; sigma_ratio's DirectSum constant is v_j = -xi0 * that eta_j.
 
 All values are returned in log form (LogValue) because |sigma| grows like
 exp(quadratic) across cells.
@@ -49,6 +49,9 @@ TAU = 2.0 * math.pi
 
 #: double-precision unit roundoff, used in error certificates.
 _EPS = 2.2e-16
+
+#: largest truncation_shells; the direct backend holds (2N+1)^2 lattice points.
+MAX_SHELLS = 1000
 
 
 def wrap_angle(x: float) -> float:
@@ -125,9 +128,9 @@ def eta_from_sum(lam: np.ndarray, pj: complex) -> complex:
 class SigmaEvaluator:
     """Configured sigma evaluator; immutable after construction.
 
-    The quasi-periods eta1, eta2 for the given basis are cached eagerly:
-    from the theta series for the FastSeries backend, from the symmetrized
-    lattice sum at `truncation_shells` for the DirectProduct backend.
+    Only the FastSeries backend has eta1, eta2 attributes, cached from the
+    theta series.  `eta(ev, j)` serves both backends: for DirectProduct it
+    runs the symmetrized lattice sum at `truncation_shells` on each call.
     """
 
     def __init__(
@@ -141,15 +144,13 @@ class SigmaEvaluator:
         self.backend = Backend(backend)
         self.truncation_shells = int(truncation_shells)
         self.target_rel_error = float(target_rel_error)
-        if self.truncation_shells < 1:
-            raise ValueError("truncation_shells must be >= 1")
+        if not 1 <= self.truncation_shells <= MAX_SHELLS:
+            raise ValueError(f"truncation_shells must be in [1, {MAX_SHELLS}]")
 
         if self.backend is Backend.DIRECT_PRODUCT:
             self._frame_dist = _unit_frame_distance(lattice)
             m, n = _shell_arrays(self.truncation_shells)
             self._product_points = m * lattice.p1 + n * lattice.p2
-            self.eta1 = eta_from_sum(self._product_points, lattice.p1)
-            self.eta2 = eta_from_sum(self._product_points, lattice.p2)
         else:
             reduced, basis_matrix = reduce_basis(lattice)
             self._reduced = reduced
@@ -248,8 +249,8 @@ def sigma(ev: SigmaEvaluator, z: complex) -> LogValue:
 
 def eta(ev: SigmaEvaluator, j: int) -> complex:
     """Quasi-period eta_j with sigma(z + p_j) = -sigma(z) exp(eta_j (z + p_j/2))."""
-    if j == 1:
-        return ev.eta1
-    if j == 2:
-        return ev.eta2
-    raise ValueError("j must be 1 or 2")
+    if j not in (1, 2):
+        raise ValueError("j must be 1 or 2")
+    if ev.backend is Backend.DIRECT_PRODUCT:
+        return eta_from_sum(ev._product_points, ev.lattice.p1 if j == 1 else ev.lattice.p2)
+    return ev.eta1 if j == 1 else ev.eta2

@@ -125,6 +125,20 @@ class TestEtaAndVj:
         diff = abs(complex(*ve["v"]) - complex(*vd["v"]))
         assert diff <= vd["error_bound"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sigma", "--z=0.3,0.2", "--backend", "direct"),
+            ("eta", "--j", "1", "--backend", "direct"),
+            ("vj", "--xi0=0.3,0.2", "--j", "1", "--method", "direct"),
+        ],
+    )
+    def test_shells_above_cap_is_validation_error(self, args):
+        r = run_cli(*args, "--lattice", LATTICE, "--shells", "1001")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("ValueError:") and "truncation_shells" in r.stderr
+
     @pytest.mark.parametrize("method", ["eta", "direct"])
     def test_vj_non_finite_xi0_is_validation_error(self, method):
         r = run_cli("vj", "--lattice", LATTICE, "--xi0=nan,0", "--j", "1", "--method", method)

@@ -121,6 +121,21 @@ class TestBuildElliptic:
         assert len(moved) == 1
         assert abs(reduce_to_cell(moved[0], square) - 0.9) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "zeros, poles",
+        [
+            ([0.3 + 0.2j], [0.3 + 0.2j + 5e-10]),
+            # the moved zero lands on the last pole minus p1
+            ([0.6 + 0.2j, 0.6 + 0.3j, 0.9 + 0.5j], [0.1 + 0.2j, 0.1 + 0.3j, 0.9 + 0.5j + 5e-10]),
+        ],
+    )
+    def test_shift_onto_pole_rejected(self, square, zeros, poles):
+        # closer than ABEL_TOL but farther than SNAP_TOL, so make_divisor keeps the pair
+        d = make_divisor([(z, 1) for z in zeros], [(p, 1) for p in poles], square)
+        assert d.zero_count() == len(zeros)
+        with pytest.raises(AbelViolation, match="onto pole"):
+            build_elliptic(d, square)
+
     def test_output_needs_no_cancellation(self, rng):
         # make_divisor cancels congruent pairs and the defect shift is a lattice
         # vector, so g is already in the form _cancel_congruent would give

@@ -15,12 +15,14 @@ import pytest
 from ellipse_phase import (
     RenderSpec,
     SigmaEvaluator,
+    eta,
     eval_f,
     make_divisor,
     make_lattice,
     render_pixels,
     sigma,
     synthesize,
+    v_constant,
     verify_spec,
 )
 from ellipse_phase.jsonio import dumps, spec_from_obj, spec_to_obj
@@ -60,6 +62,18 @@ def test_fast_sigma_calls():
     ev = SigmaEvaluator(LAT)
     zs = [complex(0.013 * k, 0.007 * k) + 0.11 for k in range(1000)]
     assert median_ms(lambda: [sigma(ev, z) for z in zs]) < 100.0
+
+
+def test_direct_oracle_calls():
+    # measured median ~40 ms: sigma, eta and vj --method direct at 200 shells,
+    # each call with its own evaluator as the CLI builds them
+    def direct_calls():
+        sigma(SigmaEvaluator(LAT, backend="direct", truncation_shells=200), 0.31 + 0.27j)
+        for j in (1, 2):
+            eta(SigmaEvaluator(LAT, backend="direct", truncation_shells=200), j)
+            v_constant(LAT, 0.3 + 0.2j, j, method="direct", shells=200)
+
+    assert median_ms(direct_calls) < 400.0
 
 
 def test_spec_round_trip(spec5):

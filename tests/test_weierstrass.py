@@ -14,7 +14,9 @@ from ellipse_phase import (
     sigma,
     wrap_angle,
 )
+from ellipse_phase import weierstrass
 from ellipse_phase.sigma_ratio import VMethod, v_constant
+from ellipse_phase.weierstrass import MAX_SHELLS
 
 from conftest import random_cell_point, random_lattice
 
@@ -145,9 +147,49 @@ class TestEta:
         assert abs(evc.eta1 - ev.eta1 / c) <= 1e-12 * abs(ev.eta1 / c)
         assert abs(evc.eta2 - ev.eta2 / c) <= 1e-12 * abs(ev.eta2 / c)
 
-    def test_j_validation(self, square_fast):
-        with pytest.raises(ValueError):
-            eta(square_fast, 3)
+    def test_j_validation(self, square_fast, square_direct):
+        for ev in (square_fast, square_direct):
+            with pytest.raises(ValueError):
+                eta(ev, 3)
+
+
+class TestDirectLatticeSum:
+    """The DirectProduct evaluator runs the eta lattice sum only when asked."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        calls = []
+        real = weierstrass.eta_from_sum
+        monkeypatch.setattr(
+            weierstrass, "eta_from_sum", lambda *a: calls.append(1) or real(*a)
+        )
+        return calls
+
+    def test_sigma_runs_no_sum(self, sums):
+        ev = SigmaEvaluator(make_lattice(1, 0.3 + 1.1j), backend="direct", truncation_shells=50)
+        sigma(ev, 0.3 + 0.2j)
+        assert len(sums) == 0
+
+    def test_eta_runs_one_sum(self, sums):
+        ev = SigmaEvaluator(make_lattice(1, 0.3 + 1.1j), backend="direct", truncation_shells=50)
+        eta(ev, 2)
+        assert len(sums) == 1
+
+    def test_direct_v_runs_one_sum(self, sums):
+        v_constant(make_lattice(1, 0.3 + 1.1j), 0.2 - 0.1j, 1, method="direct", shells=50)
+        assert len(sums) == 1
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [(0.9 + 0.2j, 0.9 + 0.2j + (-0.1 + 1.2j)), (-0.1 + 1.2j, -(0.9 + 0.2j))],
+        ids=["sheared", "swapped"],
+    )
+    def test_direct_v_is_minus_xi0_times_eta(self, p1, p2):
+        lat = make_lattice(p1, p2)
+        xi0 = 0.37 - 0.21j
+        for j in (1, 2):
+            ev = SigmaEvaluator(lat, Backend.DIRECT_PRODUCT, 60)
+            assert v_constant(lat, xi0, j, "direct", 60).v == -xi0 * eta(ev, j)
 
 
 class TestQuasiPeriodicity:
@@ -217,8 +259,10 @@ class TestBackends:
             SigmaEvaluator(lat)
 
     def test_truncation_shells_validated(self):
-        with pytest.raises(ValueError):
-            SigmaEvaluator(make_lattice(1, 1j), backend="direct", truncation_shells=0)
+        for backend in Backend:
+            for shells in (0, MAX_SHELLS + 1):
+                with pytest.raises(ValueError, match="truncation_shells"):
+                    SigmaEvaluator(make_lattice(1, 1j), backend=backend, truncation_shells=shells)
 
     def test_concurrent_evaluation(self, square_fast):
         # evaluators are immutable after construction: parallel reads agree
