@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -154,6 +155,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     spec = jsonio.spec_from_obj(_read_json_arg(args.spec))
     nx, ny = _parse_grid(args.grid)
     grid = GridSpec(spec.lattice, nx, ny, seed=args.seed)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AbelViolation
-from .lattice import SNAP_TOL, Lattice, coordinates, reduce_to_cell, torus_distance
+from .lattice import SNAP_TOL, Lattice, nearest_lattice_point, reduce_to_cell, torus_distance
 from .weierstrass import LogValue, SigmaEvaluator, sigma
 
 #: Allowed distance of the zero/pole sum defect from the lattice.
@@ -151,38 +151,22 @@ def _cancel_congruent(
     extra_a = 0j
     extra_logc = 0j
 
-    def lattice_shift(w1: complex, w2: complex):
-        s, t = coordinates(w2 - w1, lat)
-        m, n = round(s), round(t)
-        lam = m * lat.p1 + n * lat.p2
-        if abs((w2 - w1) - lam) <= SNAP_TOL:
-            return m, n, lam
-        return None
-
     # exact matches first, then congruent-mod-L pairs
     for exact_only in (True, False):
-        i = 0
-        while i < len(numer):
-            hit = False
-            for k in range(len(denom)):
-                shift = lattice_shift(numer[i], denom[k])
-                if shift is None:
-                    continue
-                m, n, lam = shift
-                if exact_only and (m or n):
+        for w1 in list(numer):
+            for w2 in denom:
+                m, n, lam = nearest_lattice_point(w2 - w1, lat)
+                if abs((w2 - w1) - lam) > SNAP_TOL or (exact_only and (m or n)):
                     continue
                 if m or n:
                     eta_lam = m * eta1 + n * eta2
                     extra_a += eta_lam
-                    extra_logc += eta_lam * (lam / 2 - denom[k])
+                    extra_logc += eta_lam * (lam / 2 - w2)
                     if (m % 2) or (n % 2):
                         extra_logc += 1j * math.pi
-                del numer[i]
-                del denom[k]
-                hit = True
+                numer.remove(w1)
+                denom.remove(w2)
                 break
-            if not hit:
-                i += 1
     return SigmaQuotient(exponent + extra_a, extra_logc, tuple(numer), tuple(denom))
 
 

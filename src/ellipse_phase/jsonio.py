@@ -111,7 +111,9 @@ def spec_from_obj(obj) -> PhaseFunctionSpec:
     """
     lat = lattice_from_obj(obj["lattice"])
     d = divisor_from_obj(obj["divisor"], lat)
-    m1, m2 = (float(v) for v in obj["m"][:2])
+    if not (isinstance(obj["m"], list) and len(obj["m"]) == 2):
+        raise ValueError(f"spec field 'm' must be [m1, m2], got {obj['m']!r}")
+    m1, m2 = (float(v) for v in obj["m"])
     if not (m1.is_integer() and m2.is_integer()):
         raise ValueError(f"spec field 'm' must hold integers, got {obj['m']}")
     spec = synthesize(d, int(m1), int(m2), lat)

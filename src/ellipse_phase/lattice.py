@@ -1,9 +1,10 @@
 """Period-pair arithmetic: the Z-module spanned by two R-independent complex periods.
 
 Everything downstream works with a `Lattice` built by `make_lattice`.  Points are
-reduced into the half-open fundamental cell {s*p1 + t*p2 : 0 <= s, t < 1}, lattice
-points are enumerated by sup-norm shells of their integer coordinates, and the
-basis can be Gauss-reduced for numerical conditioning.
+reduced into the half-open cell {s*p1 + t*p2 : 0 <= s, t < 1}, or, by the one
+nearest-lattice-point reduction that sigma and congruent-factor cancellation share,
+into the centred cell.  Lattice points are enumerated by sup-norm shells of their
+integer coordinates, and the basis can be Gauss-reduced for numerical conditioning.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def coordinates(z: complex, lat: Lattice) -> tuple[float, float]:
     t = w.imag / lat.omega.imag
     s = w.real - t * lat.omega.real
     return s, t
+
+
+def nearest_lattice_point(z: complex, lat: Lattice) -> tuple[int, int, complex]:
+    """(m, n, lam = m*p1 + n*p2) with the coordinates of z - lam in [-1/2, 1/2)."""
+    s, t = coordinates(z, lat)
+    m = math.floor(s + 0.5)
+    n = math.floor(t + 0.5)
+    return m, n, m * lat.p1 + n * lat.p2
 
 
 def reduce_to_cell(z: complex, lat: Lattice) -> complex:

@@ -36,8 +36,6 @@ class VMethod(str, enum.Enum):
 class RatioConstant:
     """v_j for one (xi0, j), with the method and its a-priori error bound."""
 
-    xi0: complex
-    j: int
     v: complex
     method: VMethod
     shells_used: int
@@ -78,13 +76,13 @@ def v_constant(
 
     if method is VMethod.VIA_ETA:
         v = -eta(SigmaEvaluator(lat), j) * xi0
-        return RatioConstant(xi0, j, v, method, 0, 1e-13 * (1.0 + abs(v)))
+        return RatioConstant(v, method, 0, 1e-13 * (1.0 + abs(v)))
 
     if shells < 2:
         raise ValueError("DirectSum needs shells >= 2")
     v = -xi0 * eta(SigmaEvaluator(lat, Backend.DIRECT_PRODUCT, shells), j)
     bound = abs(xi0) * abs(pj) ** 2 * _direct_sum_tail(lat, abs(pj), shells) * 1.2
-    return RatioConstant(xi0, j, v, method, shells, bound)
+    return RatioConstant(v, method, shells, bound)
 
 
 def _log_ratio(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> complex:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .divisor import PoleValue
 from .errors import ContourTooClose, PoleOrZeroHit, TooManyPoleHits
-from .lattice import Lattice, reduce_to_cell, torus_distance
+from .lattice import Lattice, coordinates, reduce_to_cell, torus_distance
 from .sigma_ratio import _log_ratio
 from .synthesis import PhaseFunctionSpec, eval_f
 from .weierstrass import TAU, SigmaEvaluator, wrap_angle
@@ -160,24 +160,20 @@ def _offset_candidates(lat: Lattice, offset: complex, quad: QuadratureSpec):
         yield radius * math.sqrt(rng.random()) * cmath.exp(1j * TAU * rng.random())
 
 
-def _segment_distance(p: complex, a: complex, b: complex) -> float:
-    """Distance from point p to the segment [a, b]."""
-    ab = b - a
-    t = ((p - a).conjugate() * ab).real / abs(ab) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
-
-
 def _contour_clear(lat: Lattice, offset: complex, known_points, clearance: float) -> bool:
-    corners = [offset, offset + lat.p1, offset + lat.p1 + lat.p2, offset + lat.p2]
-    sides = list(zip(corners, corners[1:] + corners[:1]))
+    """Whether every known point keeps `clearance` from d(F + offset) and its translates.
+
+    Those are the lines s = s0 and t = t0 (mod 1) through the offset's
+    coordinates (s0, t0), spaced area/|p2| and area/|p1| apart.
+    """
+    s0, t0 = coordinates(offset, lat)
+    area = abs((lat.p1.conjugate() * lat.p2).imag)
     for p in known_points:
-        base = reduce_to_cell(p, lat)
-        for i in (-1, 0, 1):
-            for j in (-1, 0, 1):
-                q = base + i * lat.p1 + j * lat.p2
-                if any(_segment_distance(q, a, b) < clearance for a, b in sides):
-                    return False
+        s, t = coordinates(p, lat)
+        gap_s = abs(math.remainder(s - s0, 1.0)) * area / abs(lat.p2)
+        gap_t = abs(math.remainder(t - t0, 1.0)) * area / abs(lat.p1)
+        if min(gap_s, gap_t) < clearance:
+            return False
     return True
 
 

@@ -40,7 +40,7 @@ from .lattice import (
     Lattice,
     _shell_arrays,
     _unit_frame_distance,
-    coordinates,
+    nearest_lattice_point,
     reduce_basis,
     torus_distance,
 )
@@ -187,10 +187,7 @@ class SigmaEvaluator:
 
     def _sigma_fast(self, z: complex) -> LogValue:
         red = self._reduced
-        s, t = coordinates(z, red)
-        m = math.floor(s + 0.5)
-        n = math.floor(t + 0.5)
-        lam = m * red.p1 + n * red.p2
+        m, n, lam = nearest_lattice_point(z, red)
         z0 = z - lam
         # z0 sits in the centered cell, so the only lattice point in range is 0
         if abs(z0) <= SNAP_TOL:

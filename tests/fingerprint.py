@@ -1,0 +1,152 @@
+"""Bit-identity fingerprint of the program's outputs over seeded inputs.
+
+Run from the repository root as
+
+    PYTHONPATH=src python tests/fingerprint.py [N]
+
+with N seeded specs (default 60).  Every command runs in-process through
+`ellipse_phase.cli.main`, in an empty temporary working directory and without
+ELLIPSE_PHASE_SEED, and its exit code, stdout and stderr are hashed:
+
+- `synth` and `verify --grid 6x5` for each spec.  The specs have 1-3 pairs,
+  lattices presented by shears (P1, P2 + k*P1) with k in [-2, 2] or by the
+  swap (P2, -P1), a zero at the origin every 7th spec, and every 5th spec a
+  congruent zero/pole pair and a point given outside the cell;
+- `plot --resolution 16x16` (the PPM bytes too) for every 10th spec;
+- `sigma` (both backends), `eta` (both backends) and `vj` (both methods) on
+  one seeded lattice per spec.
+
+The reloaded spec's quotient and the exact `repr` of `eval_f` and `sigma` at
+6 points per spec are hashed as well, so changes below the CLI's printed
+precision show.  Two trees give bit-identical results when this script prints
+the same sha256 with PYTHONPATH set to each tree's `src`.  Output is one line:
+
+    sha256=<hex> specs=<N> verify_exits=<code>:<count>,...
+"""
+
+from __future__ import annotations
+
+import cmath
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import sys
+import tempfile
+from collections import Counter
+
+from ellipse_phase import SigmaEvaluator, cli, eval_f, jsonio, sigma
+
+#: Direct-backend shells: enough to exercise the sums, cheap enough for Tier-1.
+DIRECT_SHELLS = 20
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def cplx(z: complex) -> str:
+    return f"{z.real!r},{z.imag!r}"
+
+
+def lattice_basis(rng: random.Random) -> tuple[complex, complex, complex, complex]:
+    """A presented basis (p1, p2) and the well-shaped basis (P1, P2) it comes from."""
+    omega = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
+    P1 = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+    P2 = P1 * omega
+    if rng.random() < 0.25:
+        return P2, -P1, P1, P2
+    k = rng.randint(-2, 2)
+    return P1, P2 + k * P1, P1, P2
+
+
+def divisor_obj(i: int, rng: random.Random, P1: complex, P2: complex) -> dict:
+    pairs = 1 + i % 3
+    pts = [rng.uniform(0.1, 0.9) * P1 + rng.uniform(0.1, 0.9) * P2 for _ in range(2 * pairs)]
+    zeros, poles = pts[:pairs], pts[pairs:]
+    if i % 7 == 3:
+        zeros[0] = 0j
+    if i % 5 == 1:
+        zeros[-1] += rng.choice((-1, 1)) * P1 - rng.choice((0, 2)) * P2
+        w = rng.uniform(0.1, 0.9) * P1 + rng.uniform(0.1, 0.9) * P2
+        zeros.append(w)
+        poles.append(w + P1 - P2)
+    return {
+        "zeros": [[z.real, z.imag, 1] for z in zeros],
+        "poles": [[p.real, p.imag, 1] for p in poles],
+    }
+
+
+def fingerprint(n_specs: int) -> tuple[str, Counter]:
+    digest = hashlib.sha256()
+    exits: Counter = Counter()
+
+    def feed(*parts) -> None:
+        for part in parts:
+            digest.update(part if isinstance(part, bytes) else repr(part).encode())
+            digest.update(b"\0")
+
+    rng = random.Random(20240817)
+    for i in range(n_specs):
+        p1, p2, P1, P2 = lattice_basis(rng)
+        lattice = json.dumps({"p1": [p1.real, p1.imag], "p2": [p2.real, p2.imag]})
+        divisor = json.dumps(divisor_obj(i, rng, P1, P2))
+        m1, m2 = rng.randint(-1, 1), rng.randint(-1, 1)
+        argv = ["synth", "--lattice", lattice, "--divisor", divisor, f"--m1={m1}", f"--m2={m2}"]
+        synth = run_cli(argv)
+        feed("synth", i, *synth)
+        if synth[0] != 0:
+            continue
+        verify = run_cli(["verify", "--spec", synth[1], "--grid", "6x5"])
+        feed("verify", *verify)
+        exits[verify[0]] += 1
+
+        spec = jsonio.spec_from_obj(json.loads(synth[1]))
+        ev = SigmaEvaluator(spec.lattice)
+        feed(spec.quotient)
+        for _ in range(6):
+            z = rng.uniform(-1.5, 2.5) * P1 + rng.uniform(-1.5, 2.5) * P2
+            feed(eval_f(spec, ev, z), sigma(ev, z))
+        if i % 10 == 0:
+            plot = run_cli(["plot", "--spec", synth[1], "--out", "f.ppm", "--resolution", "16x16"])
+            with open("f.ppm", "rb") as fh:
+                feed("plot", *plot, fh.read())
+
+        z = rng.uniform(-2.0, 2.0) * P1 + rng.uniform(-2.0, 2.0) * P2
+        xi0 = rng.uniform(0.0, 1.0) * P1 + rng.uniform(0.0, 1.0) * P2
+        shells = f"--shells={DIRECT_SHELLS}"
+        for backend in ("fast", "direct"):
+            argv = ["sigma", "--lattice", lattice, f"--z={cplx(z)}", "--backend", backend]
+            feed(run_cli(argv + [shells]))
+            for j in ("1", "2"):
+                feed(run_cli(["eta", "--lattice", lattice, "--j", j, "--backend", backend, shells]))
+        for method in ("eta", "direct"):
+            for j in ("1", "2"):
+                argv = ["vj", "--lattice", lattice, f"--xi0={cplx(xi0)}", "--j", j]
+                feed(run_cli(argv + ["--method", method, shells]))
+    return digest.hexdigest(), exits
+
+
+def main(argv: list[str]) -> int:
+    n_specs = int(argv[1]) if len(argv) > 1 else 60
+    os.environ.pop(cli.SEED_ENV, None)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            sha, exits = fingerprint(n_specs)
+        finally:
+            os.chdir(home)
+    counts = ",".join(f"{code}:{count}" for code, count in sorted(exits.items()))
+    print(f"sha256={sha} specs={n_specs} verify_exits={counts}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

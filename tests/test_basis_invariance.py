@@ -1,0 +1,127 @@
+"""Basis invariance of sigma, eta and xi0, and a 30-digit theta oracle for sigma and eta.
+
+sigma, the quasi-period of a lattice vector and the divisor class depend only
+on the lattice, so every basis of one lattice must give the same values up to
+rounding.  The property tests present lattices of the conftest family by
+sheared (P1, P2 + k*P1), swapped (P2, -P1), negated (-P1, -P2) and reversed
+(P2, P1) bases; the rounding of the sheared basis grows with |k|, hence the
+bound 1e-12 * (1 + |k|).
+
+`verify` is left out of the properties: its contour quadrature runs over the
+presented cell, which is long and thin for a large |k|, and misses the divisor
+sum there whatever sigma does.
+"""
+
+import random
+
+import pytest
+
+from ellipse_phase import (
+    SigmaEvaluator,
+    eta,
+    make_divisor,
+    make_lattice,
+    sigma,
+    synthesize,
+    torus_distance,
+    wrap_angle,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+mpmath = pytest.importorskip("mpmath")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from conftest import random_cell_point, random_lattice  # noqa: E402
+
+#: (basis matrix M, k): the presented basis is (p1, p2) = M (P1, P2).
+PRESENTATIONS = (
+    [(((1, 0), (k, 1)), k) for k in range(-5, 6)]
+    + [(((0, 1), (-1, 0)), 0), (((-1, 0), (0, -1)), 0), (((0, 1), (1, 0)), 0)]
+    + [(((1, 0), (k, 1)), k) for k in (50, -50, 1000, -1000)]
+)
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+LATTICES = st.randoms(use_true_random=False)
+
+
+def present(lat, matrix):
+    (a, b), (c, d) = matrix
+    return make_lattice(a * lat.p1 + b * lat.p2, c * lat.p1 + d * lat.p2)
+
+
+@PROPERTY
+@given(LATTICES, st.sampled_from(PRESENTATIONS))
+def test_log_sigma_basis_invariant(rng, presentation):
+    matrix, k = presentation
+    lat = random_lattice(rng)
+    z = random_cell_point(rng, lat) + rng.randint(-2, 1) * lat.p1 + rng.randint(-2, 1) * lat.p2
+    want = sigma(SigmaEvaluator(lat), z)
+    got = sigma(SigmaEvaluator(present(lat, matrix)), z)
+    diff = complex(got.log_mag - want.log_mag, wrap_angle(got.phase - want.phase))
+    assert abs(diff) <= 1e-12 * (1 + abs(k)) * (1 + abs(want.log()))
+
+
+@PROPERTY
+@given(LATTICES, st.sampled_from(PRESENTATIONS))
+def test_eta_transforms_by_basis_matrix(rng, presentation):
+    matrix, k = presentation
+    (a, b), (c, d) = matrix
+    lat = random_lattice(rng)
+    base = SigmaEvaluator(lat)
+    e1, e2 = eta(base, 1), eta(base, 2)
+    other = SigmaEvaluator(present(lat, matrix))
+    for got, want in ((eta(other, 1), a * e1 + b * e2), (eta(other, 2), c * e1 + d * e2)):
+        assert abs(got - want) <= 1e-12 * (1 + abs(k)) * (1 + abs(want))
+
+
+@PROPERTY
+@given(LATTICES, st.sampled_from(PRESENTATIONS))
+def test_xi0_agrees_mod_lattice(rng, presentation):
+    matrix, k = presentation
+    lat = random_lattice(rng)
+    other = present(lat, matrix)
+    pairs = rng.randint(1, 3)
+    points = [(random_cell_point(rng, lat), 1) for _ in range(2 * pairs)]
+    zeros, poles = points[:pairs], points[pairs:]
+    xi0 = synthesize(make_divisor(zeros, poles, lat), 0, 0, lat).xi0
+    xi0_other = synthesize(make_divisor(zeros, poles, other), 0, 0, other).xi0
+    assert torus_distance(xi0_other, xi0, lat) <= 1e-12 * (1 + abs(k)) * (1 + abs(xi0))
+
+
+def theta_oracle(p1: complex, p2: complex, points) -> tuple[complex, list[complex]]:
+    """eta_1 and log sigma at the points from mpmath's theta_1, at 30 digits.
+
+    sigma(z) = (p1/pi) exp(eta1 z^2 / (2 p1)) theta1(pi z / p1) / theta1'(0) and
+    eta1 = -pi^2 theta1'''(0) / (3 p1 theta1'(0)), with nome q = exp(i pi p2/p1);
+    p2 is negated if need be so that Im(p2/p1) > 0, which keeps the lattice.
+    """
+    with mpmath.workdps(30):
+        P1, P2 = mpmath.mpc(p1), mpmath.mpc(p2)
+        if (P2 / P1).imag < 0:
+            P2 = -P2
+        q = mpmath.exp(1j * mpmath.pi * P2 / P1)
+        t1p = mpmath.jtheta(1, 0, q, 1)
+        eta1 = -(mpmath.pi**2) * mpmath.jtheta(1, 0, q, 3) / (3 * P1 * t1p)
+        logs = []
+        for z in points:
+            Z = mpmath.mpc(z)
+            theta = mpmath.jtheta(1, mpmath.pi * Z / P1, q)
+            logs.append(complex(mpmath.log(P1 / mpmath.pi * theta / t1p) + eta1 * Z**2 / (2 * P1)))
+        return complex(eta1), logs
+
+
+def test_theta_oracle_matches_sigma_and_eta():
+    rng = random.Random(7)
+    for _ in range(40):
+        lat = random_lattice(rng)
+        P1, P2 = lat.p1, lat.p2
+        for p1, p2 in ((P1, P2), (P1, P2 + 2 * P1), (P2, -P1)):
+            ev = SigmaEvaluator(make_lattice(p1, p2))
+            points = [rng.uniform(-1.5, 1.5) * P1 + rng.uniform(-1.5, 1.5) * P2 for _ in range(2)]
+            eta1, logs = theta_oracle(p1, p2, points)
+            assert abs(eta(ev, 1) - eta1) <= 1e-13 * (1 + abs(eta1))
+            for z, want in zip(points, logs):
+                got = sigma(ev, z)
+                diff = complex(got.log_mag - want.real, wrap_angle(got.phase - want.imag))
+                assert abs(diff) <= 1e-13 * (1 + abs(want))

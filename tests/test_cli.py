@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,12 @@ def run_cli(*args, cwd=None, env=None):
         cwd=cwd,
         env=child_env,
     )
+
+
+@pytest.fixture(scope="module")
+def spec_m12():
+    """`synth` output for LATTICE and DIVISOR with m = (1, 2)."""
+    return run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR, "--m1=1", "--m2=2").stdout
 
 
 class TestJsonFormat:
@@ -221,6 +228,22 @@ class TestSynthVerifyRoundtrip:
         assert r.returncode == 2
         assert json.loads(r.stdout)["reliable"] is True
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(("--tol=nan",), None), (("--tol=-1",), None), (("--tol=0",), None),
+         (("--tol=inf",), None), ((), '{"tol": "nan"}')],
+        ids=["nan", "negative", "zero", "inf", "config-nan"],
+    )
+    def test_tol_outside_range_exits_1(self, tmp_path, spec_m12, flags, config):
+        # nan, -1 and 0 failed every check (exit 2) and inf passed them all
+        (tmp_path / "spec.json").write_text(spec_m12)
+        if config:
+            (tmp_path / "ellipse-phase.json").write_text(config)
+        r = run_cli("verify", "--spec", "spec.json", *flags, cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert r.stderr.startswith("ValueError: --tol "), r.stderr
+
     def test_help_exits_zero(self):
         r = run_cli("--help")
         assert r.returncode == 0
@@ -383,3 +406,27 @@ class TestSpecReload:
         assert r.returncode == 1
         assert r.stdout == ""
         assert "spec field 'm'" in r.stderr
+
+    @pytest.mark.parametrize("m", ["12", [1, 2, 99], [1]], ids=["string", "three", "one"])
+    def test_malformed_m_exits_1(self, tmp_path, spec_m12, m):
+        # "12" read as (1, 2) and [1, 2, 99] as its first two entries
+        obj = json.loads(spec_m12)
+        obj["m"] = m
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(dumps(obj))
+        r = run_cli("verify", "--spec", str(spec_path))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("ValueError: spec field 'm'"), r.stderr
+
+
+def test_fingerprint_script():
+    script = Path(__file__).resolve().parent / "fingerprint.py"
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    r = subprocess.run(
+        [sys.executable, str(script), "3"], capture_output=True, text=True, env=env
+    )
+    assert r.returncode == 0, r.stderr
+    found = re.fullmatch(r"sha256=[0-9a-f]{64} specs=3 verify_exits=((\d+:\d+,?)+)\n", r.stdout)
+    assert found, r.stdout
+    assert sum(int(c.split(":")[1]) for c in found[1].split(",")) == 3

@@ -211,6 +211,23 @@ class TestEvalElliptic:
         assert rel_diff(val, LogValue.from_log(cmath.log(expected))) <= 1e-12
         assert (q.zeros, q.poles) == ((), ())
 
+    def test_exact_pair_preferred_over_congruent(self, square, square_ev):
+        # a + p1 meets a (congruent) and a + p1 (exact): the exact pair cancels
+        a, b = 0.2 + 0.3j, 0.6 + 0.7j
+        q = divisor._cancel_congruent(
+            (a, a + 1), (a + 1, b), square, square_ev.eta1, square_ev.eta2, 0.5j
+        )
+        assert q == divisor.SigmaQuotient(0.5j, 0j, (a,), (b,))
+
+    def test_duplicate_points(self, square, square_ev):
+        # the first a cancels exactly, the second against a + p1; c and b stay
+        a, b, c = 0.2 + 0.3j, 0.6 + 0.7j, 0.1 + 0.9j
+        e1 = square_ev.eta1
+        q = divisor._cancel_congruent((a, a, c), (a, b, a + 1), square, e1, square_ev.eta2)
+        assert (q.zeros, q.poles) == ((c,), (b,))
+        assert q.exponent == e1
+        assert q.log_scale == e1 * (0.5 - (a + 1)) + 1j * cmath.pi
+
     def test_quotient_cancelled_once(self, square, square_ev, monkeypatch):
         q = divisor._cancel_congruent(
             (0.2 + 0.3j, 0.4), (1.2 + 0.3j, 0.6 + 0.1j), square, square_ev.eta1, square_ev.eta2

@@ -10,7 +10,7 @@ from ellipse_phase import (
     reduce_to_cell,
     torus_distance,
 )
-from ellipse_phase.lattice import _shell_arrays, _unit_frame_distance
+from ellipse_phase.lattice import _shell_arrays, _unit_frame_distance, nearest_lattice_point
 
 from conftest import random_lattice
 
@@ -190,6 +190,29 @@ class TestReduceBasis:
             (a, b), (c, d) = mat
             assert abs(red.p1 - (a * lat.p1 + b * lat.p2)) < 1e-12
             assert abs(red.p2 - (c * lat.p1 + d * lat.p2)) < 1e-12
+
+
+class TestNearestLatticePoint:
+    def test_remainder_in_centred_cell(self, rng):
+        # sheared (P1, P2 + k*P1) and swapped (P2, -P1) bases, points far out
+        for case in range(60):
+            base = random_lattice(rng)
+            k = case % 11 - 5
+            lat = make_lattice(base.p1, base.p2 + k * base.p1)
+            if case % 4 == 3:
+                lat = make_lattice(base.p2, -base.p1)
+            z = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
+            m, n, lam = nearest_lattice_point(z, lat)
+            assert type(m) is int and type(n) is int
+            assert lam == m * lat.p1 + n * lat.p2
+            s, t = coordinates(z - lam, lat)
+            assert -0.5 - 1e-12 <= s <= 0.5 + 1e-12
+            assert -0.5 - 1e-12 <= t <= 0.5 + 1e-12
+
+    def test_ties_round_half_up(self):
+        lat = make_lattice(1, 1j)
+        assert nearest_lattice_point(0.5 - 0.5j, lat) == (1, 0, 1 + 0j)
+        assert nearest_lattice_point(-1.5 + 2.49j, lat) == (-1, 2, -1 + 2j)
 
 
 class TestHelpers:

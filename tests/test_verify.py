@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import pytest
 
@@ -11,6 +13,7 @@ from ellipse_phase import (
     SigmaEvaluator,
     TooManyPoleHits,
     build_elliptic,
+    coordinates,
     count_zeros_poles,
     eval_elliptic,
     eval_f,
@@ -25,6 +28,8 @@ from ellipse_phase import (
     verify_spec,
     wrap_angle,
 )
+
+from ellipse_phase.verify import CLEARANCE_FRACTION, _contour_clear
 
 from conftest import random_cell_point, random_lattice
 
@@ -135,6 +140,55 @@ class TestCountZerosPoles:
         known = [k / 100 * (square.p1 + square.p2) for k in range(100)]
         with pytest.raises(ContourTooClose):
             count_zeros_poles(const_stub, square, 0j, known_points=known)
+
+
+def _segment_distance(p: complex, a: complex, b: complex) -> float:
+    ab = b - a
+    t = min(1.0, max(0.0, ((p - a).conjugate() * ab).real / abs(ab) ** 2))
+    return abs(p - (a + t * ab))
+
+
+def brute_force_clear(lat, offset, point, clearance, reach=12) -> bool:
+    """Whether the point's translates within +-reach cells all keep `clearance` from the sides."""
+    corners = [offset, offset + lat.p1, offset + lat.p1 + lat.p2, offset + lat.p2]
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    base = reduce_to_cell(point, lat)
+    return all(
+        _segment_distance(base + i * lat.p1 + j * lat.p2, a, b) >= clearance
+        for i in range(-reach, reach + 1)
+        for j in range(-reach, reach + 1)
+        for a, b in sides
+    )
+
+
+class TestContourClearance:
+    def test_matches_brute_force_on_sheared_bases(self):
+        rng = random.Random(5)
+        outcomes = []
+        for k in range(-5, 6):
+            for _ in range(4):
+                base = random_lattice(rng)
+                lat = make_lattice(base.p1, base.p2 + k * base.p1)
+                clearance = CLEARANCE_FRACTION * min(abs(lat.p1), abs(lat.p2))
+                # offsets as _offset_candidates draws them
+                radius = 0.13 * min(abs(lat.p1), abs(lat.p2))
+                offset = radius * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+                s0, t0 = coordinates(offset, lat)
+                points = [random_cell_point(rng, lat, margin=0.0) for _ in range(2)]
+                # points within 2% of a side, in cell coordinates
+                for _ in range(4):
+                    ds, dt = rng.uniform(-0.02, 0.02), rng.uniform(0.0, 1.0)
+                    s, t = (s0 + ds, t0 + dt) if rng.random() < 0.5 else (s0 + dt, t0 + ds)
+                    i, j = rng.randint(-2, 2), rng.randint(-2, 2)
+                    points.append((s + i) * lat.p1 + (t + j) * lat.p2)
+                for z in points:
+                    clear = _contour_clear(lat, offset, [z], clearance)
+                    assert clear == brute_force_clear(lat, offset, z, clearance), (k, offset, z)
+                    outcomes.append(clear)
+                assert _contour_clear(lat, offset, points, clearance) == all(
+                    outcomes[-len(points):]
+                )
+        assert 0.2 < sum(outcomes) / len(outcomes) < 0.9
 
 
 class TestDivisorSum:
