@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sigma.add_argument("--backend", choices=["direct", "fast"], default="fast")
     p_sigma.add_argument("--shells", type=int, default=200)
 
-    p_eta = sub.add_parser("eta", help="print a cached quasi-period")
+    p_eta = sub.add_parser("eta", help="print a quasi-period (theta value or lattice sum)")
     p_eta.add_argument("--lattice", required=True)
     p_eta.add_argument("--j", type=int, choices=[1, 2], required=True)
     p_eta.add_argument("--backend", choices=["direct", "fast"], default="fast")

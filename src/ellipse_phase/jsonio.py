@@ -11,6 +11,7 @@ fields must match the re-derived ones exactly.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -50,10 +51,20 @@ def complex_to_obj(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def number_from_obj(x) -> float:
+    """A JSON number (int or float, not bool) as a float; anything else is a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a JSON number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+
+
 def complex_from_obj(obj) -> complex:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ValueError(f"expected a complex number as [re, im], got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(number_from_obj(obj[0]), number_from_obj(obj[1]))
 
 
 def lattice_to_obj(lat: Lattice) -> dict:
@@ -74,11 +85,12 @@ def divisor_to_obj(d: Divisor) -> dict:
 def divisor_from_obj(obj, lat: Lattice) -> Divisor:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a divisor object with zeros and poles, got {obj!r}")
-    for e in [*obj.get("zeros", []), *obj.get("poles", [])]:
-        if not (isinstance(e, list) and len(e) in (2, 3)):
-            raise ValueError(f"divisor entries must be [re, im] or [re, im, mult], got {e!r}")
-    zeros = [(complex(e[0], e[1]), e[2] if len(e) > 2 else 1) for e in obj.get("zeros", [])]
-    poles = [(complex(e[0], e[1]), e[2] if len(e) > 2 else 1) for e in obj.get("poles", [])]
+    zeros, poles = [], []
+    for key, entries in (("zeros", zeros), ("poles", poles)):
+        for e in obj.get(key, []):
+            if not (isinstance(e, list) and len(e) in (2, 3)):
+                raise ValueError(f"divisor entries must be [re, im] or [re, im, mult], got {e!r}")
+            entries.append((complex_from_obj(e[:2]), number_from_obj(e[2]) if len(e) > 2 else 1))
     return make_divisor(zeros, poles, lat)
 
 
@@ -113,7 +125,7 @@ def spec_from_obj(obj) -> PhaseFunctionSpec:
     d = divisor_from_obj(obj["divisor"], lat)
     if not (isinstance(obj["m"], list) and len(obj["m"]) == 2):
         raise ValueError(f"spec field 'm' must be [m1, m2], got {obj['m']!r}")
-    m1, m2 = (float(v) for v in obj["m"])
+    m1, m2 = (number_from_obj(v) for v in obj["m"])
     if not (m1.is_integer() and m2.is_integer()):
         raise ValueError(f"spec field 'm' must hold integers, got {obj['m']}")
     spec = synthesize(d, int(m1), int(m2), lat)
@@ -127,17 +139,5 @@ def spec_from_obj(obj) -> PhaseFunctionSpec:
 
 
 def report_to_obj(report: VerificationReport) -> dict:
-    return {
-        "phase_residual_p1": report.phase_residual_p1,
-        "phase_residual_p2": report.phase_residual_p2,
-        "multiplier1": report.multiplier1,
-        "multiplier2": report.multiplier2,
-        "zero_count": report.zero_count,
-        "pole_count": report.pole_count,
-        "divisor_sum_mod_L": complex_to_obj(report.divisor_sum_mod_L),
-        "xi0_recovered": complex_to_obj(report.xi0_recovered),
-        "samples_used": report.samples_used,
-        "contour_offset": complex_to_obj(report.contour_offset),
-        "winding_distance": report.winding_distance,
-        "reliable": report.reliable,
-    }
+    obj = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {k: complex_to_obj(v) if isinstance(v, complex) else v for k, v in obj.items()}

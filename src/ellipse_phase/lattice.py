@@ -2,9 +2,10 @@
 
 Everything downstream works with a `Lattice` built by `make_lattice`.  Points are
 reduced into the half-open cell {s*p1 + t*p2 : 0 <= s, t < 1}, or, by the one
-nearest-lattice-point reduction that sigma and congruent-factor cancellation share,
-into the centred cell.  Lattice points are enumerated by sup-norm shells of their
-integer coordinates, and the basis can be Gauss-reduced for numerical conditioning.
+nearest-lattice-point reduction, into the centred cell; sigma, congruent-factor
+cancellation, the torus distance and the basis change of a Gauss-reduced basis all
+read lattice vectors from it.  Lattice points are enumerated by sup-norm shells of
+their integer coordinates.
 """
 
 from __future__ import annotations
@@ -90,13 +91,9 @@ def reduce_to_cell(z: complex, lat: Lattice) -> complex:
 
 
 def torus_distance(a: complex, b: complex, lat: Lattice) -> float:
-    """Distance between a and b on the torus C/L (exact for small separations)."""
-    z0 = reduce_to_cell(a - b, lat)
-    return min(
-        abs(z0 - (i * lat.p1 + j * lat.p2))
-        for i in (-1, 0, 1)
-        for j in (-1, 0, 1)
-    )
+    """|a - b - lam| for lam the nearest_lattice_point of a - b; the torus distance when small."""
+    d = complex(a) - complex(b)
+    return abs(d - nearest_lattice_point(d, lat)[2])
 
 
 @lru_cache(maxsize=8)
@@ -133,28 +130,24 @@ def _unit_frame_distance(lat: Lattice) -> float:
     return min(seg_min(lat.p1, lat.p2), seg_min(lat.p2, lat.p1))
 
 
-def reduce_basis(lat: Lattice) -> tuple[Lattice, tuple[tuple[int, int], tuple[int, int]]]:
-    """Gauss/Lagrange-reduce the basis; returns the new lattice and basis matrix.
+def reduce_basis(lat: Lattice) -> Lattice:
+    """Gauss/Lagrange-reduce the basis of the same module.
 
-    The reduced pair (P1, P2) generates the same module, satisfies
-    |Re(P2/P1)| <= 1/2 and |P2/P1| >= 1, and is oriented so Im(P2/P1) > 0.
-    The returned integer matrix ((a, b), (c, d)) has determinant +-1 and
-    expresses the new basis in the old one: P1 = a*p1 + b*p2, P2 = c*p1 + d*p2.
+    The reduced pair (P1, P2) satisfies |Re(P2/P1)| <= 1/2 and |P2/P1| >= 1,
+    and is oriented so Im(P2/P1) > 0.  `nearest_lattice_point(P_j, lat)` gives
+    its integer coordinates in the old basis.
     """
     a, b = lat.p1, lat.p2
-    ua, ub = (1, 0), (0, 1)
     if abs(b) < abs(a):
-        a, b, ua, ub = b, a, ub, ua
+        a, b = b, a
     for _ in range(64):
         mu = round((b * a.conjugate()).real / abs(a) ** 2)
         if mu:
             b = b - mu * a
-            ub = (ub[0] - mu * ua[0], ub[1] - mu * ua[1])
         if abs(b) < abs(a):
-            a, b, ua, ub = b, a, ub, ua
+            a, b = b, a
         else:
             break
     if (b / a).imag < 0:
         b = -b
-        ub = (-ub[0], -ub[1])
-    return make_lattice(a, b), (ua, ub)
+    return make_lattice(a, b)

@@ -215,7 +215,8 @@ def count_zeros_poles(
         distance = float(abs(winding - nearest))
         return ContourCount(nearest, winding, distance, complex(moment) / (TAU * 1j), cand)
     raise ContourTooClose(
-        f"no offset kept the contour clear of zeros/poles: {last_error}"
+        f"none of {OFFSET_RETRIES + 1} offsets cleared the zeros/poles by {clearance:.3g}"
+        + (f"; last stencil error: {last_error}" if last_error else "")
     )
 
 

@@ -4,11 +4,11 @@ DirectProduct evaluates the canonical genus-2 product
 
     sigma(z) = z * prod_{lam in L \\ {0}} (1 - z/lam) * exp(z/lam + z^2/(2*lam^2))
 
-truncated by sup-norm shells; it converges slowly (tail O(|z|^3 / N) in log sigma)
-and serves as the low-accuracy oracle.  FastSeries is the production path: after
-Gauss-reducing the basis the nome q = exp(i*pi*omega') satisfies
-|q| <= exp(-pi*sqrt(3)/2), and sigma is assembled from the exponentially
-convergent odd theta series
+truncated by sup-norm shells; it converges slowly (tail O(|z|^3 / N) in log sigma),
+builds its points for each sum and serves as the low-accuracy oracle.  FastSeries
+is the production path: after Gauss-reducing the basis the nome
+q = exp(i*pi*omega') satisfies |q| <= exp(-pi*sqrt(3)/2), and sigma is assembled
+from the exponentially convergent odd theta series
 
     theta1(u | tau) = 2 * sum_n (-1)^n q^{(n+1/2)^2} sin((2n+1) u)
 
@@ -17,9 +17,9 @@ via  sigma(z) = (P1/pi) * exp(eta1' z^2 / (2 P1)) * theta1(pi z / P1) / theta1'(
 Quasi-periods: sigma(z + p_j) = -sigma(z) * exp(eta_j (z + p_j/2)).  For the
 reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
-pair for the original basis is the integer change-of-basis combination.
-DirectProduct sums eta_j by the paired lattice sum `eta_from_sum` when `eta`
-asks for it; sigma_ratio's DirectSum constant is v_j = -xi0 * that eta_j.
+pair for the original basis combines them with the integer coordinates of P1, P2
+from `nearest_lattice_point`.  DirectProduct sums eta_j by `eta_from_sum` when
+`eta` asks for it; sigma_ratio's DirectSum constant is v_j = -xi0 * that eta_j.
 
 All values are returned in log form (LogValue) because |sigma| grows like
 exp(quadratic) across cells.
@@ -50,7 +50,7 @@ TAU = 2.0 * math.pi
 #: double-precision unit roundoff, used in error certificates.
 _EPS = 2.2e-16
 
-#: largest truncation_shells; the direct backend holds (2N+1)^2 lattice points.
+#: largest truncation_shells; each direct sum builds (2N+1)^2 lattice points.
 MAX_SHELLS = 1000
 
 
@@ -128,9 +128,8 @@ def eta_from_sum(lam: np.ndarray, pj: complex) -> complex:
 class SigmaEvaluator:
     """Configured sigma evaluator; immutable after construction.
 
-    Only the FastSeries backend has eta1, eta2 attributes, cached from the
-    theta series.  `eta(ev, j)` serves both backends: for DirectProduct it
-    runs the symmetrized lattice sum at `truncation_shells` on each call.
+    Only the FastSeries backend holds state (eta1, eta2, the theta series);
+    `eta(ev, j)` serves both, running the DirectProduct lattice sum per call.
     """
 
     def __init__(
@@ -147,29 +146,24 @@ class SigmaEvaluator:
         if not 1 <= self.truncation_shells <= MAX_SHELLS:
             raise ValueError(f"truncation_shells must be in [1, {MAX_SHELLS}]")
 
-        if self.backend is Backend.DIRECT_PRODUCT:
-            self._frame_dist = _unit_frame_distance(lattice)
-            m, n = _shell_arrays(self.truncation_shells)
-            self._product_points = m * lattice.p1 + n * lattice.p2
-        else:
-            reduced, basis_matrix = reduce_basis(lattice)
-            self._reduced = reduced
-            if math.pi * reduced.omega.imag / 2 > 650.0:
+        if self.backend is Backend.FAST_SERIES:
+            self._reduced = red = reduce_basis(lattice)
+            if math.pi * red.omega.imag / 2 > 650.0:
                 raise AccuracyNotMet(
                     "reduced aspect ratio too extreme for the theta backend"
                 )
-            q = cmath.exp(1j * math.pi * reduced.omega)
-            self._coeffs = _theta_coefficients(q, reduced.omega.imag)
+            q = cmath.exp(1j * math.pi * red.omega)
+            self._coeffs = _theta_coefficients(q, red.omega.imag)
             self._coeff_logabs = [math.log(abs(c)) for c in self._coeffs]
             t1p = 2 * sum(c * (2 * k + 1) for k, c in enumerate(self._coeffs))
             t1ppp = -2 * sum(c * (2 * k + 1) ** 3 for k, c in enumerate(self._coeffs))
             self._log_t1p = cmath.log(t1p)
-            self._log_prefactor = cmath.log(reduced.p1 / math.pi)
-            eta1_red = -(math.pi**2) * t1ppp / (3 * reduced.p1 * t1p)
-            eta2_red = (eta1_red * reduced.p2 - TAU * 1j) / reduced.p1
+            self._log_prefactor = cmath.log(red.p1 / math.pi)
+            eta1_red = -(math.pi**2) * t1ppp / (3 * red.p1 * t1p)
+            eta2_red = (eta1_red * red.p2 - TAU * 1j) / red.p1
             self._eta_reduced = (eta1_red, eta2_red)
             # [p1; p2] = det * [[d, -b], [-c, a]] [P1; P2] with integer entries
-            (a, b), (c, d) = basis_matrix
+            (a, b, _), (c, d, _) = (nearest_lattice_point(P, lattice) for P in (red.p1, red.p2))
             det = a * d - b * c
             self.eta1 = det * (d * eta1_red - b * eta2_red)
             self.eta2 = det * (-c * eta1_red + a * eta2_red)
@@ -216,10 +210,10 @@ class SigmaEvaluator:
     def _sigma_direct(self, z: complex) -> LogValue:
         if torus_distance(z, 0j, self.lattice) <= SNAP_TOL:
             return LogValue.zero()
-        w = z / self._product_points
+        m, n = _shell_arrays(self.truncation_shells)
+        w = z / (m * self.lattice.p1 + n * self.lattice.p2)
         terms = np.log1p(-w) + w + 0.5 * (w * w)
-        total = complex(terms.sum()) + cmath.log(z)
-        return LogValue.from_log(total)
+        return LogValue.from_log(complex(terms.sum()) + cmath.log(z))
 
     def a_priori_bound(self, z: complex) -> float:
         """Bound on the truncation error of log sigma at z.
@@ -230,7 +224,7 @@ class SigmaEvaluator:
         """
         if self.backend is Backend.FAST_SERIES:
             return self.target_rel_error
-        c, N = self._frame_dist, self.truncation_shells
+        c, N = _unit_frame_distance(self.lattice), self.truncation_shells
         if c * N < 2 * abs(z):
             return math.inf
         return (16.0 / 3.0) * abs(z) ** 3 / (c**3 * N)
@@ -249,5 +243,8 @@ def eta(ev: SigmaEvaluator, j: int) -> complex:
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
     if ev.backend is Backend.DIRECT_PRODUCT:
-        return eta_from_sum(ev._product_points, ev.lattice.p1 if j == 1 else ev.lattice.p2)
+        # no name holds the points, so eta_from_sum frees them once it has filtered them
+        m, n = _shell_arrays(ev.truncation_shells)
+        p1, p2 = ev.lattice.p1, ev.lattice.p2
+        return eta_from_sum(m * p1 + n * p2, p1 if j == 1 else p2)
     return ev.eta1 if j == 1 else ev.eta2

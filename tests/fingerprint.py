@@ -14,12 +14,19 @@ ELLIPSE_PHASE_SEED, and its exit code, stdout and stderr are hashed:
   congruent zero/pole pair and a point given outside the cell;
 - `plot --resolution 16x16` (the PPM bytes too) for every 10th spec;
 - `sigma` (both backends), `eta` (both backends) and `vj` (both methods) on
-  one seeded lattice per spec.
+  one seeded lattice per spec;
+- `eta --j 1`, `eta --j 2` and `synth` of zeros 1/4, 3/4 and a double pole at
+  1/2 (so xi0 = 0) on the i-th of the period pairs with entries in
+  {-1, 0, 0.5, 1, 2} that span a lattice.  Their many zero components catch a
+  flipped sign of zero.
 
-The reloaded spec's quotient and the exact `repr` of `eval_f` and `sigma` at
-6 points per spec are hashed as well, so changes below the CLI's printed
-precision show.  Two trees give bit-identical results when this script prints
-the same sha256 with PYTHONPATH set to each tree's `src`.  Output is one line:
+The reloaded spec's quotient and the exact `repr` of the fast `eta1`, `eta2`
+on the presented basis and of `eval_f`, `sigma` and both backends'
+`a_priori_bound` at 6 points per spec are hashed as well, so changes below the
+CLI's printed precision show; so is whether the torus distance from each
+divisor point to xi0 and to each point of g is within each of `TORUS_TOLS`.
+Two trees give bit-identical results when this script prints the same sha256
+with PYTHONPATH set to each tree's `src`.  Output is one line:
 
     sha256=<hex> specs=<N> verify_exits=<code>:<count>,...
 """
@@ -30,6 +37,7 @@ import cmath
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -38,10 +46,40 @@ import sys
 import tempfile
 from collections import Counter
 
-from ellipse_phase import SigmaEvaluator, cli, eval_f, jsonio, sigma
+from ellipse_phase import (
+    DegenerateLattice,
+    SigmaEvaluator,
+    cli,
+    eval_f,
+    jsonio,
+    make_lattice,
+    sigma,
+    torus_distance,
+)
 
 #: Direct-backend shells: enough to exercise the sums, cheap enough for Tier-1.
 DIRECT_SHELLS = 20
+
+#: Tolerances callers compare torus distances with: SNAP_TOL, ABEL_TOL, verify --tol.
+#: Only these comparisons are hashed: beyond small separations the distance is
+#: |d - lam| for the coordinate-rounded lattice vector lam, which on a sheared
+#: basis may exceed the shortest such distance.
+TORUS_TOLS = (1e-12, 1e-9, 1e-6)
+
+#: Divisor with xi0 = 0 on the real axis, synthesized on the small-entry lattices.
+AXIS_DIVISOR = json.dumps({"zeros": [[0.25, 0, 1], [0.75, 0, 1]], "poles": [[0.5, 0, 2]]})
+
+
+def small_entry_lattices() -> list[str]:
+    """Period pairs with entries in {-1, 0, 0.5, 1, 2}, in a fixed order, as --lattice JSON."""
+    pairs = []
+    for a, b, c, d in itertools.product((-1, 0, 0.5, 1, 2), repeat=4):
+        try:
+            make_lattice(complex(a, b), complex(c, d))
+        except DegenerateLattice:
+            continue
+        pairs.append(json.dumps({"p1": [a, b], "p2": [c, d]}))
+    return pairs
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -92,8 +130,14 @@ def fingerprint(n_specs: int) -> tuple[str, Counter]:
             digest.update(part if isinstance(part, bytes) else repr(part).encode())
             digest.update(b"\0")
 
+    small = small_entry_lattices()
     rng = random.Random(20240817)
     for i in range(n_specs):
+        lattice = small[i % len(small)]
+        for j in ("1", "2"):
+            feed(run_cli(["eta", "--lattice", lattice, "--j", j]))
+        feed(run_cli(["synth", "--lattice", lattice, "--divisor", AXIS_DIVISOR]))
+
         p1, p2, P1, P2 = lattice_basis(rng)
         lattice = json.dumps({"p1": [p1.real, p1.imag], "p2": [p2.real, p2.imag]})
         divisor = json.dumps(divisor_obj(i, rng, P1, P2))
@@ -109,10 +153,15 @@ def fingerprint(n_specs: int) -> tuple[str, Counter]:
 
         spec = jsonio.spec_from_obj(json.loads(synth[1]))
         ev = SigmaEvaluator(spec.lattice)
-        feed(spec.quotient)
+        direct = SigmaEvaluator(spec.lattice, "direct", DIRECT_SHELLS)
+        feed(spec.quotient, ev.eta1, ev.eta2)
+        for p, _ in spec.divisor.zeros + spec.divisor.poles:
+            for q in (spec.xi0, *spec.g.zeros, *spec.g.poles):
+                dist = torus_distance(p, q, spec.lattice)
+                feed([dist <= tol for tol in TORUS_TOLS])
         for _ in range(6):
             z = rng.uniform(-1.5, 2.5) * P1 + rng.uniform(-1.5, 2.5) * P2
-            feed(eval_f(spec, ev, z), sigma(ev, z))
+            feed(eval_f(spec, ev, z), sigma(ev, z), ev.a_priori_bound(z), direct.a_priori_bound(z))
         if i % 10 == 0:
             plot = run_cli(["plot", "--spec", synth[1], "--out", "f.ppm", "--resolution", "16x16"])
             with open("f.ppm", "rb") as fh:

@@ -420,6 +420,76 @@ class TestSpecReload:
         assert r.stderr.startswith("ValueError: spec field 'm'"), r.stderr
 
 
+HUGE = "1" + "0" * 400
+
+
+class TestJsonNumbers:
+    """Number fields take JSON numbers only: no strings, booleans or ints beyond float."""
+
+    @pytest.fixture(scope="class")
+    def spec_m00(self):
+        return run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR).stdout
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("m",), ["0", False]),
+            (("lattice", "p1"), ["1", "0"]),
+            (("lattice", "p1"), [True, False]),
+            (("divisor", "zeros", 0, 2), "1"),
+            (("divisor", "zeros", 0, 2), True),
+        ],
+        ids=["m-string-bool", "p1-strings", "p1-bools", "mult-string", "mult-bool"],
+    )
+    def test_edited_spec_exits_1(self, tmp_path, spec_m00, path, value):
+        # each edit reads back as the unedited value when coerced by float()
+        obj = json.loads(spec_m00)
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(obj))
+        r = run_cli("verify", "--spec", str(spec_path))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith("ValueError:"), r.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sigma", "--lattice", '{"p1": [true, 0], "p2": [0, true]}', "--z=0.3,0.2"),
+            (
+                "synth",
+                "--lattice",
+                LATTICE,
+                "--divisor",
+                '{"zeros": [[true, 0.4], [0.3, 0.2]], "poles": [[0.5, 0.1], [0.8, 0.5]]}',
+            ),
+            ("synth", "--lattice", f'{{"p1": [{HUGE}, 0], "p2": [0, 1]}}', "--divisor", DIVISOR),
+            (
+                "synth",
+                "--lattice",
+                LATTICE,
+                "--divisor",
+                f'{{"zeros": [[{HUGE}, 0.4, 1]], "poles": [[0.6, 0.1, 1]]}}',
+            ),
+            (
+                "synth",
+                "--lattice",
+                LATTICE,
+                "--divisor",
+                f'{{"zeros": [[0.3, 0.4, {HUGE}]], "poles": [[0.6, 0.1, {HUGE}]]}}',
+            ),
+        ],
+        ids=["sigma-bool-periods", "synth-bool-point", "huge-period", "huge-point", "huge-mult"],
+    )
+    def test_non_number_argument_exits_1(self, args):
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith("ValueError:"), r.stderr
+
+
 def test_fingerprint_script():
     script = Path(__file__).resolve().parent / "fingerprint.py"
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)

@@ -1,4 +1,7 @@
+import cmath
+import itertools
 import math
+import random
 
 import pytest
 
@@ -130,37 +133,103 @@ def _in_lattice(z, lat, tol=1e-9):
     return abs(s - round(s)) < tol and abs(t - round(t)) < tol
 
 
+def basis_matrix(red, lat):
+    """((a, b), (c, d)) with P1 = a*p1 + b*p2 and P2 = c*p1 + d*p2."""
+    (a, b, _), (c, d, _) = (nearest_lattice_point(P, lat) for P in (red.p1, red.p2))
+    return (a, b), (c, d)
+
+
+def reduce_basis_with_matrix(lat):
+    """Reference: Gauss reduction that carries the integer basis matrix along."""
+    a, b = lat.p1, lat.p2
+    ua, ub = (1, 0), (0, 1)
+    if abs(b) < abs(a):
+        a, b, ua, ub = b, a, ub, ua
+    for _ in range(64):
+        mu = round((b * a.conjugate()).real / abs(a) ** 2)
+        if mu:
+            b = b - mu * a
+            ub = (ub[0] - mu * ua[0], ub[1] - mu * ua[1])
+        if abs(b) < abs(a):
+            a, b, ua, ub = b, a, ub, ua
+        else:
+            break
+    if (b / a).imag < 0:
+        b = -b
+        ub = (-ub[0], -ub[1])
+    return make_lattice(a, b), (ua, ub)
+
+
+def presented_lattices(rng, count):
+    """Random shapes presented by shears up to |k| = 1e5, swaps, negations and flips.
+
+    Every 10th has its periods rounded to one decimal.
+    """
+    done = 0
+    while done < count:
+        base = random_lattice(rng)
+        P1, P2 = base.p1, base.p2
+        k = rng.choice((rng.randint(-5, 5), rng.randint(-1000, 1000), rng.randint(-10**5, 10**5)))
+        p1, p2 = P1, P2 + k * P1
+        variant = rng.randrange(4)
+        if variant == 1:
+            p1, p2 = p2, -p1
+        elif variant == 2:
+            p1, p2 = -p1, -p2
+        elif variant == 3:
+            p1, p2 = p2, p1
+        if done % 10 == 0:
+            p1 = complex(round(p1.real, 1), round(p1.imag, 1))
+            p2 = complex(round(p2.real, 1), round(p2.imag, 1))
+        try:
+            yield make_lattice(p1, p2)
+        except DegenerateLattice:
+            continue
+        done += 1
+
+
+def small_period_lattices():
+    """Every period pair with entries in {0, +-0.5, +-1, +-2} that spans a lattice."""
+    vals = (0, 0.5, -0.5, 1, -1, 2, -2)
+    for a, b, c, d in itertools.product(vals, repeat=4):
+        try:
+            yield make_lattice(complex(a, b), complex(c, d))
+        except DegenerateLattice:
+            pass
+
+
 class TestReduceBasis:
     def test_already_reduced(self):
         lat = make_lattice(1, 1j)
-        red, mat = reduce_basis(lat)
+        red = reduce_basis(lat)
         assert (red.p1, red.p2) == (1, 1j)
-        assert mat == ((1, 0), (0, 1))
+        assert basis_matrix(red, lat) == ((1, 0), (0, 1))
 
     def test_shear(self):
-        red, mat = reduce_basis(make_lattice(1, 1 + 1j))
-        assert abs(red.omega - 1j) < 1e-15
-        assert mat == ((1, 0), (-1, 1))
-        # both bases generate the same points
         old = make_lattice(1, 1 + 1j)
+        red = reduce_basis(old)
+        assert abs(red.omega - 1j) < 1e-15
+        assert basis_matrix(red, old) == ((1, 0), (-1, 1))
+        # both bases generate the same points
         for _, _, value in shell_points(red, 3):
             assert _in_lattice(value, old)
         for _, _, value in shell_points(old, 3):
             assert _in_lattice(value, red)
 
     def test_long_shear(self):
-        red, mat = reduce_basis(make_lattice(1, 10 + 1j))
+        lat = make_lattice(1, 10 + 1j)
+        red = reduce_basis(lat)
         assert abs(red.omega.real) <= 0.5 + 1e-12
         assert abs(red.omega) >= 1 - 1e-12
         assert red.omega.imag > 0
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        assert det in (-1, 1)
+        (a, b), (c, d) = basis_matrix(red, lat)
+        assert a * d - b * c in (-1, 1)
 
     def test_exhaustive_oracle(self, rng):
         # some unimodular matrix with small entries must reproduce our reduction
         for _ in range(10):
             lat = make_lattice(1, complex(rng.uniform(-6, 6), rng.uniform(0.3, 4)))
-            red, mat = reduce_basis(lat)
+            red = reduce_basis(lat)
             found = []
             for a in range(-9, 10):
                 for b in range(-9, 10):
@@ -176,20 +245,32 @@ class TestReduceBasis:
                                     and om.imag > 0
                                 ):
                                     found.append(((a, b), (c, d)))
-            assert mat in found
+            assert basis_matrix(red, lat) in found
 
     def test_same_module(self, rng):
         for _ in range(20):
             lat = random_lattice(rng)
-            red, mat = reduce_basis(lat)
+            red = reduce_basis(lat)
             for _, _, value in shell_points(red, 1):
                 assert _in_lattice(value, lat)
             for _, _, value in shell_points(lat, 1):
                 assert _in_lattice(value, red)
-            # matrix really maps old basis to new
-            (a, b), (c, d) = mat
+            # the matrix really maps the old basis to the new one
+            (a, b), (c, d) = basis_matrix(red, lat)
             assert abs(red.p1 - (a * lat.p1 + b * lat.p2)) < 1e-12
             assert abs(red.p2 - (c * lat.p1 + d * lat.p2)) < 1e-12
+
+    def test_coordinates_match_carried_matrix(self):
+        # the matrix read back by nearest_lattice_point is the one the
+        # reduction steps would carry, on sheared, swapped, negated and
+        # flipped bases and on every small-entry period pair
+        rng = random.Random(2024)
+        lattices = [*presented_lattices(rng, 2000), *small_period_lattices()]
+        for lat in lattices:
+            ref, mat = reduce_basis_with_matrix(lat)
+            red = reduce_basis(lat)
+            assert (red.p1, red.p2) == (ref.p1, ref.p2)
+            assert basis_matrix(red, lat) == mat, lat
 
 
 class TestNearestLatticePoint:
@@ -220,6 +301,50 @@ class TestHelpers:
         lat = make_lattice(1, 1j)
         assert torus_distance(0.999, 0.0, lat) == pytest.approx(0.001, abs=1e-12)
         assert torus_distance(0.3 + 0.4j, 0.3 + 0.4j + 3 - 2j, lat) < 1e-12
+
+    @staticmethod
+    def sheared_and_swapped(rng):
+        """(base, presented) for shears (P1, P2 + k*P1) and the swap (P2, -P1)."""
+        for k in (*range(-5, 6), 50, -50, 1000, -1000, "swap"):
+            base = random_lattice(rng)
+            if k == "swap":
+                yield base, make_lattice(base.p2, -base.p1)
+            else:
+                yield base, make_lattice(base.p1, base.p2 + k * base.p1)
+
+    def test_torus_distance_small_separation(self, rng):
+        # exact |a - b|, and the 3x3 translate scan it replaced agrees up to
+        # that scan's own rounding of translates of size |p1| + |p2|
+        def scan(a, b, lat):
+            z0 = reduce_to_cell(a - b, lat)
+            return min(abs(z0 - (i * lat.p1 + j * lat.p2)) for i in (-1, 0, 1) for j in (-1, 0, 1))
+
+        for _ in range(40):
+            for base, lat in self.sheared_and_swapped(rng):
+                a = rng.uniform(-2, 2) * base.p1 + rng.uniform(-2, 2) * base.p2
+                b = a + rng.uniform(0, 1e-6) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                dist = torus_distance(a, b, lat)
+                assert dist == abs(a - b)
+                assert abs(dist - scan(a, b, lat)) <= 1e-15 * (1 + abs(lat.p1) + abs(lat.p2))
+
+    def test_torus_distance_is_a_lattice_offset(self, rng):
+        # any separation: |d - lam| for a lattice vector lam near d, and never
+        # below the true distance, found by brute force on the reduced basis
+        for _ in range(20):
+            for base, lat in self.sheared_and_swapped(rng):
+                d = rng.uniform(-3, 3) * base.p1 + rng.uniform(-3, 3) * base.p2
+                dist = torus_distance(d, 0, lat)
+                s, t = coordinates(d, lat)
+                near = [
+                    abs(d - (i * lat.p1 + j * lat.p2))
+                    for i in range(round(s) - 1, round(s) + 2)
+                    for j in range(round(t) - 1, round(t) + 2)
+                ]
+                assert min(abs(dist - x) for x in near) <= 1e-15 * (1 + abs(d))
+                red = reduce_basis(lat)
+                window = range(-12, 13)
+                brute = min(abs(d - (i * red.p1 + j * red.p2)) for i in window for j in window)
+                assert dist >= brute - 1e-12 * (1 + abs(d))
 
     def test_unit_frame_distance_square(self):
         assert _unit_frame_distance(make_lattice(1, 1j)) == pytest.approx(1.0)

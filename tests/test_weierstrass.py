@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from ellipse_phase import (
@@ -170,6 +171,13 @@ class TestDirectLatticeSum:
         sigma(ev, 0.3 + 0.2j)
         assert len(sums) == 0
 
+    def test_direct_evaluator_stores_no_array(self):
+        # each direct sum builds its lattice points from the shell coordinates
+        ev = SigmaEvaluator(make_lattice(1, 0.3 + 1.1j), backend="direct", truncation_shells=50)
+        eta(ev, 1)
+        sigma(ev, 0.3 + 0.2j)
+        assert not [k for k, v in vars(ev).items() if isinstance(v, np.ndarray)]
+
     def test_eta_runs_one_sum(self, sums):
         ev = SigmaEvaluator(make_lattice(1, 0.3 + 1.1j), backend="direct", truncation_shells=50)
         eta(ev, 2)
@@ -237,7 +245,7 @@ class TestBackends:
     def test_basis_covariance(self, rng):
         for _ in range(5):
             lat = make_lattice(1, complex(rng.uniform(2, 5), rng.uniform(1, 3)))
-            red, _ = reduce_basis(lat)
+            red = reduce_basis(lat)
             ev = SigmaEvaluator(lat)
             evr = SigmaEvaluator(red)
             z = random_cell_point(rng, red)

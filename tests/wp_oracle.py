@@ -24,7 +24,7 @@ TAU = 2 * math.pi
 
 
 def wp(z: complex, lat: Lattice) -> complex:
-    red, _ = reduce_basis(lat)
+    red = reduce_basis(lat)
     s, t = coordinates(z, red)
     z0 = z - math.floor(s + 0.5) * red.p1 - math.floor(t + 0.5) * red.p2
     q = cmath.exp(TAU * 1j * red.omega)
