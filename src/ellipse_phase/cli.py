@@ -1,8 +1,9 @@
 """Command-line front end: JSON in/out for every operation plus PPM portraits.
 
 Exit codes: 0 success, 1 validation error, 2 numerical-tolerance failure,
-3 I/O error.  The environment variable ELLIPSE_PHASE_SEED overrides --seed,
-and an optional ./ellipse-phase.json supplies flag defaults.
+3 I/O error; each package error class declares its own as `exit_code`.  The
+environment variable ELLIPSE_PHASE_SEED overrides --seed, and an optional
+./ellipse-phase.json supplies flag defaults.
 """
 
 from __future__ import annotations
@@ -11,17 +12,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import jsonio
-from .errors import (
-    AccuracyNotMet,
-    ContourTooClose,
-    EllipsePhaseError,
-    IoFailure,
-    PoleOrZeroHit,
-    TooManyPoleHits,
-)
+from .errors import EllipsePhaseError
 from .render import Coloring, RenderSpec, render_phase_portrait
 from .sigma_ratio import v_constant
 from .synthesis import eval_f, synthesize
@@ -30,10 +25,6 @@ from .weierstrass import Backend, SigmaEvaluator, eta, sigma
 
 CONFIG_PATH = "ellipse-phase.json"
 SEED_ENV = "ELLIPSE_PHASE_SEED"
-
-_VALIDATION = 1
-_TOLERANCE = 2
-_IO = 3
 
 
 def _fmt(x: float) -> str:
@@ -163,7 +154,7 @@ def _cmd_verify(args) -> int:
     quad = QuadratureSpec(seed=args.seed + 1)
     report = verify_spec(spec, grid=grid, quad=quad)
     print(jsonio.dumps(jsonio.report_to_obj(report)))
-    return 0 if report_passes(report, spec, tol=args.tol) else _TOLERANCE
+    return 0 if report_passes(report, spec, tol=args.tol) else 2  # a tolerance failure
 
 
 def _cmd_plot(args) -> int:
@@ -232,33 +223,23 @@ def main(argv=None) -> int:
         config = _load_config(subparsers)
         for sub in subparsers:
             sub.set_defaults(**config)
+            # a value such as "-0.3,0.2" or "-.5" is a number, not a flag
+            sub._negative_number_matcher = re.compile(r"^-\.?\d")
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
-            return 0 if exc.code == 0 else _VALIDATION
+            return 0 if exc.code == 0 else EllipsePhaseError.exit_code
 
         if SEED_ENV in os.environ and hasattr(args, "seed"):
             args.seed = int(os.environ[SEED_ENV])
 
         return _COMMANDS[args.command](args)
-    except (
-        AccuracyNotMet,
-        ContourTooClose,
-        TooManyPoleHits,
-        PoleOrZeroHit,
-        ArithmeticError,
-    ) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return _TOLERANCE
-    except IoFailure as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return _IO
     except OSError as exc:
         print(f"IoFailure: {exc}", file=sys.stderr)
-        return _IO
-    except (EllipsePhaseError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        return 3
+    except (EllipsePhaseError, ArithmeticError, ValueError, KeyError, TypeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return _VALIDATION
+        return getattr(exc, "exit_code", 2 if isinstance(exc, ArithmeticError) else 1)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ A balanced divisor whose zero and pole sums are lattice-congruent (Abel's
 condition) is realized as g(z) = prod sigma(z - zero) / prod sigma(z - pole),
 made genuinely periodic by shifting one zero by the lattice part of the sum
 defect so the sums match exactly.  Both g and the synthesized f are a
-`SigmaQuotient`, evaluated by the same `_eval_quotient`.
+`SigmaQuotient`, evaluated by the same `eval_elliptic`.
 """
 
 from __future__ import annotations
@@ -170,8 +170,11 @@ def _cancel_congruent(
     return SigmaQuotient(exponent + extra_a, extra_logc, tuple(numer), tuple(denom))
 
 
-def _eval_quotient(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
-    """q(z) in log form; LogValue.zero() at zeros, PoleValue at poles."""
+def eval_elliptic(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
+    """A sigma quotient (g, or f's evaluation form) at z in log form.
+
+    Returns LogValue.zero() at zeros and a PoleValue at poles.
+    """
     z = complex(z)
     zero_hits = 0
     pole_hits = 0
@@ -195,8 +198,3 @@ def _eval_quotient(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue
     if zero_hits:
         return LogValue.zero()
     return LogValue.from_log(total)
-
-
-def eval_elliptic(g: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
-    """g(z) in log form; LogValue.zero() at zeros, PoleValue at poles."""
-    return _eval_quotient(g, ev, z)

@@ -1,20 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its CLI exit code."""
 
 
 class EllipsePhaseError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; exit 1 is a validation error."""
+
+    exit_code = 1
 
 
 class DegenerateLattice(EllipsePhaseError):
-    """The period ratio p2/p1 is real (or too close to real) to span a lattice."""
+    """The periods are non-finite, too short, or too close to collinear to span a lattice."""
 
 
 class AccuracyNotMet(EllipsePhaseError):
     """The evaluator cannot certify the requested relative error."""
 
+    exit_code = 2
+
 
 class PoleOrZeroHit(EllipsePhaseError):
     """A sample point landed on a zero or pole; the caller should resample."""
+
+    exit_code = 2
 
 
 class UnbalancedDivisor(EllipsePhaseError):
@@ -32,10 +38,16 @@ class IllConditioned(EllipsePhaseError):
 class TooManyPoleHits(EllipsePhaseError):
     """Grid resampling kept landing on zeros or poles."""
 
+    exit_code = 2
+
 
 class ContourTooClose(EllipsePhaseError):
     """No contour offset kept the required distance from zeros and poles."""
 
+    exit_code = 2
+
 
 class IoFailure(EllipsePhaseError):
     """An output file could not be written."""
+
+    exit_code = 3

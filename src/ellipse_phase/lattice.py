@@ -36,13 +36,14 @@ class Lattice:
 
 
 def make_lattice(p1: complex, p2: complex) -> Lattice:
-    """Build a lattice from a period pair, rejecting (near-)real ratios."""
+    """Build a lattice from a period pair, rejecting (near-)real ratios and tiny periods."""
     p1 = complex(p1)
     p2 = complex(p2)
     if not (cmath.isfinite(p1) and cmath.isfinite(p2)):
         raise DegenerateLattice("periods must be finite")
-    if p1 == 0 or p2 == 0:
-        raise DegenerateLattice("periods must be nonzero")
+    if min(abs(p1), abs(p2)) < 1e6 * SNAP_TOL:
+        # below this scale SNAP_TOL, which is absolute, merges distinct points
+        raise DegenerateLattice(f"periods must be at least {1e6 * SNAP_TOL:g} long")
     omega = p2 / p1
     if abs(omega.imag) < DEGENERACY_EPS:
         raise DegenerateLattice(f"period ratio {omega} is too close to real")

@@ -46,16 +46,15 @@ def _direct_sum_tail(lat: Lattice, pj_abs: float, N: int) -> float:
     """Tail bound for the paired sum truncated at shell N.
 
     Shell k has 8k points with |lam| >= c*k and |lam + p_j| >= c*(k-1) (the
-    shifted point keeps sup-norm >= k-1), each contributing half a paired term.
-    Fully-outside orbits plus the boundary-straddling ring give O(1/N^2).
+    shifted point keeps sup-norm >= k-1), each contributing half a paired term,
+    so the tail is at most sum_{k >= N} 4|p_j| / (c^4 k (k-1)^2).  With
+    x = N - 1, partial fractions telescope that series to
+    (4|p_j|/c^4) * (psi_1(x) - 1/x), and psi_1(x) < 1/x + 1/(2x^2) + 1/(6x^3)
+    for every x > 0 (DLMF 5.15).
     """
     c = _unit_frame_distance(lat)
-    tail = sum(
-        8 * k * pj_abs / (2 * (c * k) ** 2 * (c * (k - 1)) ** 2)
-        for k in range(N, N + 2000)
-    )
-    tail += 4 * pj_abs / (c**4 * (N + 2000) ** 2)
-    return tail
+    x = N - 1
+    return 4 * pj_abs / c**4 * (1 / (2 * x**2) + 1 / (6 * x**3))
 
 
 def v_constant(

@@ -21,8 +21,8 @@ from .divisor import (
     PoleValue,
     SigmaQuotient,
     _cancel_congruent,
-    _eval_quotient,
     build_elliptic,
+    eval_elliptic,
     make_divisor,
 )
 from .errors import IllConditioned, UnbalancedDivisor
@@ -126,4 +126,4 @@ def eval_f(spec: PhaseFunctionSpec, ev: SigmaEvaluator, z: complex) -> LogValue 
     Zeros of f (the divisor's zeros + L) return LogValue.zero(); poles return
     a PoleValue with the local multiplicity.
     """
-    return _eval_quotient(spec.quotient, ev, z)
+    return eval_elliptic(spec.quotient, ev, z)

@@ -26,9 +26,11 @@ on the presented basis and of `eval_f`, `sigma` and both backends'
 CLI's printed precision show; so is whether the torus distance from each
 divisor point to xi0 and to each point of g is within each of `TORUS_TOLS`.
 Two trees give bit-identical results when this script prints the same sha256
-with PYTHONPATH set to each tree's `src`.  Output is one line:
+with PYTHONPATH set to each tree's `src`.  Each hashed value also belongs to one
+family of `FAMILIES`, and `parts` gives the first 12 hex digits of the sha256 of
+each family's bytes, so a moved hash names what moved.  Output is one line:
 
-    sha256=<hex> specs=<N> verify_exits=<code>:<count>,...
+    sha256=<hex> specs=<N> verify_exits=<code>:<count>,... parts=<family>:<hex>,...
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ DIRECT_SHELLS = 20
 #: |d - lam| for the coordinate-rounded lattice vector lam, which on a sheared
 #: basis may exceed the shortest such distance.
 TORUS_TOLS = (1e-12, 1e-9, 1e-6)
+
+#: Hash families, in output order: CLI commands by name, and `values` for the
+#: exact library values (quotient, eta, eval_f, sigma, bounds, torus distances).
+FAMILIES = ("eta", "synth", "verify", "values", "plot", "sigma", "vj")
 
 #: Divisor with xi0 = 0 on the real axis, synthesized on the small-entry lattices.
 AXIS_DIVISOR = json.dumps({"zeros": [[0.25, 0, 1], [0.75, 0, 1]], "poles": [[0.5, 0, 2]]})
@@ -121,22 +127,25 @@ def divisor_obj(i: int, rng: random.Random, P1: complex, P2: complex) -> dict:
     }
 
 
-def fingerprint(n_specs: int) -> tuple[str, Counter]:
+def fingerprint(n_specs: int) -> tuple[str, Counter, dict[str, str]]:
     digest = hashlib.sha256()
+    family_digests = {family: hashlib.sha256() for family in FAMILIES}
     exits: Counter = Counter()
 
-    def feed(*parts) -> None:
+    def feed(family: str, *parts) -> None:
+        """Hash `parts` into the overall digest and into `family`'s; `family` is not hashed."""
         for part in parts:
-            digest.update(part if isinstance(part, bytes) else repr(part).encode())
-            digest.update(b"\0")
+            data = (part if isinstance(part, bytes) else repr(part).encode()) + b"\0"
+            digest.update(data)
+            family_digests[family].update(data)
 
     small = small_entry_lattices()
     rng = random.Random(20240817)
     for i in range(n_specs):
         lattice = small[i % len(small)]
         for j in ("1", "2"):
-            feed(run_cli(["eta", "--lattice", lattice, "--j", j]))
-        feed(run_cli(["synth", "--lattice", lattice, "--divisor", AXIS_DIVISOR]))
+            feed("eta", run_cli(["eta", "--lattice", lattice, "--j", j]))
+        feed("synth", run_cli(["synth", "--lattice", lattice, "--divisor", AXIS_DIVISOR]))
 
         p1, p2, P1, P2 = lattice_basis(rng)
         lattice = json.dumps({"p1": [p1.real, p1.imag], "p2": [p2.real, p2.imag]})
@@ -144,42 +153,45 @@ def fingerprint(n_specs: int) -> tuple[str, Counter]:
         m1, m2 = rng.randint(-1, 1), rng.randint(-1, 1)
         argv = ["synth", "--lattice", lattice, "--divisor", divisor, f"--m1={m1}", f"--m2={m2}"]
         synth = run_cli(argv)
-        feed("synth", i, *synth)
+        feed("synth", "synth", i, *synth)
         if synth[0] != 0:
             continue
         verify = run_cli(["verify", "--spec", synth[1], "--grid", "6x5"])
-        feed("verify", *verify)
+        feed("verify", "verify", *verify)
         exits[verify[0]] += 1
 
         spec = jsonio.spec_from_obj(json.loads(synth[1]))
         ev = SigmaEvaluator(spec.lattice)
         direct = SigmaEvaluator(spec.lattice, "direct", DIRECT_SHELLS)
-        feed(spec.quotient, ev.eta1, ev.eta2)
+        feed("values", spec.quotient, ev.eta1, ev.eta2)
         for p, _ in spec.divisor.zeros + spec.divisor.poles:
             for q in (spec.xi0, *spec.g.zeros, *spec.g.poles):
                 dist = torus_distance(p, q, spec.lattice)
-                feed([dist <= tol for tol in TORUS_TOLS])
+                feed("values", [dist <= tol for tol in TORUS_TOLS])
         for _ in range(6):
             z = rng.uniform(-1.5, 2.5) * P1 + rng.uniform(-1.5, 2.5) * P2
-            feed(eval_f(spec, ev, z), sigma(ev, z), ev.a_priori_bound(z), direct.a_priori_bound(z))
+            bounds = ev.a_priori_bound(z), direct.a_priori_bound(z)
+            feed("values", eval_f(spec, ev, z), sigma(ev, z), *bounds)
         if i % 10 == 0:
             plot = run_cli(["plot", "--spec", synth[1], "--out", "f.ppm", "--resolution", "16x16"])
             with open("f.ppm", "rb") as fh:
-                feed("plot", *plot, fh.read())
+                feed("plot", "plot", *plot, fh.read())
 
         z = rng.uniform(-2.0, 2.0) * P1 + rng.uniform(-2.0, 2.0) * P2
         xi0 = rng.uniform(0.0, 1.0) * P1 + rng.uniform(0.0, 1.0) * P2
         shells = f"--shells={DIRECT_SHELLS}"
         for backend in ("fast", "direct"):
             argv = ["sigma", "--lattice", lattice, f"--z={cplx(z)}", "--backend", backend]
-            feed(run_cli(argv + [shells]))
+            feed("sigma", run_cli(argv + [shells]))
             for j in ("1", "2"):
-                feed(run_cli(["eta", "--lattice", lattice, "--j", j, "--backend", backend, shells]))
+                eta_argv = ["eta", "--lattice", lattice, "--j", j, "--backend", backend, shells]
+                feed("eta", run_cli(eta_argv))
         for method in ("eta", "direct"):
             for j in ("1", "2"):
                 argv = ["vj", "--lattice", lattice, f"--xi0={cplx(xi0)}", "--j", j]
-                feed(run_cli(argv + ["--method", method, shells]))
-    return digest.hexdigest(), exits
+                feed("vj", run_cli(argv + ["--method", method, shells]))
+    parts = {family: d.hexdigest()[:12] for family, d in family_digests.items()}
+    return digest.hexdigest(), exits, parts
 
 
 def main(argv: list[str]) -> int:
@@ -189,11 +201,12 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            sha, exits = fingerprint(n_specs)
+            sha, exits, parts = fingerprint(n_specs)
         finally:
             os.chdir(home)
     counts = ",".join(f"{code}:{count}" for code, count in sorted(exits.items()))
-    print(f"sha256={sha} specs={n_specs} verify_exits={counts}")
+    families = ",".join(f"{family}:{hexdigest}" for family, hexdigest in parts.items())
+    print(f"sha256={sha} specs={n_specs} verify_exits={counts} parts={families}")
     return 0
 
 

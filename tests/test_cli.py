@@ -11,6 +11,7 @@ import pytest
 import ellipse_phase
 from ellipse_phase import (
     Coloring,
+    EllipsePhaseError,
     LogValue,
     PoleValue,
     RenderSpec,
@@ -109,6 +110,22 @@ class TestSigmaCommand:
         assert float(nm["log_mag"]) == pytest.approx(float(pm["log_mag"]), abs=1e-13)
         turn = abs(float(nm["phase"]) - float(pm["phase"]))
         assert turn == pytest.approx(math.pi, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("sigma", "--z", "-0.3,0.2"), ("vj", "--xi0", "-0.3,0.2"), ("sigma", "--z", "-.3")],
+    )
+    def test_negative_value_spaced_from_flag(self, command, flag, value):
+        args = [command, "--lattice", LATTICE] + (["--j", "1"] if command == "vj" else [])
+        spaced = run_cli(*args, flag, value)
+        attached = run_cli(*args, f"{flag}={value}")
+        assert spaced.returncode == 0, spaced.stderr
+        assert (spaced.stdout, spaced.stderr) == (attached.stdout, attached.stderr)
+
+    def test_flag_like_value_still_a_usage_error(self):
+        r = run_cli("sigma", "--lattice", LATTICE, "--z", "-x")
+        assert r.returncode == 1
+        assert "expected one argument" in r.stderr
 
 
 class TestEtaAndVj:
@@ -290,6 +307,16 @@ class TestPlot:
         # frac(0.5) = 0.5 dims the value channel to 0.85
         assert render_pixels(half, spec) == bytes((0, 217, 217))
 
+    def test_negative_center_spaced_from_flag(self, tmp_path, spec_m12):
+        outputs = []
+        for center in (["--center", "-0.5,0.25"], ["--center=-0.5,0.25"]):
+            out = tmp_path / f"{len(outputs)}.ppm"
+            args = ["--spec", spec_m12, "--out", str(out), "--resolution", "8x8", *center]
+            r = run_cli("plot", *args)
+            assert r.returncode == 0, r.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_unwritable_path_raises_io_failure(self, tmp_path):
         from ellipse_phase import IoFailure, render_phase_portrait
 
@@ -299,6 +326,86 @@ class TestPlot:
         )
         with pytest.raises(IoFailure):
             render_phase_portrait(lambda z: LogValue(0.0, 0.0), spec)
+
+
+def _scaled_square(scale: float) -> tuple[str, str]:
+    """The unit square scaled by `scale`, with a 2-zero/2-pole divisor scaled alike."""
+    lattice = json.dumps({"p1": [scale, 0], "p2": [0, scale]})
+    zeros = [[0.2 * scale, 0.3 * scale, 1], [0.6 * scale, 0.5 * scale, 1]]
+    poles = [[0.4 * scale, 0.1 * scale, 1], [0.4 * scale, 0.7 * scale, 1]]
+    return lattice, json.dumps({"zeros": zeros, "poles": poles})
+
+
+class TestLatticeScaleFloor:
+    TINY = json.dumps({"p1": [1e-12, 0], "p2": [0.3e-12, 1.1e-12]})
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sigma", "--z=0.3e-12,0.2e-12"),
+            ("sigma", "--z=0.3e-12,0.2e-12", "--backend", "direct"),
+            ("vj", "--xi0=0.3e-12,0.2e-12", "--j", "1", "--method", "direct"),
+        ],
+    )
+    def test_tiny_lattice_exits_1(self, args):
+        # SNAP_TOL is absolute: here sigma would read -inf and the direct vj bound be false
+        r = run_cli(args[0], "--lattice", self.TINY, *args[1:])
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith("DegenerateLattice:"), r.stderr
+
+    def test_tiny_divisor_is_not_merged_away(self, spec_m12):
+        lattice, divisor = _scaled_square(1e-12)
+        r = run_cli("synth", "--lattice", lattice, "--divisor", divisor)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith("DegenerateLattice:"), r.stderr
+        spec = json.loads(spec_m12)
+        spec["lattice"] = json.loads(lattice)
+        r = run_cli("verify", "--spec", json.dumps(spec))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith("DegenerateLattice:"), r.stderr
+
+    def test_lattice_at_floor_synthesizes_and_verifies(self):
+        lattice, divisor = _scaled_square(1e-6)
+        synth = run_cli("synth", "--lattice", lattice, "--divisor", divisor)
+        assert synth.returncode == 0, synth.stderr
+        verify = run_cli("verify", "--spec", synth.stdout)
+        assert verify.returncode == 0, verify.stdout + verify.stderr
+        assert json.loads(verify.stdout)["zero_count"] == 2
+
+
+def _readme_exit_codes() -> dict[str, int]:
+    """The README's error-class exit-code table, as {class name: code}."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \|", readme, re.M)
+    return {name: int(code) for name, code in rows}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", [EllipsePhaseError, *EllipsePhaseError.__subclasses__()])
+    def test_error_class_declares_documented_code(self, monkeypatch, tmp_path, capsys, error):
+        assert error.exit_code == _readme_exit_codes()[error.__name__]
+        _assert_command_raising(error("boom"), error.exit_code, monkeypatch, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [(ZeroDivisionError("boom"), 2), (PermissionError("boom"), 3), (KeyError("boom"), 1)],
+    )
+    def test_builtin_errors_map_to_codes(self, monkeypatch, tmp_path, capsys, exc, code):
+        _assert_command_raising(exc, code, monkeypatch, tmp_path, capsys)
+
+
+def _assert_command_raising(exc, code, monkeypatch, tmp_path, capsys):
+    """`cli.main` returns `code` and names the error when the command raises `exc`."""
+    from ellipse_phase import cli
+
+    def command(args):
+        raise exc
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._COMMANDS, "sigma", command)
+    assert cli.main(["sigma", "--lattice", LATTICE, "--z", "0.1,0.2"]) == code
+    name = "IoFailure" if isinstance(exc, OSError) else type(exc).__name__
+    assert capsys.readouterr().err.startswith(f"{name}: ")
 
 
 class TestConfigAndSeed:
@@ -497,6 +604,9 @@ def test_fingerprint_script():
         [sys.executable, str(script), "3"], capture_output=True, text=True, env=env
     )
     assert r.returncode == 0, r.stderr
-    found = re.fullmatch(r"sha256=[0-9a-f]{64} specs=3 verify_exits=((\d+:\d+,?)+)\n", r.stdout)
+    names = ("eta", "synth", "verify", "values", "plot", "sigma", "vj")
+    families = ",".join(f"{family}:[0-9a-f]{{12}}" for family in names)
+    pattern = rf"sha256=[0-9a-f]{{64}} specs=3 verify_exits=((\d+:\d+,?)+) parts={families}\n"
+    found = re.fullmatch(pattern, r.stdout)
     assert found, r.stdout
     assert sum(int(c.split(":")[1]) for c in found[1].split(",")) == 3

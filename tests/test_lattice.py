@@ -37,6 +37,12 @@ class TestMakeLattice:
         with pytest.raises(DegenerateLattice):
             make_lattice(0, 1j)
 
+    @pytest.mark.parametrize("p1, p2", [(1e-12, (0.3 + 1.1j) * 1e-12), (1, 9e-7j), (9e-7, 1j)])
+    def test_period_below_scale_floor_rejected(self, p1, p2):
+        # SNAP_TOL is absolute: below 1e6 * SNAP_TOL it would merge distinct points
+        with pytest.raises(DegenerateLattice, match="at least"):
+            make_lattice(p1, p2)
+
     def test_non_finite_period_rejected(self):
         for p1, p2 in ((math.nan, 1j), (1, complex(0, math.inf)), (complex(math.nan, 0), 1j)):
             with pytest.raises(DegenerateLattice, match="finite"):

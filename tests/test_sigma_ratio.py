@@ -10,7 +10,7 @@ from ellipse_phase import (
     ratio_residual,
     v_constant,
 )
-from ellipse_phase.sigma_ratio import VMethod
+from ellipse_phase.sigma_ratio import VMethod, _direct_sum_tail
 from ellipse_phase.weierstrass import _paired_term
 
 from conftest import random_cell_point, random_lattice
@@ -66,6 +66,30 @@ class TestVConstant:
             for shells in (10, 50, 150):
                 rc = v_constant(lat, xi0, j, method=VMethod.DIRECT_SUM, shells=shells)
                 assert abs(rc.v - ref.v) <= rc.error_bound
+
+    def test_closed_form_tail_bounds_the_series(self):
+        # on the unit square c = 1, so the bound for |p_j| = 1 is 4 * (1/(2x^2) + 1/(6x^3)),
+        # against the series 4 * sum_{k >= N} 1/(k (k-1)^2) = 4 * (psi_1(x) - 1/x), x = N - 1
+        mpmath = pytest.importorskip("mpmath")
+        square = make_lattice(1, 1j)
+        with mpmath.workdps(30):
+            for N in range(2, 1001):
+                x = mpmath.mpf(N - 1)
+                series = 4 * (mpmath.psi(1, x) - 1 / x)
+                assert _direct_sum_tail(square, 1.0, N) >= series, N
+
+    def test_routes_agree_within_both_bounds(self, rng):
+        # the presented basis sets the shells, so shears and swaps change the direct sum
+        for _ in range(4):
+            lat = random_lattice(rng)
+            xi0 = random_cell_point(rng, lat)
+            shears = [make_lattice(lat.p1, lat.p2 + k * lat.p1) for k in range(-3, 4)]
+            for presented in shears + [make_lattice(lat.p2, -lat.p1)]:
+                for j in (1, 2):
+                    eta_route = v_constant(presented, xi0, j)
+                    direct = v_constant(presented, xi0, j, method=VMethod.DIRECT_SUM, shells=30)
+                    gap = abs(direct.v - eta_route.v)
+                    assert gap <= direct.error_bound + eta_route.error_bound
 
     def test_quadratic_convergence(self, rng):
         # halving steps shrink the truncation error by roughly 4
