@@ -9,15 +9,18 @@ defect so the sums match exactly.  Both g and the synthesized f are a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import AbelViolation
-from .lattice import SNAP_TOL, Lattice, nearest_lattice_point, reduce_to_cell, torus_distance
+from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
 from .weierstrass import LogValue, SigmaEvaluator, sigma
 
 #: Allowed distance of the zero/pole sum defect from the lattice.
 ABEL_TOL = 1e-9
+
+#: Most zeros or poles, counted with multiplicity, that make_divisor accepts;
+#: build_elliptic expands each unit of multiplicity into its own sigma factor.
+MAX_DEGREE = 10_000
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,7 @@ class Divisor:
     """Multisets of zeros and poles (point, multiplicity) inside the cell.
 
     Construct through `make_divisor`, which reduces points into the half-open
-    cell, merges coincident points, and cancels common zero/pole factors.
+    cell, merges points that coincide mod L, and cancels common zero/pole factors.
     """
 
     zeros: tuple[tuple[complex, int], ...]
@@ -55,8 +58,8 @@ class PoleValue:
 class SigmaQuotient:
     """exp(exponent*z + log_scale) * prod sigma(z - zero) / prod sigma(z - pole).
 
-    Built only by `build_elliptic` and `_cancel_congruent`, so no zero is
-    congruent to a pole.
+    Built by `build_elliptic` (g) and `synthesis._fold_ratio` (f's evaluation
+    form), so no zero is congruent to a pole.
     """
 
     exponent: complex
@@ -65,38 +68,50 @@ class SigmaQuotient:
     poles: tuple[complex, ...]
 
 
-def _merge_points(entries, lat: Lattice) -> list[tuple[complex, int]]:
-    merged: list[tuple[complex, int]] = []
-    for point, mult in entries:
-        mult = float(mult)
-        if not mult.is_integer() or mult < 1:
-            raise ValueError("multiplicities must be positive integers")
-        mult = int(mult)
-        point = reduce_to_cell(complex(point), lat)
-        for i, (q, m) in enumerate(merged):
-            if torus_distance(point, q, lat) <= SNAP_TOL:
-                merged[i] = (q, m + mult)
-                break
-        else:
-            merged.append((point, mult))
-    return merged
+def _extend(d: Divisor, zeros, poles, lat: Lattice) -> Divisor:
+    """d plus zeros and poles, given as (cell point, multiplicity), each added once.
+
+    A point joins the first entry of its kind within SNAP_TOL mod L, or is
+    appended; that entry then cancels against every entry of the other kind
+    within SNAP_TOL.  Entries at multiplicity 0 keep their place until the
+    Divisor is built, so later points still merge into them.
+    """
+    zs, ps = list(d.zeros), list(d.poles)
+    for own, other, points in ((zs, ps, zeros), (ps, zs, poles)):
+        for point, mult in points:
+            for i, (q, m) in enumerate(own):
+                if torus_distance(point, q, lat) <= SNAP_TOL:
+                    point, mult = q, m + mult
+                    break
+            else:
+                i = len(own)
+                own.append((point, mult))
+            for k, (q, m) in enumerate(other):
+                if mult and m and torus_distance(point, q, lat) <= SNAP_TOL:
+                    common = min(mult, m)
+                    mult -= common
+                    other[k] = (q, m - common)
+            own[i] = (point, mult)
+    return Divisor(tuple(e for e in zs if e[1]), tuple(e for e in ps if e[1]))
 
 
 def make_divisor(zeros, poles, lat: Lattice) -> Divisor:
-    """Build a reduced divisor: points in the cell, common factors cancelled."""
-    zs = _merge_points(zeros, lat)
-    ps = _merge_points(poles, lat)
-    for i, (zp, zm) in enumerate(zs):
-        for k, (pp, pm) in enumerate(ps):
-            if pm and torus_distance(zp, pp, lat) <= SNAP_TOL:
-                common = min(zm, pm)
-                zm -= common
-                ps[k] = (pp, pm - common)
-                zs[i] = (zp, zm)
-                break
-    zs = [(p, m) for p, m in zs if m > 0]
-    ps = [(p, m) for p, m in ps if m > 0]
-    return Divisor(tuple(zs), tuple(ps))
+    """Build a reduced divisor: points in the cell, merged and cancelled mod L.
+
+    No two zeros (or poles) and no zero and pole of the result lie within
+    SNAP_TOL mod L, so `make_divisor(d.zeros, d.poles, lat) == d`.  More than
+    MAX_DEGREE zeros or poles, counted with multiplicity, is a ValueError.
+    """
+    parts: tuple[list, list] = ([], [])
+    for points, part in zip((zeros, poles), parts):
+        for point, mult in points:
+            mult = float(mult)
+            if not mult.is_integer() or mult < 1:
+                raise ValueError("multiplicities must be positive integers")
+            part.append((reduce_to_cell(complex(point), lat), int(mult)))
+        if sum(m for _, m in part) > MAX_DEGREE:
+            raise ValueError(f"more than MAX_DEGREE = {MAX_DEGREE} zeros or poles")
+    return _extend(Divisor((), ()), *parts, lat)
 
 
 def validate_abel(d: Divisor, lat: Lattice) -> tuple[bool, complex]:
@@ -129,45 +144,6 @@ def build_elliptic(d: Divisor, lat: Lattice) -> SigmaQuotient:
             if torus_distance(zero_pts[idx], p, lat) <= SNAP_TOL:
                 raise AbelViolation(f"the defect shift moves zero {zero_pts[idx]} onto pole {p}")
     return SigmaQuotient(0j, 0j, tuple(zero_pts), tuple(pole_pts))
-
-
-def _cancel_congruent(
-    numer,
-    denom,
-    lat: Lattice,
-    eta1: complex,
-    eta2: complex,
-    exponent: complex = 0j,
-) -> SigmaQuotient:
-    """The quotient exp(exponent*z) * prod sigma(z - n) / prod sigma(z - d).
-
-    Lattice-congruent numerator/denominator shifts are cancelled: for a pair
-    w1 (numerator) and w2 = w1 + lam (denominator),
-    sigma(z - w1) / sigma(z - w2) = eps(lam) * exp(eta(lam) (z - w2 + lam/2)),
-    which folds into the exponent and the log scale.
-    """
-    numer = list(numer)
-    denom = list(denom)
-    extra_a = 0j
-    extra_logc = 0j
-
-    # exact matches first, then congruent-mod-L pairs
-    for exact_only in (True, False):
-        for w1 in list(numer):
-            for w2 in denom:
-                m, n, lam = nearest_lattice_point(w2 - w1, lat)
-                if abs((w2 - w1) - lam) > SNAP_TOL or (exact_only and (m or n)):
-                    continue
-                if m or n:
-                    eta_lam = m * eta1 + n * eta2
-                    extra_a += eta_lam
-                    extra_logc += eta_lam * (lam / 2 - w2)
-                    if (m % 2) or (n % 2):
-                        extra_logc += 1j * math.pi
-                numer.remove(w1)
-                denom.remove(w2)
-                break
-    return SigmaQuotient(exponent + extra_a, extra_logc, tuple(numer), tuple(denom))
 
 
 def eval_elliptic(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import PoleOrZeroHit
 from .lattice import Lattice, _unit_frame_distance
-from .weierstrass import Backend, SigmaEvaluator, eta, sigma, wrap_angle
+from .weierstrass import MAX_SHELLS, Backend, SigmaEvaluator, eta, sigma, wrap_angle
 
 
 class VMethod(str, enum.Enum):
@@ -71,14 +71,15 @@ def v_constant(
     if not cmath.isfinite(xi0):
         raise ValueError(f"xi0 {xi0} is not finite")
     method = VMethod(method)
+    low = 2 if method is VMethod.DIRECT_SUM else 1
+    if not low <= shells <= MAX_SHELLS:
+        raise ValueError(f"truncation_shells must be in [{low}, {MAX_SHELLS}] for {method.value}")
     pj = lat.p1 if j == 1 else lat.p2
 
     if method is VMethod.VIA_ETA:
         v = -eta(SigmaEvaluator(lat), j) * xi0
         return RatioConstant(v, method, 0, 1e-13 * (1.0 + abs(v)))
 
-    if shells < 2:
-        raise ValueError("DirectSum needs shells >= 2")
     v = -xi0 * eta(SigmaEvaluator(lat, Backend.DIRECT_PRODUCT, shells), j)
     bound = abs(xi0) * abs(pj) ** 2 * _direct_sum_tail(lat, abs(pj), shells) * 1.2
     return RatioConstant(v, method, shells, bound)

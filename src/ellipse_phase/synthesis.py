@@ -14,19 +14,12 @@ so |f| picks up a positive constant and the phase is fully periodic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .divisor import (
-    Divisor,
-    PoleValue,
-    SigmaQuotient,
-    _cancel_congruent,
-    build_elliptic,
-    eval_elliptic,
-    make_divisor,
-)
+from .divisor import Divisor, PoleValue, SigmaQuotient, _extend, build_elliptic, eval_elliptic
 from .errors import IllConditioned, UnbalancedDivisor
-from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
+from .lattice import SNAP_TOL, Lattice, nearest_lattice_point, reduce_to_cell, torus_distance
 from .weierstrass import TAU, LogValue, SigmaEvaluator
 
 
@@ -34,10 +27,8 @@ from .weierstrass import TAU, LogValue, SigmaEvaluator
 class PhaseFunctionSpec:
     """Complete description of a synthesized f, plus its evaluation form.
 
-    Built only by `synthesize`.  `quotient` is derived: the sigma-ratio
-    factors congruent to g's zero at xi0 and pole at 0 are cancelled
-    symbolically, folding their quasi-periodicity factors into the exponent
-    and scale, so evaluation is total away from the intended divisor.
+    Built only by `synthesize`.  `quotient` is f's evaluation form from
+    `_fold_ratio`, so evaluation is total away from the intended divisor.
     """
 
     lattice: Lattice
@@ -95,10 +86,44 @@ def solve_exponent(lat: Lattice, v1: complex, v2: complex, m1: int, m2: int) -> 
     return complex(x, y)
 
 
+def _fold_ratio(g: SigmaQuotient, xi0: complex, a: complex, ev: SigmaEvaluator) -> SigmaQuotient:
+    """f's evaluation form exp(a*z) * g(z) * sigma(z) / sigma(z - xi0) as one quotient.
+
+    No zero of g is congruent to a pole of g, so only the ratio factors can
+    fold: sigma(z) into the first of [xi0, *g.poles] it meets, then
+    sigma(z - xi0) into the first zero left, exact matches before congruent
+    ones.  A zero w1 and a pole w2 = w1 + lam fold into the exponent and scale
+    by sigma(z - w1) / sigma(z - w2) = eps(lam) * exp(eta(lam) (z - w2 + lam/2)).
+    """
+    zeros, poles = [0j, *g.zeros], [xi0, *g.poles]
+    extra_a = extra_logc = 0j
+    zero_open = pole_open = True  # sigma(z), sigma(z - xi0) not yet folded
+    for exact_only in (True, False):
+        n_poles = len(poles)
+        for i, (w1, w2) in enumerate([(0j, w) for w in poles] + [(w, xi0) for w in zeros]):
+            if not (zero_open if i < n_poles else pole_open):
+                continue
+            m, n, lam = nearest_lattice_point(w2 - w1, ev.lattice)
+            if abs((w2 - w1) - lam) > SNAP_TOL or (exact_only and (m or n)):
+                continue
+            if m or n:
+                eta_lam = m * ev.eta1 + n * ev.eta2
+                extra_a += eta_lam
+                extra_logc += eta_lam * (lam / 2 - w2)
+                if (m % 2) or (n % 2):
+                    extra_logc += 1j * math.pi
+            zeros.remove(w1)
+            poles.remove(w2)
+            # pair 0 is sigma(z) against sigma(z - xi0) while the latter is open
+            zero_open, pole_open = zero_open and i >= n_poles, pole_open and 0 < i < n_poles
+    return SigmaQuotient(a + extra_a, extra_logc, tuple(zeros), tuple(poles))
+
+
 def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
     """Build the full doubly-periodic-phase function for a balanced divisor.
 
-    xi0, a, alpha and g are derived from the lattice, the divisor and (m1, m2).
+    d must come from `make_divisor` on lat.  xi0, a, alpha and g are derived
+    from the lattice, the divisor and (m1, m2).
     """
     ev = SigmaEvaluator(lat)
     xi0 = xi0_from_divisor(d, lat)
@@ -109,14 +134,8 @@ def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
     a = solve_exponent(lat, v1, v2, m1, m2)
     alpha1 = (a * lat.p1 - v1).real
     alpha2 = (a * lat.p2 - v2).real
-    g_divisor = make_divisor(
-        list(d.zeros) + [(xi0, 1)],
-        list(d.poles) + [(0j, 1)],
-        lat,
-    )
-    g = build_elliptic(g_divisor, lat)
-    # the evaluation form: g times sigma(z) / sigma(z - xi0)
-    quotient = _cancel_congruent((0j,) + g.zeros, (xi0,) + g.poles, lat, ev.eta1, ev.eta2, a)
+    g = build_elliptic(_extend(d, [(xi0, 1)], [(0j, 1)], lat), lat)
+    quotient = _fold_ratio(g, xi0, a, ev)
     return PhaseFunctionSpec(lat, xi0, a, int(m1), int(m2), alpha1, alpha2, g, d, quotient)
 
 

@@ -28,7 +28,11 @@ divisor point to xi0 and to each point of g is within each of `TORUS_TOLS`.
 Two trees give bit-identical results when this script prints the same sha256
 with PYTHONPATH set to each tree's `src`.  Each hashed value also belongs to one
 family of `FAMILIES`, and `parts` gives the first 12 hex digits of the sha256 of
-each family's bytes, so a moved hash names what moved.  Output is one line:
+each family's bytes, so a moved hash names what moved.  The families in
+`PARTS_ONLY` go into `parts` and not into the sha256, so the sha256 recorded
+before they were added stays comparable.  The `divisor` family hashes `synth`,
+the reloaded quotient and g of one more divisor per spec, drawn from its own
+seeded generator (see `divisor_case`).  Output is one line:
 
     sha256=<hex> specs=<N> verify_exits=<code>:<count>,... parts=<family>:<hex>,...
 """
@@ -70,7 +74,10 @@ TORUS_TOLS = (1e-12, 1e-9, 1e-6)
 
 #: Hash families, in output order: CLI commands by name, and `values` for the
 #: exact library values (quotient, eta, eval_f, sigma, bounds, torus distances).
-FAMILIES = ("eta", "synth", "verify", "values", "plot", "sigma", "vj")
+FAMILIES = ("eta", "synth", "verify", "values", "plot", "sigma", "vj", "divisor")
+
+#: Families hashed into `parts` only, not into the overall sha256.
+PARTS_ONLY = ("divisor",)
 
 #: Divisor with xi0 = 0 on the real axis, synthesized on the small-entry lattices.
 AXIS_DIVISOR = json.dumps({"zeros": [[0.25, 0, 1], [0.75, 0, 1]], "poles": [[0.5, 0, 2]]})
@@ -127,20 +134,55 @@ def divisor_obj(i: int, rng: random.Random, P1: complex, P2: complex) -> dict:
     }
 
 
+def divisor_case(i: int, rng: random.Random, P1: complex, P2: complex) -> dict:
+    """A divisor that exercises merging, cancelling and folding; the kind cycles with i.
+
+    Multiplicities 2-3 with repeated and congruent points; a zero at 0; a pole at
+    0 with xi0 = 0; a zero at xi0; a pole at xi0; and 10-40 random points.
+    """
+
+    def pt() -> complex:
+        return rng.uniform(0.1, 0.9) * P1 + rng.uniform(0.1, 0.9) * P2
+
+    a, b, c, d = pt(), pt(), pt(), pt()
+    kind = i % 6
+    if kind == 0:
+        zeros = [(a, 2), (a, 1), (b + P1 - P2, 3)]
+        poles = [(c, 3), (c - 2 * P2, 2), (b, 1)]
+    elif kind == 1:
+        zeros, poles = [(0j, 1), (a, 1)], [(b, 1), (c, 1)]
+    elif kind == 2:
+        zeros, poles = [(a, 1), (b, 1)], [(0j, 1), (a + b, 1)]
+    elif kind == 3:
+        zeros, poles = [(a, 1), ((c + d - a) / 2, 1)], [(c, 1), (d, 1)]
+    elif kind == 4:
+        zeros, poles = [(a, 1), (b, 1)], [(a + b, 1), (d, 1)]
+    else:
+        pairs = rng.randint(5, 20)
+        zeros = [(pt(), rng.randint(1, 2)) for _ in range(pairs)]
+        poles = [(pt(), m) for _, m in zeros]
+    return {
+        "zeros": [[z.real, z.imag, m] for z, m in zeros],
+        "poles": [[p.real, p.imag, m] for p, m in poles],
+    }
+
+
 def fingerprint(n_specs: int) -> tuple[str, Counter, dict[str, str]]:
     digest = hashlib.sha256()
     family_digests = {family: hashlib.sha256() for family in FAMILIES}
     exits: Counter = Counter()
 
     def feed(family: str, *parts) -> None:
-        """Hash `parts` into the overall digest and into `family`'s; `family` is not hashed."""
+        """Hash `parts` into `family`'s digest, and into the overall one unless PARTS_ONLY."""
         for part in parts:
             data = (part if isinstance(part, bytes) else repr(part).encode()) + b"\0"
-            digest.update(data)
+            if family not in PARTS_ONLY:
+                digest.update(data)
             family_digests[family].update(data)
 
     small = small_entry_lattices()
     rng = random.Random(20240817)
+    divisor_rng = random.Random(20261018)
     for i in range(n_specs):
         lattice = small[i % len(small)]
         for j in ("1", "2"):
@@ -149,6 +191,13 @@ def fingerprint(n_specs: int) -> tuple[str, Counter, dict[str, str]]:
 
         p1, p2, P1, P2 = lattice_basis(rng)
         lattice = json.dumps({"p1": [p1.real, p1.imag], "p2": [p2.real, p2.imag]})
+        case = json.dumps(divisor_case(i, divisor_rng, P1, P2))
+        m = f"--m1={divisor_rng.randint(-1, 1)}", f"--m2={divisor_rng.randint(-1, 1)}"
+        synth = run_cli(["synth", "--lattice", lattice, "--divisor", case, *m])
+        feed("divisor", i, *synth)
+        if synth[0] == 0:
+            spec = jsonio.spec_from_obj(json.loads(synth[1]))
+            feed("divisor", spec.quotient, spec.g)
         divisor = json.dumps(divisor_obj(i, rng, P1, P2))
         m1, m2 = rng.randint(-1, 1), rng.randint(-1, 1)
         argv = ["synth", "--lattice", lattice, "--divisor", divisor, f"--m1={m1}", f"--m2={m2}"]

@@ -163,6 +163,17 @@ class TestEtaAndVj:
         assert r.stdout == ""
         assert r.stderr.startswith("ValueError:") and "truncation_shells" in r.stderr
 
+    @pytest.mark.parametrize("shells", ["5000", "-3"])
+    @pytest.mark.parametrize("method", ["eta", "direct"])
+    def test_vj_shells_out_of_range_is_validation_error(self, method, shells):
+        r = run_cli(
+            "vj", "--lattice", LATTICE, "--xi0=0.3,0.2", "--j", "1", "--method", method,
+            f"--shells={shells}",
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("ValueError:") and "truncation_shells" in r.stderr
+
     @pytest.mark.parametrize("method", ["eta", "direct"])
     def test_vj_non_finite_xi0_is_validation_error(self, method):
         r = run_cli("vj", "--lattice", LATTICE, "--xi0=nan,0", "--j", "1", "--method", method)
@@ -214,6 +225,14 @@ class TestSynthVerifyRoundtrip:
         )
         assert r.returncode == 1
         assert "multiplicities must be positive integers" in r.stderr
+
+    def test_multiplicity_above_max_degree_exit_code(self):
+        r = run_cli(
+            "synth", "--lattice", LATTICE,
+            "--divisor", '{"zeros": [[0.3, 0.4, 1e12]], "poles": [[0.6, 0.1, 1e12]]}',
+        )
+        assert r.returncode == 1
+        assert r.stderr.startswith("ValueError:") and "MAX_DEGREE" in r.stderr
 
     @pytest.mark.parametrize(
         "args",
@@ -604,7 +623,7 @@ def test_fingerprint_script():
         [sys.executable, str(script), "3"], capture_output=True, text=True, env=env
     )
     assert r.returncode == 0, r.stderr
-    names = ("eta", "synth", "verify", "values", "plot", "sigma", "vj")
+    names = ("eta", "synth", "verify", "values", "plot", "sigma", "vj", "divisor")
     families = ",".join(f"{family}:[0-9a-f]{{12}}" for family in names)
     pattern = rf"sha256=[0-9a-f]{{64}} specs=3 verify_exits=((\d+:\d+,?)+) parts={families}\n"
     found = re.fullmatch(pattern, r.stdout)

@@ -12,13 +12,15 @@ from ellipse_phase import (
     make_divisor,
     make_lattice,
     reduce_to_cell,
+    sigma,
     synthesize,
     torus_distance,
     validate_abel,
     wrap_angle,
 )
 
-from ellipse_phase import divisor
+from ellipse_phase import divisor, synthesis
+from ellipse_phase.lattice import SNAP_TOL
 
 from conftest import random_cell_point, random_lattice
 from wp_oracle import wp, wp_lattice_sum
@@ -63,6 +65,38 @@ class TestMakeDivisor:
     def test_non_finite_point_rejected(self, square):
         with pytest.raises(ValueError, match="not finite"):
             make_divisor([(complex(float("nan"), 0.4), 1)], [(0.5, 1)], square)
+
+    @pytest.mark.parametrize(
+        "zeros, poles",
+        [
+            # a double zero between two poles, each 0.9e-12 from it
+            ([(0.5 + 0.5j, 2)], [(0.5 + 0.5j - 0.9e-12, 1), (0.5 + 0.5j + 0.9e-12, 1)]),
+            # two zeros on either side of a double pole
+            ([(0.5 + 0.5j - 0.9e-12, 1), (0.5 + 0.5j + 0.9e-12, 1)], [(0.5 + 0.5j, 2)]),
+        ],
+    )
+    def test_cancels_against_every_close_entry(self, square, zeros, poles):
+        assert make_divisor(zeros, poles, square) == divisor.Divisor((), ())
+
+    def test_idempotent(self, rng):
+        for case in range(30):
+            lat = random_lattice(rng)
+            points = [random_cell_point(rng, lat) for _ in range(4)]
+            zeros = [(rng.choice(points), rng.randint(1, 3)) for _ in range(5)]
+            poles = [(rng.choice(points) + lat.p1 - 2 * lat.p2, rng.randint(1, 3)) for _ in range(5)]
+            if case % 3 == 0:
+                zeros.append((points[0] + 0.9e-12, 1))
+            d = make_divisor(zeros, poles, lat)
+            assert make_divisor(d.zeros, d.poles, lat) == d
+
+    def test_degree_bounded(self, square):
+        top = divisor.MAX_DEGREE
+        d = make_divisor([(0.25, top // 2), (0.5, top - top // 2)], [(0.75, top)], square)
+        assert d.zero_count() == d.pole_count() == top
+        with pytest.raises(ValueError, match="MAX_DEGREE"):
+            make_divisor([(0.25, top // 2), (0.5, top - top // 2 + 1)], [], square)
+        with pytest.raises(ValueError, match="MAX_DEGREE"):
+            make_divisor([], [(0.75, 1e12)], square)
 
 
 class TestValidateAbel:
@@ -137,12 +171,11 @@ class TestBuildElliptic:
             build_elliptic(d, square)
 
     def test_output_needs_no_cancellation(self, rng):
-        # make_divisor cancels congruent pairs and the defect shift is a lattice
-        # vector, so g is already in the form _cancel_congruent would give
+        # make_divisor cancels every close zero/pole pair and the defect shift is
+        # a lattice vector, so no zero of g lies within SNAP_TOL of a pole mod L
         for case in range(60):
             base = random_lattice(rng)
             lat = make_lattice(base.p1, base.p2 + (case % 5 - 2) * base.p1)
-            ev = SigmaEvaluator(lat)
             n = rng.randint(1, 4)
             zeros = [(random_cell_point(rng, lat), rng.randint(1, 2)) for _ in range(n)]
             if case % 3 == 0:
@@ -155,7 +188,8 @@ class TestBuildElliptic:
             w = random_cell_point(rng, lat)
             d = make_divisor(zeros + [(w, 1)], poles + [(w + lat.p1 - lat.p2, 1)], lat)
             for g in (build_elliptic(d, lat), synthesize(d, 0, 0, lat).g):
-                assert divisor._cancel_congruent(g.zeros, g.poles, lat, ev.eta1, ev.eta2) == g
+                for z in g.zeros:
+                    assert all(torus_distance(z, p, lat) > SNAP_TOL for p in g.poles)
 
 
 class TestEvalElliptic:
@@ -202,42 +236,47 @@ class TestEvalElliptic:
         assert max(abs(r / mean - 1) for r in ratios) <= 1e-8
 
     def test_congruent_factors_cancel(self, square, square_ev):
-        # a zero and a pole in the same class reduce to a pure exponential factor
-        q = divisor._cancel_congruent(
-            (0.2 + 0.3j,), (1.2 + 0.3j,), square, square_ev.eta1, square_ev.eta2
-        )
-        val = eval_elliptic(q, square_ev, 0.7 + 0.8j)
-        expected = -cmath.exp(square_ev.eta1 * ((0.7 + 0.8j) - (1.2 + 0.3j) + 0.5))
-        assert rel_diff(val, LogValue.from_log(cmath.log(expected))) <= 1e-12
-        assert (q.zeros, q.poles) == ((), ())
+        # sigma(z - xi0) folds with the shifted zero xi0 + p1 of g into an exponential
+        xi0, w = 0.2 + 0.3j, 1.2 + 0.3j
+        g = divisor.SigmaQuotient(0j, 0j, (w,), ())
+        q = synthesis._fold_ratio(g, xi0, 0.5j, square_ev)
+        assert (q.zeros, q.poles) == ((0j,), ())
+        assert q.exponent == 0.5j - square_ev.eta1
+        z = 0.7 + 0.8j
+        logs = [sigma(square_ev, z - u).log() for u in (0j, w, xi0)]
+        expected = 0.5j * z + logs[0] + logs[1] - logs[2]
+        assert rel_diff(eval_elliptic(q, square_ev, z), LogValue.from_log(expected)) <= 1e-12
 
     def test_exact_pair_preferred_over_congruent(self, square, square_ev):
-        # a + p1 meets a (congruent) and a + p1 (exact): the exact pair cancels
+        # sigma(z - a) meets a + p1 (congruent) before a (exact): the exact pair folds,
+        # and so does sigma(z) with the exact pole 0 rather than p1
         a, b = 0.2 + 0.3j, 0.6 + 0.7j
-        q = divisor._cancel_congruent(
-            (a, a + 1), (a + 1, b), square, square_ev.eta1, square_ev.eta2, 0.5j
-        )
-        assert q == divisor.SigmaQuotient(0.5j, 0j, (a,), (b,))
+        g = divisor.SigmaQuotient(0j, 0j, (a + 1, a), (b,))
+        q = synthesis._fold_ratio(g, a, 0.5j, square_ev)
+        assert q == divisor.SigmaQuotient(0.5j, 0j, (0j, a + 1), (b,))
+        g = divisor.SigmaQuotient(0j, 0j, (b,), (1 + 0j, 0j))
+        q = synthesis._fold_ratio(g, a, 0.5j, square_ev)
+        assert q == divisor.SigmaQuotient(0.5j, 0j, (b,), (a, 1 + 0j))
 
     def test_duplicate_points(self, square, square_ev):
-        # the first a cancels exactly, the second against a + p1; c and b stay
+        # of the double zero a + p1 of g, the first folds with sigma(z - a); c and b stay
         a, b, c = 0.2 + 0.3j, 0.6 + 0.7j, 0.1 + 0.9j
         e1 = square_ev.eta1
-        q = divisor._cancel_congruent((a, a, c), (a, b, a + 1), square, e1, square_ev.eta2)
-        assert (q.zeros, q.poles) == ((c,), (b,))
-        assert q.exponent == e1
-        assert q.log_scale == e1 * (0.5 - (a + 1)) + 1j * cmath.pi
+        g = divisor.SigmaQuotient(0j, 0j, (c, a + 1, a + 1), (b,))
+        q = synthesis._fold_ratio(g, a, 0j, square_ev)
+        assert (q.zeros, q.poles) == ((0j, c, a + 1), (b,))
+        assert q.exponent == -e1
+        assert q.log_scale == -e1 * (-0.5 - a) + 1j * cmath.pi
 
     def test_quotient_cancelled_once(self, square, square_ev, monkeypatch):
-        q = divisor._cancel_congruent(
-            (0.2 + 0.3j, 0.4), (1.2 + 0.3j, 0.6 + 0.1j), square, square_ev.eta1, square_ev.eta2
-        )
+        g = divisor.SigmaQuotient(0j, 0j, (1.2 + 0.3j, 0.4), (0.6 + 0.1j,))
+        q = synthesis._fold_ratio(g, 0.2 + 0.3j, 0j, square_ev)
         before = eval_elliptic(q, square_ev, 0.7 + 0.8j)
 
         def refuse(*args, **kwargs):
             raise AssertionError("congruent factors cancelled at evaluation time")
 
-        monkeypatch.setattr(divisor, "_cancel_congruent", refuse)
+        monkeypatch.setattr(synthesis, "_fold_ratio", refuse)
         assert eval_elliptic(q, square_ev, 0.7 + 0.8j) == before
         assert eval_elliptic(q, square_ev, 0.4).is_zero()
         assert eval_elliptic(q, square_ev, 0.6 + 0.1j) == PoleValue(1)

@@ -19,7 +19,7 @@ from ellipse_phase import (
     xi0_from_multipliers,
 )
 
-from ellipse_phase import divisor, synthesis
+from ellipse_phase import lattice, synthesis
 
 from conftest import random_cell_point, random_lattice
 
@@ -167,8 +167,7 @@ class TestSynthesize:
         def refuse(*args, **kwargs):
             raise AssertionError("congruent factors cancelled at evaluation time")
 
-        monkeypatch.setattr(divisor, "_cancel_congruent", refuse)
-        monkeypatch.setattr(synthesis, "_cancel_congruent", refuse)
+        monkeypatch.setattr(synthesis, "_fold_ratio", refuse)
         assert eval_f(spec, ev, 0.7 + 0.8j) == before
         assert (spec.eval_zeros, spec.eval_poles) == (spec.quotient.zeros, spec.quotient.poles)
 
@@ -201,3 +200,21 @@ class TestSynthesize:
         base = eval_f(spec, ev, z)
         shifted = eval_f(spec, ev, z + square.p1)
         assert abs(wrap_angle(shifted.phase - base.phase)) <= 1e-8
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_lattice_work_linear_in_degree(self, monkeypatch, distinct):
+        # one zero and one pole of multiplicity 300, or 300 distinct zeros and
+        # poles: synthesize merges and folds only xi0 and 0, so the lattice
+        # coordinates it computes grow linearly with the degree, not with its square
+        lat = make_lattice(1, 0.2 + 1.1j)
+        if distinct:
+            zeros = [((k + 0.5) / 300 * lat.p1 + 0.25 * lat.p2, 1) for k in range(300)]
+            poles = [((k + 0.5) / 300 * lat.p1 + 0.75 * lat.p2, 1) for k in range(300)]
+        else:
+            zeros, poles = [(0.3 + 0.4j, 300)], [(0.6 + 0.1j, 300)]
+        d = make_divisor(zeros, poles, lat)
+        calls = []
+        coordinates = lattice.coordinates
+        monkeypatch.setattr(lattice, "coordinates", lambda *a: calls.append(1) or coordinates(*a))
+        synthesize(d, 1, -1, lat)
+        assert 0 < len(calls) <= 5000
