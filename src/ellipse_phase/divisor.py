@@ -9,11 +9,12 @@ defect so the sums match exactly.  Both g and the synthesized f are a
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import AbelViolation
 from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
-from .weierstrass import LogValue, SigmaEvaluator, sigma
+from .weierstrass import LogValue, SigmaEvaluator, _log_sigma
 
 #: Allowed distance of the zero/pole sum defect from the lattice.
 ABEL_TOL = 1e-9
@@ -149,24 +150,27 @@ def build_elliptic(d: Divisor, lat: Lattice) -> SigmaQuotient:
 def eval_elliptic(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
     """A sigma quotient (g, or f's evaluation form) at z in log form.
 
-    Returns LogValue.zero() at zeros and a PoleValue at poles.
+    Returns LogValue.zero() at zeros and a PoleValue at poles; a non-finite z
+    is a ValueError, also for a quotient without sigma factors.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
     zero_hits = 0
     pole_hits = 0
     total = q.exponent * z + q.log_scale
     for w in q.zeros:
-        lv = sigma(ev, z - w)
-        if lv.is_zero():
+        log_sigma = _log_sigma(ev, z - w)
+        if log_sigma is None:
             zero_hits += 1
         else:
-            total += lv.log()
+            total += log_sigma
     for w in q.poles:
-        lv = sigma(ev, z - w)
-        if lv.is_zero():
+        log_sigma = _log_sigma(ev, z - w)
+        if log_sigma is None:
             pole_hits += 1
         else:
-            total -= lv.log()
+            total -= log_sigma
     if zero_hits and pole_hits:
         raise ArithmeticError("congruent zero/pole factors were not cancelled")
     if pole_hits:

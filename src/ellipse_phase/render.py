@@ -18,6 +18,10 @@ from .divisor import PoleValue
 from .errors import IoFailure
 
 
+#: Most pixels a portrait may have; the bytes are built in memory.
+MAX_PIXELS = 4096 * 4096
+
+
 class Coloring(str, enum.Enum):
     PHASE_HUE = "phase"
     PHASE_HUE_MODULUS = "phase-mod"
@@ -38,6 +42,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.width_px < 1 or self.height_px < 1:
             raise ValueError("resolution must be >= 1 pixel in each dimension")
+        if self.width_px * self.height_px > MAX_PIXELS:
+            raise ValueError(f"resolution must have at most MAX_PIXELS = {MAX_PIXELS} pixels")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("region width and height must be positive")
 
@@ -58,10 +64,13 @@ def _pixel_rgb(value, coloring: Coloring) -> tuple[int, int, int]:
 def render_pixels(fval, spec: RenderSpec) -> bytes:
     """Row-major RGB bytes; row 0 holds the largest imaginary parts."""
     data = bytearray()
+    xs = [
+        spec.center.real - spec.width / 2 + (col + 0.5) * spec.width / spec.width_px
+        for col in range(spec.width_px)
+    ]
     for row in range(spec.height_px):
         y = spec.center.imag + spec.height / 2 - (row + 0.5) * spec.height / spec.height_px
-        for col in range(spec.width_px):
-            x = spec.center.real - spec.width / 2 + (col + 0.5) * spec.width / spec.width_px
+        for x in xs:
             data.extend(_pixel_rgb(fval(complex(x, y)), spec.coloring))
     return bytes(data)
 

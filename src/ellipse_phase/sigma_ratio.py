@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import PoleOrZeroHit
 from .lattice import Lattice, _unit_frame_distance
-from .weierstrass import MAX_SHELLS, Backend, SigmaEvaluator, eta, sigma, wrap_angle
+from .weierstrass import MAX_SHELLS, Backend, SigmaEvaluator, _log_sigma, eta, wrap_angle
 
 
 class VMethod(str, enum.Enum):
@@ -96,10 +96,10 @@ def _log_ratio(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> complex:
     xi0 = complex(xi0)
     z = complex(z)
     pj = ev.lattice.p1 if j == 1 else ev.lattice.p2
-    parts = [sigma(ev, w) for w in (z, z - xi0, z - xi0 + pj, z + pj)]
-    if any(p.is_zero() for p in parts):
+    parts = [_log_sigma(ev, w) for w in (z, z - xi0, z - xi0 + pj, z + pj)]
+    if None in parts:
         raise PoleOrZeroHit("a sigma argument lies on the lattice")
-    return parts[0].log() - parts[1].log() + parts[2].log() - parts[3].log()
+    return parts[0] - parts[1] + parts[2] - parts[3]
 
 
 def ratio_residual(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> float:

@@ -35,6 +35,9 @@ FD_STEP = 1e-5
 #: random contour offsets tried after the requested one.
 OFFSET_RETRIES = 10
 
+#: Most grid points phase_periodicity may sample per period.
+MAX_GRID = 1000 * 1000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -48,6 +51,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one point per direction")
+        if self.nx * self.ny > MAX_GRID:
+            raise ValueError(f"grid must have at most MAX_GRID = {MAX_GRID} points")
 
 
 @dataclass(frozen=True)

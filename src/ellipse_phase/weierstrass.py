@@ -21,8 +21,12 @@ pair for the original basis combines them with the integer coordinates of P1, P2
 from `nearest_lattice_point`.  DirectProduct sums eta_j by `eta_from_sum` when
 `eta` asks for it; sigma_ratio's DirectSum constant is v_j = -xi0 * that eta_j.
 
-All values are returned in log form (LogValue) because |sigma| grows like
-exp(quadratic) across cells.
+All values are in log form because |sigma| grows like exp(quadratic) across
+cells.  `_log_sigma(ev, z)` is the one per-factor kernel of both backends: it
+returns log sigma(z) as a complex number with its phase wrapped, or None on
+the lattice.  `sigma` wraps it in a LogValue, and `divisor.eval_elliptic` (so
+`eval_f`) and `sigma_ratio._log_ratio` add and subtract its values and build a
+LogValue, if any, only at their return.
 """
 
 from __future__ import annotations
@@ -153,10 +157,13 @@ class SigmaEvaluator:
                     "reduced aspect ratio too extreme for the theta backend"
                 )
             q = cmath.exp(1j * math.pi * red.omega)
-            self._coeffs = _theta_coefficients(q, red.omega.imag)
-            self._coeff_logabs = [math.log(abs(c)) for c in self._coeffs]
-            t1p = 2 * sum(c * (2 * k + 1) for k, c in enumerate(self._coeffs))
-            t1ppp = -2 * sum(c * (2 * k + 1) ** 3 for k, c in enumerate(self._coeffs))
+            coeffs = _theta_coefficients(q, red.omega.imag)
+            # (c_k, log|c_k|, 2k+1) for the theta1 series of _log_sigma
+            self._terms = tuple(
+                (c, math.log(abs(c)), 2 * k + 1) for k, c in enumerate(coeffs)
+            )
+            t1p = 2 * sum(c * (2 * k + 1) for k, c in enumerate(coeffs))
+            t1ppp = -2 * sum(c * (2 * k + 1) ** 3 for k, c in enumerate(coeffs))
             self._log_t1p = cmath.log(t1p)
             self._log_prefactor = cmath.log(red.p1 / math.pi)
             eta1_red = -(math.pi**2) * t1ppp / (3 * red.p1 * t1p)
@@ -167,53 +174,6 @@ class SigmaEvaluator:
             det = a * d - b * c
             self.eta1 = det * (d * eta1_red - b * eta2_red)
             self.eta2 = det * (-c * eta1_red + a * eta2_red)
-
-    def _theta1_log(self, u: complex) -> complex:
-        """Principal log of theta1(u | omega'), skipping negligible terms."""
-        aiu = abs(u.imag)
-        lead = self._coeff_logabs[0] + aiu
-        total = 0j
-        for k, c in enumerate(self._coeffs):
-            if self._coeff_logabs[k] + (2 * k + 1) * aiu < lead - 50.0:
-                break
-            total += c * cmath.sin((2 * k + 1) * u)
-        return cmath.log(2 * total)
-
-    def _sigma_fast(self, z: complex) -> LogValue:
-        red = self._reduced
-        m, n, lam = nearest_lattice_point(z, red)
-        z0 = z - lam
-        # z0 sits in the centered cell, so the only lattice point in range is 0
-        if abs(z0) <= SNAP_TOL:
-            return LogValue.zero()
-
-        e1, e2 = self._eta_reduced
-        u = math.pi * z0 / red.p1
-        quad = e1 * z0 * z0 / (2 * red.p1)
-        log_sigma = self._log_prefactor + self._theta1_log(u) - self._log_t1p + quad
-        amplitude = abs(quad) + abs(u.imag)
-        if m or n:
-            eta_lam = m * e1 + n * e2
-            corr = eta_lam * (z0 + lam / 2)
-            log_sigma += corr
-            amplitude += abs(corr)
-            if (m % 2) or (n % 2):
-                log_sigma += 1j * math.pi
-
-        certified = _EPS * (10.0 + amplitude)
-        if certified > self.target_rel_error:
-            raise AccuracyNotMet(
-                f"roundoff estimate {certified:.3e} exceeds target {self.target_rel_error:.3e}"
-            )
-        return LogValue.from_log(log_sigma)
-
-    def _sigma_direct(self, z: complex) -> LogValue:
-        if torus_distance(z, 0j, self.lattice) <= SNAP_TOL:
-            return LogValue.zero()
-        m, n = _shell_arrays(self.truncation_shells)
-        w = z / (m * self.lattice.p1 + n * self.lattice.p2)
-        terms = np.log1p(-w) + w + 0.5 * (w * w)
-        return LogValue.from_log(complex(terms.sum()) + cmath.log(z))
 
     def a_priori_bound(self, z: complex) -> float:
         """Bound on the truncation error of log sigma at z.
@@ -230,12 +190,61 @@ class SigmaEvaluator:
         return (16.0 / 3.0) * abs(z) ** 3 / (c**3 * N)
 
 
+def _log_sigma(ev: SigmaEvaluator, z: complex) -> complex | None:
+    """log sigma(z) with its phase wrapped onto (-pi, pi], or None on the lattice.
+
+    The one per-factor kernel of both backends; z must be a complex number.
+    """
+    if ev.backend is Backend.DIRECT_PRODUCT:
+        if torus_distance(z, 0j, ev.lattice) <= SNAP_TOL:
+            return None
+        m, n = _shell_arrays(ev.truncation_shells)
+        w = z / (m * ev.lattice.p1 + n * ev.lattice.p2)
+        terms = np.log1p(-w) + w + 0.5 * (w * w)
+        log_sigma = complex(terms.sum()) + cmath.log(z)
+    else:
+        red = ev._reduced
+        m, n, lam = nearest_lattice_point(z, red)
+        z0 = z - lam
+        # z0 sits in the centered cell, so the only lattice point in range is 0
+        if abs(z0) <= SNAP_TOL:
+            return None
+
+        e1, e2 = ev._eta_reduced
+        u = math.pi * z0 / red.p1
+        # theta1(u) = 2 * sum c_k sin((2k+1) u), skipping negligible terms
+        aiu = abs(u.imag)
+        cutoff = ev._terms[0][1] + aiu - 50.0
+        total = 0j
+        for c, log_c, odd in ev._terms:
+            if log_c + odd * aiu < cutoff:
+                break
+            total += c * cmath.sin(odd * u)
+        quad = e1 * z0 * z0 / (2 * red.p1)
+        log_sigma = ev._log_prefactor + cmath.log(2 * total) - ev._log_t1p + quad
+        amplitude = abs(quad) + aiu
+        if m or n:
+            eta_lam = m * e1 + n * e2
+            corr = eta_lam * (z0 + lam / 2)
+            log_sigma += corr
+            amplitude += abs(corr)
+            if (m % 2) or (n % 2):
+                log_sigma += 1j * math.pi
+
+        certified = _EPS * (10.0 + amplitude)
+        if certified > ev.target_rel_error:
+            raise AccuracyNotMet(
+                f"roundoff estimate {certified:.3e} exceeds target {ev.target_rel_error:.3e}"
+            )
+    return complex(log_sigma.real, wrap_angle(log_sigma.imag))
+
+
 def sigma(ev: SigmaEvaluator, z: complex) -> LogValue:
     """sigma(z) in log form; exactly zero iff z lies on the lattice."""
-    z = complex(z)
-    if ev.backend is Backend.FAST_SERIES:
-        return ev._sigma_fast(z)
-    return ev._sigma_direct(z)
+    log_sigma = _log_sigma(ev, complex(z))
+    if log_sigma is None:
+        return LogValue.zero()
+    return LogValue(log_sigma.real, log_sigma.imag)
 
 
 def eta(ev: SigmaEvaluator, j: int) -> complex:

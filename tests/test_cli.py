@@ -29,10 +29,10 @@ DIVISOR = '{"zeros": [[0.3, 0.4, 1]], "poles": [[0.6, 0.1, 1]]}'
 PACKAGE_ROOT = str(Path(ellipse_phase.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, cwd=None, env=None):
+def run_cli(*args, cwd=None, env=None, timeout=None):
     """Run `python -m ellipse_phase.cli` on the package this process imported.
 
-    `env` holds extra environment variables for the child.
+    `env` holds extra environment variables for the child; `timeout` is in seconds.
     """
     child_env = dict(os.environ, **(env or {}))
     child_env["PYTHONPATH"] = os.pathsep.join(
@@ -44,6 +44,7 @@ def run_cli(*args, cwd=None, env=None):
         text=True,
         cwd=cwd,
         env=child_env,
+        timeout=timeout,
     )
 
 
@@ -250,6 +251,13 @@ class TestSynthVerifyRoundtrip:
         assert r.stdout == ""
         assert r.stderr.startswith("ValueError: "), r.stderr
 
+    @pytest.mark.parametrize("grid", ["1001x1000", "100000x100000"])
+    def test_grid_above_cap_exits_1(self, spec_m12, grid):
+        r = run_cli("verify", "--spec", spec_m12, "--grid", grid, timeout=60)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert r.stderr.startswith("ValueError:") and "MAX_GRID" in r.stderr
+
     def test_unknown_subcommand(self):
         r = run_cli("nonsense")
         assert r.returncode == 1
@@ -316,6 +324,23 @@ class TestPlot:
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
             RenderSpec(center=0j, width=1.0, height=1.0, width_px=0, height_px=1)
+
+    def test_pixel_count_capped(self):
+        RenderSpec(center=0j, width=1.0, height=1.0, width_px=4096, height_px=4096)
+        with pytest.raises(ValueError, match="MAX_PIXELS"):
+            RenderSpec(center=0j, width=1.0, height=1.0, width_px=4097, height_px=4096)
+
+    @pytest.mark.parametrize("resolution", ["4097x4096", "100000x100000", "1x16777217"])
+    def test_resolution_above_cap_exits_1(self, tmp_path, spec_m12, resolution):
+        # the uncapped loop ran 10^10 pixels into a 30 GB buffer for 100000x100000
+        out = tmp_path / "p.ppm"
+        r = run_cli(
+            "plot", "--spec", spec_m12, "--out", str(out), "--resolution", resolution,
+            timeout=60,
+        )
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("ValueError:") and "MAX_PIXELS" in r.stderr
+        assert not out.exists()
 
     def test_modulus_contours_dim_value_channel(self):
         half = lambda z: LogValue(0.5, 0.0)

@@ -58,7 +58,7 @@ def test_evaluator_construction():
 
 
 def test_fast_sigma_calls():
-    # measured median ~8 ms for 1,000 calls
+    # measured median ~6 ms for 1,000 calls
     ev = SigmaEvaluator(LAT)
     zs = [complex(0.013 * k, 0.007 * k) + 0.11 for k in range(1000)]
     assert median_ms(lambda: [sigma(ev, z) for z in zs]) < 100.0
@@ -77,7 +77,7 @@ def test_direct_oracle_calls():
 
 
 def test_spec_round_trip(spec5):
-    # measured median ~2.5 ms: synthesize, dumps, then spec_from_obj (which synthesizes again)
+    # measured median ~1 ms: synthesize, dumps, then spec_from_obj (which synthesizes again)
     def round_trip():
         text = dumps(spec_to_obj(synthesize(spec5.divisor, 1, -1, LAT)))
         spec_from_obj(json.loads(text))
@@ -86,12 +86,21 @@ def test_spec_round_trip(spec5):
 
 
 def test_render_small_portrait(spec5):
-    # measured median ~90 ms for 32x32 pixels of a 5-pair spec
+    # measured median ~55 ms for 32x32 pixels of a 5-pair spec
     ev = SigmaEvaluator(LAT)
     rspec = RenderSpec(
         center=(LAT.p1 + LAT.p2) / 2, width=2.0, height=2.0, width_px=32, height_px=32
     )
     assert median_ms(lambda: render_pixels(lambda z: eval_f(spec5, ev, z), rspec), 3) < 1000.0
+
+
+def test_render_pixels(spec5):
+    # measured median ~210 ms for 64x64 pixels of a 5-pair spec: 10 sigma factors per pixel
+    ev = SigmaEvaluator(LAT)
+    rspec = RenderSpec(
+        center=(LAT.p1 + LAT.p2) / 2, width=2.0, height=2.0, width_px=64, height_px=64
+    )
+    assert median_ms(lambda: render_pixels(lambda z: eval_f(spec5, ev, z), rspec), 3) < 2500.0
 
 
 def test_verify_three_pairs():

@@ -96,6 +96,11 @@ class TestPhasePeriodicity:
         with pytest.raises(TooManyPoleHits):
             phase_periodicity(always_zero, 1.0, GridSpec(square, 2, 2))
 
+    def test_grid_point_count_capped(self, square):
+        GridSpec(square, 1000, 1000)
+        with pytest.raises(ValueError, match="MAX_GRID"):
+            GridSpec(square, 1001, 1000)
+
 
 class TestCountZerosPoles:
     def test_constant(self, square):
