@@ -5,7 +5,7 @@ reduced into the half-open cell {s*p1 + t*p2 : 0 <= s, t < 1}, or, by the one
 nearest-lattice-point reduction, into the centred cell; sigma, congruent-factor
 cancellation, the torus distance and the basis change of a Gauss-reduced basis all
 read lattice vectors from it.  Lattice points are enumerated by sup-norm shells of
-their integer coordinates.
+their integer coordinates, one point of every pair {lam, -lam}.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ DEGENERACY_EPS = 1e-12
 
 #: Points closer than this mod L are the same point (lattice points: exact zeros).
 SNAP_TOL = 1e-12
+
+#: Points per block of a lattice sum.  The allocator reuses temporaries of this
+#: size from call to call; full-length ones were mapped and page-faulted in afresh
+#: (~2,400 faults and twice the time for a direct sigma and two etas at 200 shells,
+#: on a 2-vCPU Xeon).
+SHELL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -99,21 +105,39 @@ def torus_distance(a: complex, b: complex, lat: Lattice) -> float:
 
 @lru_cache(maxsize=8)
 def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer coordinates (m, n) of the nonzero lattice points with shell index <= N.
+    """Integer coordinates (m, n) of one point of every pair {lam, -lam} with shell index <= N.
 
-    Shell k holds the points with max(|m|, |n|) = k; shells come in increasing
-    k and are sorted by (m, n) within a shell.  (0, 0) is excluded.  Cached
-    and shared; treat the returned arrays as read-only.
+    Shell k holds the points with max(|m|, |n|) = k; of each pair only the one
+    with m > 0, or m == 0 and n > 0, is kept, so shell k contributes 4k points
+    and the list 2N(N+1).  Shells come in increasing k and are sorted by (m, n)
+    within a shell.  The shell set is symmetric under lam -> -lam, so a lattice
+    sum folds the mirror term into its summand.  Cached and shared; treat the
+    returned arrays as read-only.
     """
-    r = np.arange(-N, N + 1)
-    m, n = np.meshgrid(r, r, indexing="ij")
+    m, n = np.meshgrid(np.arange(N + 1), np.arange(-N, N + 1), indexing="ij")
     m = m.ravel()
     n = n.ravel()
-    k = np.maximum(np.abs(m), np.abs(n))
-    keep = k > 0
-    m, n, k = m[keep], n[keep], k[keep]
-    order = np.lexsort((n, m, k))
+    keep = (m > 0) | (n > 0)
+    m, n = m[keep], n[keep]
+    order = np.lexsort((n, m, np.maximum(m, np.abs(n))))
     return m[order], n[order]
+
+
+def _point_blocks(N: int, a: complex, b: complex, skip: tuple[int, int] | None = None):
+    """Yield m*a + n*b over `_shell_arrays(N)`, in blocks of at most SHELL_BLOCK points.
+
+    skip, if given, is the (m, n) of one point to leave out.  Each block is a
+    fresh array the caller may overwrite.
+    """
+    m, n = _shell_arrays(N)
+    for i in range(0, len(m), SHELL_BLOCK):
+        mb, nb = m[i : i + SHELL_BLOCK], n[i : i + SHELL_BLOCK]
+        if skip is not None:
+            keep = (mb != skip[0]) | (nb != skip[1])
+            mb, nb = mb[keep], nb[keep]
+        points = mb * a
+        points += nb * b
+        yield points
 
 
 def _unit_frame_distance(lat: Lattice) -> float:

@@ -47,7 +47,9 @@ def _direct_sum_tail(lat: Lattice, pj_abs: float, N: int) -> float:
 
     Shell k has 8k points with |lam| >= c*k and |lam + p_j| >= c*(k-1) (the
     shifted point keeps sup-norm >= k-1), each contributing half a paired term,
-    so the tail is at most sum_{k >= N} 4|p_j| / (c^4 k (k-1)^2).  With
+    so the tail is at most sum_{k >= N} 4|p_j| / (c^4 k (k-1)^2).  `eta_from_sum`
+    sums the same terms over one point of each {lam, -lam}, 4k per shell, so the
+    set and the bound are unchanged.  With
     x = N - 1, partial fractions telescope that series to
     (4|p_j|/c^4) * (psi_1(x) - 1/x), and psi_1(x) < 1/x + 1/(2x^2) + 1/(6x^3)
     for every x > 0 (DLMF 5.15).

@@ -5,7 +5,11 @@ DirectProduct evaluates the canonical genus-2 product
     sigma(z) = z * prod_{lam in L \\ {0}} (1 - z/lam) * exp(z/lam + z^2/(2*lam^2))
 
 truncated by sup-norm shells; it converges slowly (tail O(|z|^3 / N) in log sigma),
-builds its points for each sum and serves as the low-accuracy oracle.  FastSeries
+builds its points for each sum and serves as the low-accuracy oracle.  The shell
+set is symmetric under lam -> -lam, so each of its lattice sums runs over one
+point of every pair {lam, -lam} with the mirror term folded into the summand:
+log sigma sums log(1 - z^2/lam^2) + z^2/lam^2, the same truncation set as the
+product above.  FastSeries
 is the production path: after Gauss-reducing the basis the nome
 q = exp(i*pi*omega') satisfies |q| <= exp(-pi*sqrt(3)/2), and sigma is assembled
 from the exponentially convergent odd theta series
@@ -42,7 +46,7 @@ from .errors import AccuracyNotMet
 from .lattice import (
     SNAP_TOL,
     Lattice,
-    _shell_arrays,
+    _point_blocks,
     _unit_frame_distance,
     nearest_lattice_point,
     reduce_basis,
@@ -54,7 +58,7 @@ TAU = 2.0 * math.pi
 #: double-precision unit roundoff, used in error certificates.
 _EPS = 2.2e-16
 
-#: largest truncation_shells; each direct sum builds (2N+1)^2 lattice points.
+#: largest truncation_shells; each direct sum builds 2N(N+1) lattice points, one per {lam, -lam}.
 MAX_SHELLS = 1000
 
 
@@ -114,19 +118,29 @@ def _theta_coefficients(q: complex, im_omega: float) -> list[complex]:
     return coeffs
 
 
-def _paired_term(lam, pj: complex):
-    """Combined summand for the orbit {lam, -lam-p_j}: -p_j/(lam^2 (lam+p_j)^2)."""
-    return -pj / (lam**2 * (lam + pj) ** 2)
+def eta_from_sum(lat: Lattice, j: int, N: int) -> complex:
+    """eta_j = 3/p_j - p_j^2 * sum 1/(lam (lam+p_j)^2) over the shells up to N, lam != 0, -p_j.
 
-
-def eta_from_sum(lam: np.ndarray, pj: complex) -> complex:
-    """eta_j = 3/p_j - p_j^2 * sum 1/(lam (lam+p_j)^2) over the points lam != -p_j.
-
-    Each orbit member of the pairing lam <-> -lam-p_j contributes half a paired
-    term, which turns the O(1/N) truncation tail into O(1/N^2).
+    Each orbit member of the pairing lam <-> -lam-p_j contributes half the paired
+    term -p_j/(lam^2 (lam+p_j)^2), which turns the O(1/N) truncation tail into
+    O(1/N^2).  Adding the mirror -lam gives -2p_j(lam^2+p_j^2)/(lam^2 (lam^2-p_j^2)^2),
+    summed over one point of every pair {lam, -lam}; the pair {p_j, -p_j} adds
+    only the paired term of p_j, -1/(4 p_j^3), since -p_j is excluded.  In the
+    scale-free u = lam/p_j that is eta_j = (25/8 + sum (u^2+1)/(u^2 (u^2-1)^2)) / p_j.
     """
-    lam = lam[np.abs(lam + pj) > SNAP_TOL]
-    return 3.0 / pj - pj**2 * (0.5 * complex(np.sum(_paired_term(lam, pj))))
+    pj = lat.p1 if j == 1 else lat.p2
+    total = 3 + 1 / 8
+    # 1/8 is the pair {p_j, -p_j}, so skip p_j = (1, 0) or (0, 1) by its coordinates:
+    # at the 1e-6 period floor lam^2 - p_j^2 is ~1e-12 for its neighbours too
+    for u in _point_blocks(N, lat.p1 / pj, lat.p2 / pj, skip=(2 - j, j - 1)):
+        u *= u
+        d = u - 1
+        d *= d
+        d *= u
+        u += 1
+        u /= d
+        total += complex(u.sum())
+    return total / pj
 
 
 class SigmaEvaluator:
@@ -150,6 +164,8 @@ class SigmaEvaluator:
         if not 1 <= self.truncation_shells <= MAX_SHELLS:
             raise ValueError(f"truncation_shells must be in [1, {MAX_SHELLS}]")
 
+        # the reduced basis; None marks DirectProduct, which is what _log_sigma tests
+        self._reduced = None
         if self.backend is Backend.FAST_SERIES:
             self._reduced = red = reduce_basis(lattice)
             if math.pi * red.omega.imag / 2 > 650.0:
@@ -195,15 +211,25 @@ def _log_sigma(ev: SigmaEvaluator, z: complex) -> complex | None:
 
     The one per-factor kernel of both backends; z must be a complex number.
     """
-    if ev.backend is Backend.DIRECT_PRODUCT:
+    red = ev._reduced
+    if red is None:
         if torus_distance(z, 0j, ev.lattice) <= SNAP_TOL:
             return None
-        m, n = _shell_arrays(ev.truncation_shells)
-        w = z / (m * ev.lattice.p1 + n * ev.lattice.p2)
-        terms = np.log1p(-w) + w + 0.5 * (w * w)
-        log_sigma = complex(terms.sum()) + cmath.log(z)
+        log_sigma = cmath.log(z)
+        for w in _point_blocks(ev.truncation_shells, ev.lattice.p1, ev.lattice.p2):
+            np.divide(z, w, out=w)
+            # the factors of lam and -lam multiply to (1 - w^2) exp(w^2); forming
+            # 1 - w^2 as (1 - w)(1 + w) keeps it accurate next to a lattice point
+            t = 1 - w
+            t *= 1 + w
+            w *= w
+            log_abs = np.hypot(t.real, t.imag)
+            np.log(log_abs, out=log_abs)
+            log_abs += w.real
+            arg = np.arctan2(t.imag, t.real)
+            arg += w.imag
+            log_sigma += complex(log_abs.sum(), arg.sum())
     else:
-        red = ev._reduced
         m, n, lam = nearest_lattice_point(z, red)
         z0 = z - lam
         # z0 sits in the centered cell, so the only lattice point in range is 0
@@ -252,8 +278,5 @@ def eta(ev: SigmaEvaluator, j: int) -> complex:
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
     if ev.backend is Backend.DIRECT_PRODUCT:
-        # no name holds the points, so eta_from_sum frees them once it has filtered them
-        m, n = _shell_arrays(ev.truncation_shells)
-        p1, p2 = ev.lattice.p1, ev.lattice.p2
-        return eta_from_sum(m * p1 + n * p2, p1 if j == 1 else p2)
+        return eta_from_sum(ev.lattice, j, ev.truncation_shells)
     return ev.eta1 if j == 1 else ev.eta2

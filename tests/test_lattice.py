@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ellipse_phase import (
@@ -13,7 +14,13 @@ from ellipse_phase import (
     reduce_to_cell,
     torus_distance,
 )
-from ellipse_phase.lattice import _shell_arrays, _unit_frame_distance, nearest_lattice_point
+from ellipse_phase.lattice import (
+    SHELL_BLOCK,
+    _point_blocks,
+    _shell_arrays,
+    _unit_frame_distance,
+    nearest_lattice_point,
+)
 
 from conftest import random_lattice
 
@@ -99,24 +106,43 @@ class TestReduce:
             torus_distance(z, 0.5, lat)
 
 
+def full_shell_set(N):
+    """Every nonzero (m, n) with max(|m|, |n|) <= N."""
+    r = range(-N, N + 1)
+    return {(m, n) for m in r for n in r if (m, n) != (0, 0)}
+
+
 class TestShells:
+    """The shell list holds one point of every pair {lam, -lam}."""
+
     def test_empty(self):
         m, n = _shell_arrays(0)
         assert len(m) == len(n) == 0
 
     def test_counts(self):
-        assert len(_shell_arrays(1)[0]) == 8
-        assert len(_shell_arrays(2)[0]) == 24
-        for N in (3, 5):
+        assert len(_shell_arrays(1)[0]) == 4
+        assert len(_shell_arrays(2)[0]) == 12
+        for N in (3, 5, 20):
             m, n = _shell_arrays(N)
-            assert len(m) == (2 * N + 1) ** 2 - 1
+            assert len(m) == len(n) == 2 * N * (N + 1)
             assert len(set(zip(m.tolist(), n.tolist()))) == len(m)
+
+    def test_no_point_with_its_negation(self):
+        for N in (1, 4, 7):
+            points = set(zip(*(a.tolist() for a in _shell_arrays(N))))
+            assert not {(m, n) for m, n in points if (-m, -n) in points}
+
+    def test_with_negations_is_the_full_shell_set(self):
+        for N in (1, 2, 6):
+            points = set(zip(*(a.tolist() for a in _shell_arrays(N))))
+            assert points | {(-m, -n) for m, n in points} == full_shell_set(N)
 
     def test_grouped_by_shell(self):
         m, n = _shell_arrays(4)
         ks = [max(abs(a), abs(b)) for a, b in zip(m.tolist(), n.tolist())]
         assert ks == sorted(ks)
         assert 0 not in ks
+        assert [ks.count(k) for k in range(1, 5)] == [4 * k for k in range(1, 5)]
 
     def test_values_consistent(self):
         lat = make_lattice(1.3 - 0.2j, 0.4 + 1.1j)
@@ -125,13 +151,25 @@ class TestShells:
             assert abs(s - m) < 1e-12 and abs(t - n) < 1e-12
 
     def test_array_enumeration_matches(self):
-        # shell by shell, each sorted by (m, n) within the shell
+        # shell by shell, each sorted by (m, n) within the shell; m > 0, or m == 0 and n > 0
         expected = []
         for k in range(1, 4):
-            ring = [(m, n) for m in range(-k, k + 1) for n in range(-k, k + 1)]
-            expected += sorted(p for p in ring if max(abs(p[0]), abs(p[1])) == k)
+            ring = [(m, n) for m in range(0, k + 1) for n in range(-k, k + 1)]
+            expected += [p for p in ring if max(abs(p[0]), abs(p[1])) == k and (p[0] > 0 or p[1] > 0)]
         m, n = _shell_arrays(3)
         assert list(zip(m.tolist(), n.tolist())) == expected
+
+    def test_point_blocks_cover_the_list(self):
+        # N = 70 gives 9,940 points, more than one block
+        N, a, b = 70, 1.3 - 0.2j, 0.4 + 1.1j
+        m, n = _shell_arrays(N)
+        blocks = list(_point_blocks(N, a, b))
+        assert len(blocks) == -(-len(m) // SHELL_BLOCK) > 1
+        assert np.array_equal(np.concatenate(blocks), m * a + n * b)
+        for skip in ((1, 0), (0, 1), (70, -3)):
+            kept = np.concatenate(list(_point_blocks(N, a, b, skip)))
+            keep = (m != skip[0]) | (n != skip[1])
+            assert len(kept) == len(m) - 1 and np.array_equal(kept, m[keep] * a + n[keep] * b)
 
 
 def _in_lattice(z, lat, tol=1e-9):

@@ -11,25 +11,30 @@ from ellipse_phase import (
     v_constant,
 )
 from ellipse_phase.sigma_ratio import VMethod, _direct_sum_tail
-from ellipse_phase.weierstrass import _paired_term
 
 from conftest import random_cell_point, random_lattice
 
 
 class TestPairing:
     def test_orbit_identity(self, rng):
-        # term(lam) + term(-lam-p) collapses to -p/(lam^2 (lam+p)^2)
+        # the four terms of the orbit {lam, -lam-p, -lam, lam-p} of term(lam) = 1/(lam (lam+p)^2)
+        # sum to the -2p(lam^2 + p^2)/(lam^2 (lam^2 - p^2)^2) that eta_from_sum adds per {lam, -lam}
+        def term(lam, p):
+            return 1 / (lam * (lam + p) ** 2)
+
+        checked = 0
         for _ in range(20):
             lat = random_lattice(rng)
             p = lat.p1 if rng.random() < 0.5 else lat.p2
             m, n = rng.randint(-9, 9), rng.randint(-9, 9)
             lam = m * lat.p1 + n * lat.p2
-            if abs(lam) < 1e-9 or abs(lam + p) < 1e-9:
+            if min(abs(lam), abs(lam + p), abs(lam - p)) < 1e-9:
                 continue
-            single = 1 / (lam * (lam + p) ** 2)
-            partner = -lam - p
-            combined = single + 1 / (partner * (partner + p) ** 2)
-            assert abs(combined - _paired_term(lam, p)) <= 1e-14 * abs(combined)
+            orbit = term(lam, p) + term(-lam - p, p) + term(-lam, p) + term(lam - p, p)
+            pair = -2 * p * (lam**2 + p**2) / (lam**2 * (lam**2 - p**2) ** 2)
+            assert abs(orbit - pair) <= 1e-13 * abs(orbit)
+            checked += 1
+        assert checked >= 15
 
 
 class TestVConstant:

@@ -189,8 +189,8 @@ class TestDirectLatticeSum:
 
     @pytest.mark.parametrize(
         "p1, p2",
-        [(0.9 + 0.2j, 0.9 + 0.2j + (-0.1 + 1.2j)), (-0.1 + 1.2j, -(0.9 + 0.2j))],
-        ids=["sheared", "swapped"],
+        [(1, 1j), (0.9 + 0.2j, 0.9 + 0.2j + (-0.1 + 1.2j)), (-0.1 + 1.2j, -(0.9 + 0.2j))],
+        ids=["square", "sheared", "swapped"],
     )
     def test_direct_v_is_minus_xi0_times_eta(self, p1, p2):
         lat = make_lattice(p1, p2)
@@ -198,6 +198,72 @@ class TestDirectLatticeSum:
         for j in (1, 2):
             ev = SigmaEvaluator(lat, Backend.DIRECT_PRODUCT, 60)
             assert v_constant(lat, xi0, j, "direct", 60).v == -xi0 * eta(ev, j)
+
+
+REF_SHELLS = 20
+
+# a generic basis (P1, P2) with |P1|, |P2| >= 1, so its 1e-6 scaling is a valid lattice
+P1, P2 = 1 + 0.3j, (1 + 0.3j) * (0.2 + 1.1j)
+REF_BASES = {"square": (1, 1j), "sheared": (P1, P2 + 2 * P1), "swapped": (P2, -P1)}
+
+
+def full_lattice(lat, N):
+    """(lam, m, n) over every nonzero (m, n) with max(|m|, |n|) <= N: both points of each {lam, -lam}."""
+    r = np.arange(-N, N + 1)
+    m, n = (a.ravel() for a in np.meshgrid(r, r, indexing="ij"))
+    keep = (m != 0) | (n != 0)
+    m, n = m[keep], n[keep]
+    return m * lat.p1 + n * lat.p2, m, n
+
+
+def reference_log_sigma(lat, z, N):
+    """log z + sum log(1 - z/lam) + z/lam + z^2/(2 lam^2), one term per lattice point."""
+    w = z / full_lattice(lat, N)[0]
+    return cmath.log(z) + complex(np.sum(np.log1p(-w) + w + 0.5 * w * w))
+
+
+def reference_eta(lat, j, N):
+    """eta_j = 3/p_j - (p_j^2/2) sum -p_j/(lam^2 (lam+p_j)^2) over the points lam != -p_j."""
+    lam, m, n = full_lattice(lat, N)
+    p = lat.p1 if j == 1 else lat.p2
+    lam = lam[(m != -(j == 1)) | (n != -(j == 2))]
+    return 3 / p - p**2 / 2 * complex(np.sum(-p / (lam**2 * (lam + p) ** 2)))
+
+
+class TestDirectReferenceSums:
+    """The DirectProduct sums over one point of each {lam, -lam} match the literal full-lattice sums."""
+
+    @pytest.fixture(params=sorted(REF_BASES))
+    def lat(self, request):
+        return make_lattice(*REF_BASES[request.param])
+
+    @pytest.mark.parametrize("s, t", [(2.3, 0.4), (-1.6, 2.7), (3.9, -2.2), (0.35, -2.8)])
+    def test_sigma_outside_the_cell(self, lat, s, t):
+        z = s * lat.p1 + t * lat.p2
+        direct = sigma(SigmaEvaluator(lat, "direct", REF_SHELLS), z)
+        ref = LogValue.from_log(reference_log_sigma(lat, z, REF_SHELLS))
+        assert log_distance(direct, ref) <= 1e-12 * (1 + abs(ref.log_mag))
+
+    @pytest.mark.parametrize("angle", [0.0, 1.0, 2.5, -2.0])
+    def test_sigma_next_to_a_lattice_point(self, lat, angle):
+        # 1e-9 from lam = p1 + p2, where 1 - z^2/lam^2 is small
+        z = lat.p1 + lat.p2 + 1e-9 * cmath.exp(1j * angle)
+        ev = SigmaEvaluator(lat, "direct", REF_SHELLS)
+        fast = SigmaEvaluator(lat)
+        direct = sigma(ev, z)
+        ref = LogValue.from_log(reference_log_sigma(lat, z, REF_SHELLS))
+        assert log_distance(direct, ref) <= 1e-12 * (1 + abs(ref.log_mag))
+        bound = ev.a_priori_bound(z) + fast.a_priori_bound(z)
+        assert log_distance(direct, sigma(fast, z)) <= bound
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_eta(self, lat, scale):
+        # at the 1e-6 period floor lam^2 - p_j^2 is ~1e-12 for the neighbours of +-p_j
+        lat = make_lattice(scale * lat.p1, scale * lat.p2)
+        ev = SigmaEvaluator(lat, "direct", REF_SHELLS)
+        for j in (1, 2):
+            ref = reference_eta(lat, j, REF_SHELLS)
+            assert abs(eta(ev, j) - ref) <= 1e-12 * abs(ref)
 
 
 class TestQuasiPeriodicity:

@@ -44,7 +44,11 @@ def wp(z: complex, lat: Lattice) -> complex:
 
 
 def wp_lattice_sum(z: complex, lat: Lattice, shells: int) -> complex:
-    """The defining sum 1/z^2 + sum [1/(z-lam)^2 - 1/lam^2], shell-truncated."""
+    """The defining sum 1/z^2 + sum [1/(z-lam)^2 - 1/lam^2], shell-truncated.
+
+    The shell list holds one point of every pair {lam, -lam}, so each summand
+    adds the mirror term: 1/(z-lam)^2 + 1/(z+lam)^2 - 2/lam^2.
+    """
     m, n = _shell_arrays(shells)
     lam = m * lat.p1 + n * lat.p2
-    return 1 / z**2 + complex(np.sum(1 / (z - lam) ** 2 - 1 / lam**2))
+    return 1 / z**2 + complex(np.sum(1 / (z - lam) ** 2 + 1 / (z + lam) ** 2 - 2 / lam**2))
