@@ -9,6 +9,7 @@ environment variable ELLIPSE_PHASE_SEED overrides --seed, and an optional
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -189,6 +190,24 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=8)
+def _parser(config_items: tuple) -> argparse.ArgumentParser:
+    """The parser with `config_items` as flag defaults; built once per process and config.
+
+    argparse keeps no state between `parse_args` calls, so one parser serves them all.
+    """
+    parser = _build_parser()
+    for sub in _subparsers(parser):
+        sub.set_defaults(**dict(config_items))
+        # a value such as "-0.3,0.2" or "-.5" is a number, not a flag
+        sub._negative_number_matcher = re.compile(r"^-\.?\d")
+    return parser
+
+
+def _subparsers(parser: argparse.ArgumentParser):
+    return parser._subparsers._group_actions[0].choices.values()
+
+
 def _load_config(subparsers) -> dict:
     """Flag defaults from ./ellipse-phase.json, parsed as argv would be; else ValueError."""
     if not os.path.exists(CONFIG_PATH):
@@ -217,21 +236,19 @@ def _load_config(subparsers) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        subparsers = parser._subparsers._group_actions[0].choices.values()
-        config = _load_config(subparsers)
-        for sub in subparsers:
-            sub.set_defaults(**config)
-            # a value such as "-0.3,0.2" or "-.5" is a number, not a flag
-            sub._negative_number_matcher = re.compile(r"^-\.?\d")
+        config = _load_config(_subparsers(_parser(())))
         try:
-            args = parser.parse_args(argv)
+            args = _parser(tuple(sorted(config.items()))).parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code == 0 else EllipsePhaseError.exit_code
 
         if SEED_ENV in os.environ and hasattr(args, "seed"):
-            args.seed = int(os.environ[SEED_ENV])
+            text = os.environ[SEED_ENV]
+            try:
+                args.seed = int(text)
+            except ValueError:
+                raise ValueError(f"{SEED_ENV} must be an integer, got {text!r}") from None
 
         return _COMMANDS[args.command](args)
     except OSError as exc:

@@ -14,10 +14,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateLattice
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Smallest |Im(p2/p1)| accepted before the pair counts as collinear.
 DEGENERACY_EPS = 1e-12
@@ -114,6 +116,8 @@ def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
     sum folds the mirror term into its summand.  Cached and shared; treat the
     returned arrays as read-only.
     """
+    import numpy as np
+
     m, n = np.meshgrid(np.arange(N + 1), np.arange(-N, N + 1), indexing="ij")
     m = m.ravel()
     n = n.ravel()

@@ -9,6 +9,7 @@ channel = round(255 * component).
 
 from __future__ import annotations
 
+import cmath
 import colorsys
 import enum
 import math
@@ -44,8 +45,11 @@ class RenderSpec:
             raise ValueError("resolution must be >= 1 pixel in each dimension")
         if self.width_px * self.height_px > MAX_PIXELS:
             raise ValueError(f"resolution must have at most MAX_PIXELS = {MAX_PIXELS} pixels")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("region width and height must be positive")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
+        for name, value in (("width", self.width), ("height", self.height)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _pixel_rgb(value, coloring: Coloring) -> tuple[int, int, int]:

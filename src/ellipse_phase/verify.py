@@ -13,8 +13,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .divisor import PoleValue
 from .errors import ContourTooClose, PoleOrZeroHit, TooManyPoleHits
@@ -22,6 +21,9 @@ from .lattice import Lattice, coordinates, reduce_to_cell, torus_distance
 from .sigma_ratio import _log_ratio
 from .synthesis import PhaseFunctionSpec, eval_f
 from .weierstrass import TAU, SigmaEvaluator, wrap_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: required clearance between the contour and any known zero/pole, as a
 #: fraction of the shorter period.  Quadrature error decays like
@@ -140,6 +142,8 @@ def phase_periodicity(fval, p: complex, grid: GridSpec) -> tuple[float, complex]
 
 
 def _gauss_nodes(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(quad.nodes_per_panel)
     P = quad.panels_per_side
     t = ((np.arange(P)[:, None] + (x[None, :] + 1.0) / 2.0) / P).ravel()

@@ -40,8 +40,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AccuracyNotMet
 from .lattice import (
     SNAP_TOL,
@@ -215,6 +213,8 @@ def _log_sigma(ev: SigmaEvaluator, z: complex) -> complex | None:
     if red is None:
         if torus_distance(z, 0j, ev.lattice) <= SNAP_TOL:
             return None
+        import numpy as np
+
         log_sigma = cmath.log(z)
         for w in _point_blocks(ev.truncation_shells, ev.lattice.p1, ev.lattice.p2):
             np.divide(z, w, out=w)

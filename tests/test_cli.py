@@ -361,6 +361,20 @@ class TestPlot:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--center=nan,0", "center"), ("--width=inf", "width"), ("--height=nan", "height")],
+    )
+    def test_non_finite_region_names_its_field(self, monkeypatch, tmp_path, capsys, flag, field):
+        # these rendered up to the first pixel, then failed on a non-finite point
+        monkeypatch.chdir(tmp_path)
+        spec = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)[1]
+        (tmp_path / "spec.json").write_text(spec)
+        code, out, err = _main(capsys, "plot", "--spec", "spec.json", "--out", "p.ppm", flag)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"ValueError: {field} must be"), err
+        assert not (tmp_path / "p.ppm").exists()
+
     def test_unwritable_path_raises_io_failure(self, tmp_path):
         from ellipse_phase import IoFailure, render_phase_portrait
 
@@ -463,6 +477,13 @@ class TestConfigAndSeed:
         )
         assert r.returncode == 0
 
+    def test_env_seed_not_an_integer_names_the_variable(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ELLIPSE_PHASE_SEED", "abc")
+        code, out, err = _main(capsys, "verify", "--spec", "spec.json")
+        assert (code, out) == (1, "")
+        assert err == "ValueError: ELLIPSE_PHASE_SEED must be an integer, got 'abc'\n"
+
     def test_config_file_defaults(self, tmp_path):
         synth = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR)
         (tmp_path / "spec.json").write_text(synth.stdout)
@@ -509,6 +530,104 @@ class TestConfigAndSeed:
         assert r.returncode == 3, r.stderr
         assert r.stdout == ""
         assert "ellipse-phase.json" in r.stderr
+
+
+def _main(capsys, *argv):
+    """`cli.main(argv)` in-process, as (exit code, stdout, stderr)."""
+    from ellipse_phase import cli
+
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    def test_parser_built_once_without_config(self, monkeypatch, tmp_path, capsys):
+        from ellipse_phase import cli
+
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        monkeypatch.chdir(tmp_path)
+        try:
+            for _ in range(5):
+                assert _main(capsys, "eta", "--lattice", LATTICE, "--j", "1")[0] == 0
+                assert _main(capsys, "sigma", "--lattice", LATTICE, "--z=0.3,0.2")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_config_defaults_do_not_leak(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        spec = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)[1]
+        (tmp_path / "spec.json").write_text(spec)
+        config = tmp_path / "ellipse-phase.json"
+        samples = []
+        for text in (None, '{"grid": "2x3", "seed": 11}', None):
+            if text is None:
+                config.unlink(missing_ok=True)
+            else:
+                config.write_text(text)
+            code, out, err = _main(capsys, "verify", "--spec", "spec.json")
+            assert code == 0, err
+            samples.append(json.loads(out)["samples_used"])
+        assert samples == [100, 6, 100]
+
+    def test_malformed_config_after_cached_parser(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _main(capsys, "eta", "--lattice", LATTICE, "--j", "1")[0] == 0
+        (tmp_path / "ellipse-phase.json").write_text('{"grid": "6x6",')
+        code, out, err = _main(capsys, "eta", "--lattice", LATTICE, "--j", "1")
+        assert (code, out) == (1, "")
+        assert "ellipse-phase.json" in err
+
+    def test_help_exits_zero_twice(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            code, out, _ = _main(capsys, "--help")
+            assert code == 0
+            assert "sigma" in out
+
+
+LAZY_NUMPY_CHILD = """
+import contextlib, io, sys
+from ellipse_phase import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+lattice, divisor = sys.argv[1:3]
+with open("spec.json", "w") as fh:
+    fh.write(run("synth", "--lattice", lattice, "--divisor", divisor))
+assert "numpy" not in sys.modules, "synth"
+for argv in [
+    ("plot", "--spec", "spec.json", "--out", "p.ppm", "--resolution", "8x8"),
+    ("sigma", "--lattice", lattice, "--z=0.3,0.2"),
+    ("eta", "--lattice", lattice, "--j", "2"),
+    ("vj", "--lattice", lattice, "--xi0=0.3,0.1", "--j", "1", "--method", "eta"),
+]:
+    run(*argv)
+    assert "numpy" not in sys.modules, argv[0]
+run("sigma", "--lattice", lattice, "--z=0.3,0.2", "--backend", "direct")
+assert "numpy" in sys.modules
+run("verify", "--spec", "spec.json", "--grid", "3x3")
+"""
+
+
+def test_scalar_commands_do_not_import_numpy(tmp_path):
+    # numpy is most of the import time of a CLI call; only the lattice sums and
+    # the Gauss nodes need it
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    env.pop("ELLIPSE_PHASE_SEED", None)
+    r = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMPY_CHILD, LATTICE, DIVISOR],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert r.returncode == 0, r.stderr
 
 
 class TestSpecReload:
