@@ -35,7 +35,7 @@ from .lattice import (
     torus_distance,
 )
 from .render import Coloring, RenderSpec, render_phase_portrait, render_pixels
-from .sigma_ratio import RatioConstant, VMethod, ratio_residual, v_constant
+from .sigma_ratio import RatioConstant, VMethod, v_constant
 from .synthesis import (
     PhaseFunctionSpec,
     eval_f,
@@ -51,7 +51,6 @@ from .verify import (
     VerificationReport,
     count_zeros_poles,
     phase_periodicity,
-    ratio_z_independence,
     report_passes,
     verify_spec,
 )
@@ -100,8 +99,6 @@ __all__ = [
     "make_divisor",
     "make_lattice",
     "phase_periodicity",
-    "ratio_residual",
-    "ratio_z_independence",
     "reduce_basis",
     "reduce_to_cell",
     "render_phase_portrait",

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 
-from .errors import PoleOrZeroHit
 from .lattice import Lattice, _unit_frame_distance
-from .weierstrass import MAX_SHELLS, Backend, SigmaEvaluator, _log_sigma, eta, wrap_angle
+from .weierstrass import Backend, SigmaEvaluator, eta
 
 
 class VMethod(str, enum.Enum):
@@ -66,49 +64,17 @@ def v_constant(
     method: VMethod | str = VMethod.VIA_ETA,
     shells: int = 200,
 ) -> RatioConstant:
-    """Translation constant v_j; linear in xi0 by either method."""
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
+    """Translation constant v_j = -xi0 * eta_j of the evaluator the method names."""
     xi0 = complex(xi0)
     if not cmath.isfinite(xi0):
         raise ValueError(f"xi0 {xi0} is not finite")
     method = VMethod(method)
-    low = 2 if method is VMethod.DIRECT_SUM else 1
-    if not low <= shells <= MAX_SHELLS:
-        raise ValueError(f"truncation_shells must be in [{low}, {MAX_SHELLS}] for {method.value}")
-    pj = lat.p1 if j == 1 else lat.p2
-
+    if method is VMethod.DIRECT_SUM and shells < 2:
+        raise ValueError("truncation_shells must be at least 2 for direct")
+    backend = Backend.DIRECT_PRODUCT if method is VMethod.DIRECT_SUM else Backend.FAST_SERIES
+    v = -xi0 * eta(SigmaEvaluator(lat, backend, shells), j)
     if method is VMethod.VIA_ETA:
-        v = -eta(SigmaEvaluator(lat), j) * xi0
         return RatioConstant(v, method, 0, 1e-13 * (1.0 + abs(v)))
-
-    v = -xi0 * eta(SigmaEvaluator(lat, Backend.DIRECT_PRODUCT, shells), j)
-    bound = abs(xi0) * abs(pj) ** 2 * _direct_sum_tail(lat, abs(pj), shells) * 1.2
+    pj = abs(lat.p1 if j == 1 else lat.p2)
+    bound = abs(xi0) * pj**2 * _direct_sum_tail(lat, pj, shells) * 1.2
     return RatioConstant(v, method, shells, bound)
-
-
-def _log_ratio(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> complex:
-    """log R_j(z), the four-sigma ratio, as an unwrapped sum of principal logs.
-
-    Raises PoleOrZeroHit when any of the four sigma arguments lies on the
-    lattice; the caller should resample z.
-    """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    xi0 = complex(xi0)
-    z = complex(z)
-    pj = ev.lattice.p1 if j == 1 else ev.lattice.p2
-    parts = [_log_sigma(ev, w) for w in (z, z - xi0, z - xi0 + pj, z + pj)]
-    if None in parts:
-        raise PoleOrZeroHit("a sigma argument lies on the lattice")
-    return parts[0] - parts[1] + parts[2] - parts[3]
-
-
-def ratio_residual(ev: SigmaEvaluator, xi0: complex, j: int, z: complex) -> float:
-    """|R_j(z) * exp(-v_j) - 1| with v_j from the quasi-period route."""
-    lr = _log_ratio(ev, xi0, j, z)
-    v = -eta(ev, j) * complex(xi0)
-    delta = complex(lr.real - v.real, wrap_angle(lr.imag - v.imag))
-    if delta.real > 300.0:
-        return math.inf
-    return abs(cmath.exp(delta) - 1.0)

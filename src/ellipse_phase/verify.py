@@ -12,13 +12,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .divisor import PoleValue
-from .errors import ContourTooClose, PoleOrZeroHit, TooManyPoleHits
-from .lattice import Lattice, coordinates, reduce_to_cell, torus_distance
-from .sigma_ratio import _log_ratio
+from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit, TooManyPoleHits
+from .lattice import Lattice, coordinates, reduce_basis, reduce_to_cell, torus_distance
 from .synthesis import PhaseFunctionSpec, eval_f
 from .weierstrass import TAU, SigmaEvaluator, wrap_angle
 
@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 #: much larger than the clearance, which elongated cells break at 32 panels.
 CLEARANCE_FRACTION = 0.01
 
-#: central-difference step for f'/f along a contour side.
+#: central-difference step for f'/f along a contour side, as a fraction of the
+#: shortest period, so the difference keeps its accuracy at every lattice scale.
 FD_STEP = 1e-5
 
 #: random contour offsets tried after the requested one.
@@ -39,6 +40,9 @@ OFFSET_RETRIES = 10
 
 #: Most grid points phase_periodicity may sample per period.
 MAX_GRID = 1000 * 1000
+
+#: logs of the smallest and largest normal doubles, the range a multiplier must fit.
+LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,7 @@ def count_zeros_poles(
     """
     t, weights = _gauss_nodes(quad)
     clearance = CLEARANCE_FRACTION * min(abs(lat.p1), abs(lat.p2))
+    step = FD_STEP * abs(reduce_basis(lat).p1)
     last_error = None
     for cand in _offset_candidates(lat, offset, quad):
         if not _contour_clear(lat, cand, known_points, clearance):
@@ -213,7 +218,7 @@ def count_zeros_poles(
                 direction = edge / abs(edge)
                 for tk, wk in zip(t, weights):
                     z = corner + tk * edge
-                    psi = _log_derivative(fval, z, direction, FD_STEP)
+                    psi = _log_derivative(fval, z, direction, step)
                     winding += wk * psi * edge
                     moment += wk * z * psi * edge
         except PoleOrZeroHit as exc:
@@ -229,19 +234,14 @@ def count_zeros_poles(
     )
 
 
-def ratio_z_independence(ev: SigmaEvaluator, xi0: complex, j: int, z_samples) -> float:
-    """Max pairwise log-distance of the four-sigma ratio across samples.
-
-    The ratio sigma(z) sigma(z - xi0 + p_j) / (sigma(z - xi0) sigma(z + p_j))
-    is constant in z; this measures how constant the evaluations are.
-    """
-    logs = [_log_ratio(ev, xi0, j, z) for z in z_samples]
-    worst = 0.0
-    for i in range(len(logs)):
-        for k in range(i + 1, len(logs)):
-            d = logs[i] - logs[k]
-            worst = max(worst, abs(complex(d.real, wrap_angle(d.imag))))
-    return worst
+def _multiplier(j: int, alpha: float) -> float:
+    """exp(alpha_j), or AccuracyNotMet where it leaves the normal double range."""
+    low, high = LOG_NORMAL_RANGE
+    if not low <= alpha <= high:
+        raise AccuracyNotMet(
+            f"exp(alpha{j}) leaves the normal double range: alpha{j} = {alpha:.6g}"
+        )
+    return math.exp(alpha)
 
 
 def verify_spec(
@@ -266,8 +266,8 @@ def verify_spec(
     return VerificationReport(
         phase_residual_p1=res1,
         phase_residual_p2=res2,
-        multiplier1=math.exp(mult1.real),
-        multiplier2=math.exp(mult2.real),
+        multiplier1=_multiplier(1, mult1.real),
+        multiplier2=_multiplier(2, mult2.real),
         zero_count=zero_count,
         pole_count=zero_count - count.zeros_minus_poles,
         divisor_sum_mod_L=reduce_to_cell(count.raw_moment, lat),

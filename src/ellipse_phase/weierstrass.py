@@ -23,14 +23,14 @@ reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
 pair for the original basis combines them with the integer coordinates of P1, P2
 from `nearest_lattice_point`.  DirectProduct sums eta_j by `eta_from_sum` when
-`eta` asks for it; sigma_ratio's DirectSum constant is v_j = -xi0 * that eta_j.
+`eta` asks for it; `sigma_ratio.v_constant` is v_j = -xi0 * eta_j of either backend.
 
 All values are in log form because |sigma| grows like exp(quadratic) across
 cells.  `_log_sigma(ev, z)` is the one per-factor kernel of both backends: it
 returns log sigma(z) as a complex number with its phase wrapped, or None on
 the lattice.  `sigma` wraps it in a LogValue, and `divisor.eval_elliptic` (so
-`eval_f`) and `sigma_ratio._log_ratio` add and subtract its values and build a
-LogValue, if any, only at their return.
+`eval_f`) adds and subtracts its values and builds a LogValue, if any, only at
+its return.
 """
 
 from __future__ import annotations

@@ -32,9 +32,15 @@ each family's bytes, so a moved hash names what moved.  The families in
 `PARTS_ONLY` go into `parts` and not into the sha256, so the sha256 recorded
 before they were added stays comparable.  The `divisor` family hashes `synth`,
 the reloaded quotient and g of one more divisor per spec, drawn from its own
-seeded generator (see `divisor_case`).  Output is one line:
+seeded generator (see `divisor_case`).  `verify_worst_miss` is the largest
+torus distance from `xi0_recovered` to the spec's `xi0` over the `verify` runs
+that exit 0, so a change in accuracy shows even where no exit code flips; it
+is in neither the sha256 nor `parts`.  Output is one line:
 
-    sha256=<hex> specs=<N> verify_exits=<code>:<count>,... parts=<family>:<hex>,...
+    sha256=<hex> specs=<N> verify_exits=<code>:<count>,... verify_worst_miss=<float>
+    parts=<family>:<hex>,...
+
+(one line, wrapped here).
 """
 
 from __future__ import annotations
@@ -167,10 +173,11 @@ def divisor_case(i: int, rng: random.Random, P1: complex, P2: complex) -> dict:
     }
 
 
-def fingerprint(n_specs: int) -> tuple[str, Counter, dict[str, str]]:
+def fingerprint(n_specs: int) -> tuple[str, Counter, float, dict[str, str]]:
     digest = hashlib.sha256()
     family_digests = {family: hashlib.sha256() for family in FAMILIES}
     exits: Counter = Counter()
+    worst_miss = 0.0
 
     def feed(family: str, *parts) -> None:
         """Hash `parts` into `family`'s digest, and into the overall one unless PARTS_ONLY."""
@@ -210,6 +217,9 @@ def fingerprint(n_specs: int) -> tuple[str, Counter, dict[str, str]]:
         exits[verify[0]] += 1
 
         spec = jsonio.spec_from_obj(json.loads(synth[1]))
+        if verify[0] == 0:
+            recovered = complex(*json.loads(verify[1])["xi0_recovered"])
+            worst_miss = max(worst_miss, torus_distance(recovered, spec.xi0, spec.lattice))
         ev = SigmaEvaluator(spec.lattice)
         direct = SigmaEvaluator(spec.lattice, "direct", DIRECT_SHELLS)
         feed("values", spec.quotient, ev.eta1, ev.eta2)
@@ -240,7 +250,7 @@ def fingerprint(n_specs: int) -> tuple[str, Counter, dict[str, str]]:
                 argv = ["vj", "--lattice", lattice, f"--xi0={cplx(xi0)}", "--j", j]
                 feed("vj", run_cli(argv + ["--method", method, shells]))
     parts = {family: d.hexdigest()[:12] for family, d in family_digests.items()}
-    return digest.hexdigest(), exits, parts
+    return digest.hexdigest(), exits, worst_miss, parts
 
 
 def main(argv: list[str]) -> int:
@@ -250,12 +260,15 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            sha, exits, parts = fingerprint(n_specs)
+            sha, exits, worst_miss, parts = fingerprint(n_specs)
         finally:
             os.chdir(home)
     counts = ",".join(f"{code}:{count}" for code, count in sorted(exits.items()))
     families = ",".join(f"{family}:{hexdigest}" for family, hexdigest in parts.items())
-    print(f"sha256={sha} specs={n_specs} verify_exits={counts} parts={families}")
+    print(
+        f"sha256={sha} specs={n_specs} verify_exits={counts} "
+        f"verify_worst_miss={worst_miss:.3e} parts={families}"
+    )
     return 0
 
 

@@ -272,6 +272,15 @@ class TestSynthVerifyRoundtrip:
         assert r.returncode == 2
         assert json.loads(r.stdout)["reliable"] is True
 
+    @pytest.mark.parametrize("m2", ["200", "-200"])
+    def test_multiplier_outside_double_range_exits_2(self, m2):
+        lattice = '{"p1": [1, 0], "p2": [0, 1.1]}'
+        synth = run_cli("synth", "--lattice", lattice, "--divisor", DIVISOR, f"--m2={m2}")
+        assert synth.returncode == 0, synth.stderr
+        r = run_cli("verify", "--spec", synth.stdout, "--grid", "3x3")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("AccuracyNotMet:") and "alpha1" in r.stderr, r.stderr
+
     @pytest.mark.parametrize(
         "flags, config",
         [(("--tol=nan",), None), (("--tol=-1",), None), (("--tol=0",), None),
@@ -769,7 +778,10 @@ def test_fingerprint_script():
     assert r.returncode == 0, r.stderr
     names = ("eta", "synth", "verify", "values", "plot", "sigma", "vj", "divisor")
     families = ",".join(f"{family}:[0-9a-f]{{12}}" for family in names)
-    pattern = rf"sha256=[0-9a-f]{{64}} specs=3 verify_exits=((\d+:\d+,?)+) parts={families}\n"
+    pattern = (
+        rf"sha256=[0-9a-f]{{64}} specs=3 verify_exits=((\d+:\d+,?)+) "
+        rf"verify_worst_miss=\d\.\d{{3}}e[+-]\d\d parts={families}\n"
+    )
     found = re.fullmatch(pattern, r.stdout)
     assert found, r.stdout
     assert sum(int(c.split(":")[1]) for c in found[1].split(",")) == 3

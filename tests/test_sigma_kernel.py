@@ -1,10 +1,10 @@
-"""One per-factor sigma kernel behind sigma, eval_f and the four-sigma ratio.
+"""One per-factor sigma kernel behind sigma and eval_f.
 
-`eval_f` and `sigma_ratio._log_ratio` add and subtract the kernel's values
-without building a LogValue per factor.  These tests pin that down to the bit:
-each must equal the same sum written with the public `sigma(...).log()`, in the
-same order, on both backends, at points whose range reduction takes odd and
-even lattice coordinates, and at zero and pole hits.
+`eval_f` adds and subtracts the kernel's values without building a LogValue
+per factor.  These tests pin that down to the bit: it must equal the same sum
+written with the public `sigma(...).log()`, in the same order, on both
+backends, at points whose range reduction takes odd and even lattice
+coordinates, and at zero and pole hits.
 """
 
 import math
@@ -24,7 +24,6 @@ from ellipse_phase import (
     sigma,
     synthesize,
 )
-from ellipse_phase.sigma_ratio import _log_ratio
 
 from conftest import random_cell_point
 
@@ -87,22 +86,6 @@ def test_eval_f_equals_sum_of_sigma_logs(basis, backend):
         pole_hit = q.poles[0] - lat.p1 + lat.p2
         assert eval_f(spec, ev, zero_hit) == literal(q, ev, zero_hit) == LogValue.zero()
         assert eval_f(spec, ev, pole_hit) == literal(q, ev, pole_hit) == PoleValue(1)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("basis", BASES)
-def test_log_ratio_equals_sum_of_sigma_logs(basis, backend):
-    lat = make_lattice(*BASES[basis])
-    ev = SigmaEvaluator(lat, **BACKENDS[backend])
-    rng = random.Random(f"ratio-{basis}-{backend}")
-    for z in outside_points(rng, lat, 8):
-        xi0 = random_cell_point(rng, lat)
-        for j, pj in ((1, lat.p1), (2, lat.p2)):
-            want = (
-                sigma(ev, z).log() - sigma(ev, z - xi0).log()
-                + sigma(ev, z - xi0 + pj).log() - sigma(ev, z + pj).log()
-            )
-            assert _log_ratio(ev, xi0, j, z) == want
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
