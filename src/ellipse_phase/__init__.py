@@ -35,7 +35,6 @@ from .lattice import (
     torus_distance,
 )
 from .render import Coloring, RenderSpec, render_phase_portrait, render_pixels
-from .sigma_ratio import RatioConstant, VMethod, v_constant
 from .synthesis import (
     PhaseFunctionSpec,
     eval_f,
@@ -57,9 +56,12 @@ from .verify import (
 from .weierstrass import (
     Backend,
     LogValue,
+    RatioConstant,
     SigmaEvaluator,
+    VMethod,
     eta,
     sigma,
+    v_constant,
     wrap_angle,
 )
 

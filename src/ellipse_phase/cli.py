@@ -19,10 +19,9 @@ import sys
 from . import jsonio
 from .errors import EllipsePhaseError
 from .render import Coloring, RenderSpec, render_phase_portrait
-from .sigma_ratio import v_constant
 from .synthesis import eval_f, synthesize
 from .verify import GridSpec, QuadratureSpec, report_passes, verify_spec
-from .weierstrass import Backend, SigmaEvaluator, eta, sigma
+from .weierstrass import Backend, SigmaEvaluator, eta, sigma, v_constant
 
 CONFIG_PATH = "ellipse-phase.json"
 SEED_ENV = "ELLIPSE_PHASE_SEED"
@@ -161,7 +160,6 @@ def _cmd_verify(args) -> int:
 def _cmd_plot(args) -> int:
     spec = jsonio.spec_from_obj(_read_json_arg(args.spec))
     lat = spec.lattice
-    ev = SigmaEvaluator(lat)
     center = _parse_complex(args.center) if args.center else (lat.p1 + lat.p2) / 2
     span = abs(lat.p1) + abs(lat.p2)
     width = args.width if args.width is not None else span
@@ -176,7 +174,7 @@ def _cmd_plot(args) -> int:
         coloring=Coloring(args.coloring),
         output_path=args.out,
     )
-    render_phase_portrait(lambda z: eval_f(spec, ev, z), rspec)
+    render_phase_portrait(lambda z: eval_f(spec, spec.ev, z), rspec)
     return 0
 
 

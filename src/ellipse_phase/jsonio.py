@@ -85,6 +85,9 @@ def divisor_to_obj(d: Divisor) -> dict:
 def divisor_from_obj(obj, lat: Lattice) -> Divisor:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a divisor object with zeros and poles, got {obj!r}")
+    for key in obj:
+        if key not in ("zeros", "poles"):
+            raise ValueError(f"divisor key {key!r} is neither 'zeros' nor 'poles'")
     zeros, poles = [], []
     for key, entries in (("zeros", zeros), ("poles", poles)):
         for e in obj.get(key, []):

@@ -24,6 +24,10 @@ if TYPE_CHECKING:
 #: Smallest |Im(p2/p1)| accepted before the pair counts as collinear.
 DEGENERACY_EPS = 1e-12
 
+#: Longest period accepted.  The DirectSum tail bound of `vj --method direct`
+#: takes the fourth power of a period, and 1e75**4 stays below the largest double.
+MAX_PERIOD = 1e75
+
 #: Points closer than this mod L are the same point (lattice points: exact zeros).
 SNAP_TOL = 1e-12
 
@@ -44,7 +48,7 @@ class Lattice:
 
 
 def make_lattice(p1: complex, p2: complex) -> Lattice:
-    """Build a lattice from a period pair, rejecting (near-)real ratios and tiny periods."""
+    """Build a lattice from a period pair, rejecting (near-)real ratios, tiny and huge periods."""
     p1 = complex(p1)
     p2 = complex(p2)
     if not (cmath.isfinite(p1) and cmath.isfinite(p2)):
@@ -52,6 +56,8 @@ def make_lattice(p1: complex, p2: complex) -> Lattice:
     if min(abs(p1), abs(p2)) < 1e6 * SNAP_TOL:
         # below this scale SNAP_TOL, which is absolute, merges distinct points
         raise DegenerateLattice(f"periods must be at least {1e6 * SNAP_TOL:g} long")
+    if max(abs(p1), abs(p2)) > MAX_PERIOD:
+        raise DegenerateLattice(f"periods must be at most {MAX_PERIOD:g} long")
     omega = p2 / p1
     if abs(omega.imag) < DEGENERACY_EPS:
         raise DegenerateLattice(f"period ratio {omega} is too close to real")

@@ -15,7 +15,7 @@ so |f| picks up a positive constant and the phase is fully periodic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .divisor import Divisor, PoleValue, SigmaQuotient, _extend, build_elliptic, eval_elliptic
 from .errors import IllConditioned, UnbalancedDivisor
@@ -28,7 +28,8 @@ class PhaseFunctionSpec:
     """Complete description of a synthesized f, plus its evaluation form.
 
     Built only by `synthesize`.  `quotient` is f's evaluation form from
-    `_fold_ratio`, so evaluation is total away from the intended divisor.
+    `_fold_ratio`, so evaluation is total away from the intended divisor;
+    `ev` is the fast evaluator whose eta1, eta2 that fold used.
     """
 
     lattice: Lattice
@@ -41,6 +42,7 @@ class PhaseFunctionSpec:
     g: SigmaQuotient
     divisor: Divisor
     quotient: SigmaQuotient
+    ev: SigmaEvaluator = field(compare=False, repr=False)
 
     # read by the sigma replay of bench/layers.py, which counts the factors
     @property
@@ -136,13 +138,14 @@ def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
     alpha2 = (a * lat.p2 - v2).real
     g = build_elliptic(_extend(d, [(xi0, 1)], [(0j, 1)], lat), lat)
     quotient = _fold_ratio(g, xi0, a, ev)
-    return PhaseFunctionSpec(lat, xi0, a, int(m1), int(m2), alpha1, alpha2, g, d, quotient)
+    return PhaseFunctionSpec(lat, xi0, a, int(m1), int(m2), alpha1, alpha2, g, d, quotient, ev)
 
 
 def eval_f(spec: PhaseFunctionSpec, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
     """f(z) in log form, composed as exponent + sigma factor logs.
 
-    Zeros of f (the divisor's zeros + L) return LogValue.zero(); poles return
-    a PoleValue with the local multiplicity.
+    Pass `spec.ev`, the evaluator the spec was built with, as ev.  Zeros of f
+    (the divisor's zeros + L) return LogValue.zero(); poles return a PoleValue
+    with the local multiplicity.
     """
     return eval_elliptic(spec.quotient, ev, z)

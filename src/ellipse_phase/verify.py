@@ -20,7 +20,7 @@ from .divisor import PoleValue
 from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit, TooManyPoleHits
 from .lattice import Lattice, coordinates, reduce_basis, reduce_to_cell, torus_distance
 from .synthesis import PhaseFunctionSpec, eval_f
-from .weierstrass import TAU, SigmaEvaluator, wrap_angle
+from .weierstrass import TAU, wrap_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -251,10 +251,9 @@ def verify_spec(
 ) -> VerificationReport:
     """Full report for a synthesized function: periodicity, winding, divisor sum."""
     lat = spec.lattice
-    ev = SigmaEvaluator(lat)
     if grid is None:
         grid = GridSpec(lat)
-    fval = lambda z: eval_f(spec, ev, z)
+    fval = lambda z: eval_f(spec, spec.ev, z)
 
     res1, mult1 = phase_periodicity(fval, lat.p1, grid)
     res2, mult2 = phase_periodicity(fval, lat.p2, grid)

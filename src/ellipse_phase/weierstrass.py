@@ -23,7 +23,17 @@ reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
 pair for the original basis combines them with the integer coordinates of P1, P2
 from `nearest_lattice_point`.  DirectProduct sums eta_j by `eta_from_sum` when
-`eta` asks for it; `sigma_ratio.v_constant` is v_j = -xi0 * eta_j of either backend.
+`eta` asks for it.
+
+Translation constant: for any xi0 and either period p_j the four-factor ratio
+
+    R_j(z) = [sigma(z) / sigma(z - xi0)] * [sigma(z - xi0 + p_j) / sigma(z + p_j)]
+
+is independent of z and equals exp(v_j) with v_j = -eta_j * xi0.  `v_constant`
+computes it that way for both methods: DirectSum is -xi0 times the eta_j of a
+DirectProduct evaluator over the shells (the paired lattice sum of
+`eta_from_sum`, with an O(1/N^2) truncation tail); ViaEta reuses the
+theta-series quasi-period and is the accurate default.
 
 All values are in log form because |sigma| grows like exp(quadratic) across
 cells.  `_log_sigma(ev, z)` is the one per-factor kernel of both backends: it
@@ -139,6 +149,23 @@ def eta_from_sum(lat: Lattice, j: int, N: int) -> complex:
         u /= d
         total += complex(u.sum())
     return total / pj
+
+
+def _direct_sum_tail(lat: Lattice, pj_abs: float, N: int) -> float:
+    """Tail bound for the paired sum of `eta_from_sum` truncated at shell N.
+
+    Shell k has 8k points with |lam| >= c*k and |lam + p_j| >= c*(k-1) (the
+    shifted point keeps sup-norm >= k-1), each contributing half a paired term,
+    so the tail is at most sum_{k >= N} 4|p_j| / (c^4 k (k-1)^2).  `eta_from_sum`
+    sums the same terms over one point of each {lam, -lam}, 4k per shell, so the
+    set and the bound are unchanged.  With
+    x = N - 1, partial fractions telescope that series to
+    (4|p_j|/c^4) * (psi_1(x) - 1/x), and psi_1(x) < 1/x + 1/(2x^2) + 1/(6x^3)
+    for every x > 0 (DLMF 5.15).
+    """
+    c = _unit_frame_distance(lat)
+    x = N - 1
+    return 4 * pj_abs / c**4 * (1 / (2 * x**2) + 1 / (6 * x**3))
 
 
 class SigmaEvaluator:
@@ -280,3 +307,41 @@ def eta(ev: SigmaEvaluator, j: int) -> complex:
     if ev.backend is Backend.DIRECT_PRODUCT:
         return eta_from_sum(ev.lattice, j, ev.truncation_shells)
     return ev.eta1 if j == 1 else ev.eta2
+
+
+class VMethod(str, enum.Enum):
+    DIRECT_SUM = "direct"
+    VIA_ETA = "eta"
+
+
+@dataclass(frozen=True)
+class RatioConstant:
+    """v_j for one (xi0, j), with the method and its a-priori error bound."""
+
+    v: complex
+    method: VMethod
+    shells_used: int
+    error_bound: float
+
+
+def v_constant(
+    lat: Lattice,
+    xi0: complex,
+    j: int,
+    method: VMethod | str = VMethod.VIA_ETA,
+    shells: int = 200,
+) -> RatioConstant:
+    """Translation constant v_j = -xi0 * eta_j of the evaluator the method names."""
+    xi0 = complex(xi0)
+    if not cmath.isfinite(xi0):
+        raise ValueError(f"xi0 {xi0} is not finite")
+    method = VMethod(method)
+    if method is VMethod.DIRECT_SUM and shells < 2:
+        raise ValueError("truncation_shells must be at least 2 for direct")
+    backend = Backend.DIRECT_PRODUCT if method is VMethod.DIRECT_SUM else Backend.FAST_SERIES
+    v = -xi0 * eta(SigmaEvaluator(lat, backend, shells), j)
+    if method is VMethod.VIA_ETA:
+        return RatioConstant(v, method, 0, 1e-13 * (1.0 + abs(v)))
+    pj = abs(lat.p1 if j == 1 else lat.p2)
+    bound = abs(xi0) * pj**2 * _direct_sum_tail(lat, pj, shells) * 1.2
+    return RatioConstant(v, method, shells, bound)

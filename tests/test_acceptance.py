@@ -31,8 +31,7 @@ from ellipse_phase import (
     v_constant,
     wrap_angle,
 )
-from ellipse_phase.sigma_ratio import VMethod
-from ellipse_phase.weierstrass import LogValue
+from ellipse_phase.weierstrass import LogValue, VMethod
 
 from conftest import log_ratio, log_spread, random_cell_point, random_lattice
 

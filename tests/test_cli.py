@@ -251,6 +251,12 @@ class TestSynthVerifyRoundtrip:
         assert r.stdout == ""
         assert r.stderr.startswith("ValueError: "), r.stderr
 
+    def test_misspelled_divisor_key_exits_1(self):
+        divisor = '{"zero": [[0.1, 0.2]], "pole": [[0.3, 0.1]]}'
+        r = run_cli("synth", "--lattice", LATTICE, "--divisor", divisor)
+        assert (r.returncode, r.stdout) == (1, ""), r.stderr
+        assert r.stderr.startswith("ValueError: divisor key 'zero'"), r.stderr
+
     @pytest.mark.parametrize("grid", ["1001x1000", "100000x100000"])
     def test_grid_above_cap_exits_1(self, spec_m12, grid):
         r = run_cli("verify", "--spec", spec_m12, "--grid", grid, timeout=60)
@@ -440,6 +446,30 @@ class TestLatticeScaleFloor:
         assert json.loads(verify.stdout)["zero_count"] == 2
 
 
+class TestLatticeScaleCeiling:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("vj", "--lattice", _scaled_square(1e78)[0], "--xi0=0.3,0.1", "--j", "1",
+             "--method", "direct", "--shells", "20"),
+            ("eta", "--lattice", _scaled_square(1e155)[0], "--j", "1"),
+            ("synth", "--lattice", _scaled_square(1e155)[0], "--divisor", DIVISOR),
+        ],
+        ids=["vj-direct", "eta", "synth"],
+    )
+    def test_huge_lattice_exits_1(self, args):
+        # past the ceiling c**4 of the tail bound and abs(a)**2 of reduce_basis overflow
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout) == (1, ""), r.stderr
+        assert r.stderr.startswith("DegenerateLattice:"), r.stderr
+
+    def test_direct_vj_bound_finite_at_ceiling(self):
+        r = run_cli("vj", "--lattice", _scaled_square(1e75)[0], "--xi0=0.3,0.1", "--j", "1",
+                    "--method", "direct", "--shells", "20")
+        assert r.returncode == 0, r.stderr
+        assert math.isfinite(json.loads(r.stdout)["error_bound"])
+
+
 def _readme_exit_codes() -> dict[str, int]:
     """The README's error-class exit-code table, as {class name: code}."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -597,6 +627,24 @@ class TestParserReuse:
             code, out, _ = _main(capsys, "--help")
             assert code == 0
             assert "sigma" in out
+
+
+class TestOneEvaluatorPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "--grid", "3x3"), ("plot", "--out", "p.ppm", "--resolution", "8x8")],
+        ids=["verify", "plot"],
+    )
+    def test_reloaded_spec_builds_one(self, monkeypatch, tmp_path, capsys, evaluator_inits, argv):
+        # the evaluator the reload's synthesize builds is the one that evaluates f
+        monkeypatch.chdir(tmp_path)
+        code, spec, err = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)
+        assert code == 0, err
+        (tmp_path / "spec.json").write_text(spec)
+        evaluator_inits.clear()
+        code, _, err = _main(capsys, argv[0], "--spec", "spec.json", *argv[1:])
+        assert code == 0, err
+        assert len(evaluator_inits) == 1
 
 
 LAZY_NUMPY_CHILD = """

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ellipse_phase import make_divisor, make_lattice, synthesize
-from ellipse_phase.jsonio import dumps, spec_from_obj, spec_to_obj
+from ellipse_phase.jsonio import divisor_from_obj, dumps, spec_from_obj, spec_to_obj
 
 from conftest import random_cell_point, random_lattice
 
@@ -68,6 +68,20 @@ def test_reload_builds_one_evaluator(evaluator_inits):
     evaluator_inits.clear()
     spec_from_obj(obj)
     assert len(evaluator_inits) == 1
+
+
+class TestDivisorKeys:
+    def test_missing_key_is_empty(self):
+        lat = make_lattice(1, 1j)
+        assert divisor_from_obj({}, lat) == make_divisor([], [], lat)
+        d = divisor_from_obj({"poles": [[0.3, 0.1]]}, lat)
+        assert d == make_divisor([], [(0.3 + 0.1j, 1)], lat)
+
+    @pytest.mark.parametrize("key", ["zero", "Poles", "mult"])
+    def test_unknown_key_rejected_by_name(self, key):
+        obj = {"zeros": [[0.1, 0.2]], "poles": [[0.3, 0.1]], key: []}
+        with pytest.raises(ValueError, match=f"divisor key '{key}'"):
+            divisor_from_obj(obj, make_lattice(1, 1j))
 
 
 def _edit_xi0(obj):

@@ -50,6 +50,16 @@ class TestMakeLattice:
         with pytest.raises(DegenerateLattice, match="at least"):
             make_lattice(p1, p2)
 
+    @pytest.mark.parametrize("p1, p2", [(1e110, 1e110j), (1, 1.01e75j), (-2e75, 1j)])
+    def test_period_above_ceiling_rejected(self, p1, p2):
+        # the DirectSum tail bound takes the fourth power of a period
+        with pytest.raises(DegenerateLattice, match="at most"):
+            make_lattice(p1, p2)
+
+    def test_period_at_ceiling_accepted(self):
+        lat = make_lattice(1e75, 1e75j)
+        assert reduce_basis(lat) == lat
+
     def test_non_finite_period_rejected(self):
         for p1, p2 in ((math.nan, 1j), (1, complex(0, math.inf)), (complex(math.nan, 0), 1j)):
             with pytest.raises(DegenerateLattice, match="finite"):

@@ -1,12 +1,15 @@
 """The package's public names, and the names the benchmark under bench/ imports.
 
 The benchmark is kept frozen while the library changes, so a name it imports
-from `ellipse_phase` (or a spec attribute it reads) must not disappear.  These
-tests only read bench/; they do not run it.
+from `ellipse_phase` (or a spec attribute it reads) must not disappear, and
+each call it makes must still bind to the callee's signature.  These tests
+only read bench/; they do not run it.
 """
 
 import ast
+import functools
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,12 +32,17 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 BENCH_MODULES = ("workloads.py", "layers.py")
 
 
+def bench_object(dotted: str):
+    """The object a bench name reaches: `eval_f`, or `jsonio.dumps` through a submodule."""
+    head, *attrs = dotted.split(".")
+    obj = getattr(ellipse_phase, head, None) or importlib.import_module(f"ellipse_phase.{head}")
+    return functools.reduce(getattr, attrs, obj)
+
+
 def resolves(name: str) -> bool:
     """True if `from ellipse_phase import name` succeeds (attribute or submodule)."""
-    if hasattr(ellipse_phase, name):
-        return True
     try:
-        importlib.import_module(f"ellipse_phase.{name}")
+        bench_object(name)
     except ModuleNotFoundError:
         return False
     return True
@@ -49,6 +57,38 @@ def imported_names(path: Path) -> list[str]:
     return names
 
 
+def call_sites(path: Path) -> list[tuple[int, str, int, list[str]]]:
+    """(line, callee, positional count, keyword names) of each call into ellipse_phase.
+
+    A call counts when it calls a name imported from `ellipse_phase`, an
+    attribute of such a name (`jsonio.dumps`), or a dict entry keyed by such a
+    name (`lib["eval_f"]`).  Calls that unpack `*args` or `**kwargs` have no
+    fixed shape and are left out.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set(imported_names(path))
+    sites = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Name):
+            callee = fn.id
+        elif isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name):
+            callee = f"{fn.value.id}.{fn.attr}"
+        elif isinstance(fn, ast.Subscript) and isinstance(fn.slice, ast.Constant):
+            callee = str(fn.slice.value)
+        else:
+            continue
+        if callee.split(".")[0] not in names:
+            continue
+        keywords = [k.arg for k in node.keywords]
+        if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+            continue
+        sites.append((node.lineno, callee, len(node.args), keywords))
+    return sites
+
+
 def test_all_names_resolve_once():
     names = ellipse_phase.__all__
     assert len(names) == len(set(names))
@@ -61,6 +101,23 @@ def test_bench_imports_resolve(module):
     names = imported_names(BENCH_DIR / module)
     assert names, f"bench/{module} imports nothing from ellipse_phase"
     assert [n for n in names if not resolves(n)] == []
+
+
+@pytest.mark.parametrize("module", BENCH_MODULES)
+def test_bench_calls_bind(module):
+    # a re-signed function (eval_f without ev, QuadratureSpec without seed) keeps
+    # its name but breaks the benchmark run
+    sites = call_sites(BENCH_DIR / module)
+    assert sites, f"bench/{module} calls nothing from ellipse_phase"
+    unbound = []
+    for line, callee, positional, keywords in sites:
+        try:
+            inspect.signature(bench_object(callee)).bind(
+                *[None] * positional, **dict.fromkeys(keywords)
+            )
+        except TypeError as exc:
+            unbound.append(f"bench/{module}:{line} {callee}: {exc}")
+    assert unbound == []
 
 
 def test_spec_exposes_factor_shifts():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ellipse_phase import SigmaEvaluator, make_lattice, v_constant
-from ellipse_phase.sigma_ratio import VMethod, _direct_sum_tail
+from ellipse_phase.weierstrass import VMethod, _direct_sum_tail
 
 from conftest import log_ratio, random_cell_point, random_lattice
 

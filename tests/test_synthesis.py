@@ -3,6 +3,7 @@ import math
 import pytest
 
 from ellipse_phase import (
+    Backend,
     IllConditioned,
     LogValue,
     PoleValue,
@@ -174,8 +175,9 @@ class TestSynthesize:
     def test_one_evaluator_per_spec(self, square, rng, evaluator_inits):
         # g and f share the evaluator that synthesize builds for the quasi-periods
         d = random_balanced_divisor(rng, square, 3)
-        synthesize(d, 1, -1, square)
+        spec = synthesize(d, 1, -1, square)
         assert len(evaluator_inits) == 1
+        assert spec.ev.lattice is square and spec.ev.backend is Backend.FAST_SERIES
 
     def test_xi0_zero_collapses_ratio(self, square):
         # balanced divisor with equal sums: f = exp(a z) g(z)

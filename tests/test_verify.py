@@ -268,6 +268,12 @@ class TestVerifySpec:
         assert report.samples_used == 100
         assert report_passes(report, sample_spec)
 
+    def test_builds_no_evaluator(self, sample_spec, evaluator_inits):
+        # f is evaluated with the spec's own evaluator, spec.ev
+        evaluator_inits.clear()
+        verify_spec(sample_spec, GridSpec(sample_spec.lattice, 3, 3))
+        assert evaluator_inits == []
+
     @pytest.mark.parametrize("p2", [1j, 1 + 1j], ids=["square", "sheared"])
     def test_report_reads_one_contour_pass(self, p2):
         lat = make_lattice(1, p2)

@@ -16,8 +16,7 @@ from ellipse_phase import (
     wrap_angle,
 )
 from ellipse_phase import weierstrass
-from ellipse_phase.sigma_ratio import VMethod, v_constant
-from ellipse_phase.weierstrass import MAX_SHELLS
+from ellipse_phase.weierstrass import MAX_SHELLS, VMethod, v_constant
 
 from conftest import random_cell_point, random_lattice
 
