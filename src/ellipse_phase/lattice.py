@@ -116,15 +116,17 @@ def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer coordinates (m, n) of one point of every pair {lam, -lam} with shell index <= N.
 
     Shell k holds the points with max(|m|, |n|) = k; of each pair only the one
-    with m > 0, or m == 0 and n > 0, is kept, so shell k contributes 4k points
-    and the list 2N(N+1).  Shells come in increasing k and are sorted by (m, n)
-    within a shell.  The shell set is symmetric under lam -> -lam, so a lattice
-    sum folds the mirror term into its summand.  Cached and shared; treat the
-    returned arrays as read-only.
+    with m > 0, or m == 0 and n > 0, is kept, so shell k contributes 4k points,
+    starting at index 2k(k-1), and the list 2N(N+1).  Shells come in increasing
+    k and are sorted by (m, n) within a shell.  The shell set is symmetric under
+    lam -> -lam, so a lattice sum folds the mirror term into its summand.  The
+    coordinates are stored as float64, exact integers that multiply a complex
+    period without a cast.  Cached and shared; treat the returned arrays as
+    read-only.
     """
     import numpy as np
 
-    m, n = np.meshgrid(np.arange(N + 1), np.arange(-N, N + 1), indexing="ij")
+    m, n = np.meshgrid(np.arange(N + 1.0), np.arange(-N, N + 1.0), indexing="ij")
     m = m.ravel()
     n = n.ravel()
     keep = (m > 0) | (n > 0)
@@ -136,13 +138,19 @@ def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
 def _point_blocks(N: int, a: complex, b: complex, skip: tuple[int, int] | None = None):
     """Yield m*a + n*b over `_shell_arrays(N)`, in blocks of at most SHELL_BLOCK points.
 
-    skip, if given, is the (m, n) of one point to leave out.  Each block is a
-    fresh array the caller may overwrite.
+    skip, if given, is the (m, n) of one point to leave out.  It lies in shell
+    k = max(|m|, |n|), indices [2k(k-1), 2k(k+1)) of the list, so only the
+    blocks that overlap that range are masked.  Each block is a fresh array the
+    caller may overwrite.
     """
     m, n = _shell_arrays(N)
+    lo = hi = 0
+    if skip is not None:
+        k = max(abs(skip[0]), abs(skip[1]))
+        lo, hi = 2 * k * (k - 1), 2 * k * (k + 1)
     for i in range(0, len(m), SHELL_BLOCK):
         mb, nb = m[i : i + SHELL_BLOCK], n[i : i + SHELL_BLOCK]
-        if skip is not None:
+        if i < hi and lo < i + SHELL_BLOCK:
             keep = (mb != skip[0]) | (nb != skip[1])
             mb, nb = mb[keep], nb[keep]
         points = mb * a

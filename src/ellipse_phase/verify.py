@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,7 +19,7 @@ from .divisor import PoleValue
 from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit, TooManyPoleHits
 from .lattice import Lattice, coordinates, reduce_basis, reduce_to_cell, torus_distance
 from .synthesis import PhaseFunctionSpec, eval_f
-from .weierstrass import TAU, wrap_angle
+from .weierstrass import LOG_NORMAL_RANGE, TAU, wrap_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,9 +39,6 @@ OFFSET_RETRIES = 10
 
 #: Most grid points phase_periodicity may sample per period.
 MAX_GRID = 1000 * 1000
-
-#: logs of the smallest and largest normal doubles, the range a multiplier must fit.
-LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,14 @@ builds its points for each sum and serves as the low-accuracy oracle.  The shell
 set is symmetric under lam -> -lam, so each of its lattice sums runs over one
 point of every pair {lam, -lam} with the mirror term folded into the summand:
 log sigma sums log(1 - z^2/lam^2) + z^2/lam^2, the same truncation set as the
-product above.  FastSeries
-is the production path: after Gauss-reducing the basis the nome
-q = exp(i*pi*omega') satisfies |q| <= exp(-pi*sqrt(3)/2), and sigma is assembled
+product above.  It takes one complex log per product of 64 factors 1 - z^2/lam^2
+(the phase is wrapped at the end, so the sum of their logs is exact mod 2*pi*i)
+and sums z^2/lam^2 apart; a block of points with a product outside the normal
+double range, which only |z| far outside the cell reaches, takes one log per
+factor.  The points come from the cached float64 shell coordinates of
+`lattice._shell_arrays`.  FastSeries is the production path: after
+Gauss-reducing the basis the nome q = exp(i*pi*omega') satisfies
+|q| <= exp(-pi*sqrt(3)/2), and sigma is assembled
 from the exponentially convergent odd theta series
 
     theta1(u | tau) = 2 * sum_n (-1)^n q^{(n+1/2)^2} sin((2n+1) u)
@@ -48,6 +53,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import AccuracyNotMet
@@ -68,6 +74,12 @@ _EPS = 2.2e-16
 
 #: largest truncation_shells; each direct sum builds 2N(N+1) lattice points, one per {lam, -lam}.
 MAX_SHELLS = 1000
+
+#: logs of the smallest and largest normal doubles.
+LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+#: factors per complex log in the direct log sigma.
+_PRODUCT = 64
 
 
 def wrap_angle(x: float) -> float:
@@ -242,20 +254,26 @@ def _log_sigma(ev: SigmaEvaluator, z: complex) -> complex | None:
             return None
         import numpy as np
 
+        low, high = LOG_NORMAL_RANGE
         log_sigma = cmath.log(z)
-        for w in _point_blocks(ev.truncation_shells, ev.lattice.p1, ev.lattice.p2):
-            np.divide(z, w, out=w)
-            # the factors of lam and -lam multiply to (1 - w^2) exp(w^2); forming
-            # 1 - w^2 as (1 - w)(1 + w) keeps it accurate next to a lattice point
-            t = 1 - w
-            t *= 1 + w
-            w *= w
-            log_abs = np.hypot(t.real, t.imag)
-            np.log(log_abs, out=log_abs)
-            log_abs += w.real
-            arg = np.arctan2(t.imag, t.real)
-            arg += w.imag
-            log_sigma += complex(log_abs.sum(), arg.sum())
+        blocks = _point_blocks(ev.truncation_shells, ev.lattice.p1, ev.lattice.p2)
+        # a product that over- or underflows is caught below, so numpy need not warn
+        with np.errstate(all="ignore"):
+            for w in blocks:
+                np.divide(z, w, out=w)
+                # the factors of lam and -lam multiply to (1 - w^2) exp(w^2); forming
+                # 1 - w^2 as (1 - w)(1 + w) keeps it accurate next to a lattice point
+                t = 1 - w
+                t *= 1 + w
+                # one log per product of _PRODUCT factors: the phase is wrapped at
+                # the end, so a sum of logs of products is exact mod 2*pi*i
+                k = len(t) - len(t) % _PRODUCT
+                logs = np.log(np.append(t[:k].reshape(_PRODUCT, -1).prod(axis=0), t[k:].prod()))
+                if not ((low < logs.real) & (logs.real < high)).all():
+                    # a product left the normal range: |z| is far outside the cell
+                    logs = np.log(t)
+                w *= w
+                log_sigma += complex(logs.sum()) + complex(w.sum())
     else:
         m, n, lam = nearest_lattice_point(z, red)
         z0 = z - lam
@@ -331,7 +349,10 @@ def v_constant(
     method: VMethod | str = VMethod.VIA_ETA,
     shells: int = 200,
 ) -> RatioConstant:
-    """Translation constant v_j = -xi0 * eta_j of the evaluator the method names."""
+    """Translation constant v_j = -xi0 * eta_j of the evaluator the method names.
+
+    AccuracyNotMet if v_j or its bound leaves the double range (a huge xi0).
+    """
     xi0 = complex(xi0)
     if not cmath.isfinite(xi0):
         raise ValueError(f"xi0 {xi0} is not finite")
@@ -341,7 +362,10 @@ def v_constant(
     backend = Backend.DIRECT_PRODUCT if method is VMethod.DIRECT_SUM else Backend.FAST_SERIES
     v = -xi0 * eta(SigmaEvaluator(lat, backend, shells), j)
     if method is VMethod.VIA_ETA:
-        return RatioConstant(v, method, 0, 1e-13 * (1.0 + abs(v)))
-    pj = abs(lat.p1 if j == 1 else lat.p2)
-    bound = abs(xi0) * pj**2 * _direct_sum_tail(lat, pj, shells) * 1.2
+        shells, bound = 0, 1e-13 * (1.0 + abs(v))
+    else:
+        pj = abs(lat.p1 if j == 1 else lat.p2)
+        bound = abs(xi0) * pj**2 * _direct_sum_tail(lat, pj, shells) * 1.2
+    if not (cmath.isfinite(v) and math.isfinite(bound)):
+        raise AccuracyNotMet(f"v{j} = {v} with error bound {bound:.6g} leaves the double range")
     return RatioConstant(v, method, shells, bound)

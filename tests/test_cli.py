@@ -176,6 +176,16 @@ class TestEtaAndVj:
         assert r.stderr.startswith("ValueError:") and "truncation_shells" in r.stderr
 
     @pytest.mark.parametrize("method", ["eta", "direct"])
+    def test_vj_overflowing_v_is_accuracy_error(self, method):
+        # xi0 is finite, but -xi0 * eta_1 overflows; the direct bound (6.9e303) alone does not
+        r = run_cli(
+            "vj", "--lattice", '{"p1": [1, 0], "p2": [0.3, 1.2]}', "--xi0=1e308,0", "--j=1",
+            "--method", method,
+        )
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("AccuracyNotMet:") and "double range" in r.stderr
+
+    @pytest.mark.parametrize("method", ["eta", "direct"])
     def test_vj_non_finite_xi0_is_validation_error(self, method):
         r = run_cli("vj", "--lattice", LATTICE, "--xi0=nan,0", "--j", "1", "--method", method)
         assert r.returncode == 1

@@ -65,7 +65,7 @@ def test_fast_sigma_calls():
 
 
 def test_direct_oracle_calls():
-    # measured median ~12 ms: sigma, eta and vj --method direct at 200 shells,
+    # measured median ~7 ms: sigma, eta and vj --method direct at 200 shells,
     # each call with its own evaluator as the CLI builds them
     def direct_calls():
         sigma(SigmaEvaluator(LAT, backend="direct", truncation_shells=200), 0.31 + 0.27j)

@@ -16,6 +16,7 @@ from ellipse_phase import (
     wrap_angle,
 )
 from ellipse_phase import weierstrass
+from ellipse_phase.lattice import SHELL_BLOCK, _point_blocks
 from ellipse_phase.weierstrass import MAX_SHELLS, VMethod, v_constant
 
 from conftest import random_cell_point, random_lattice
@@ -254,6 +255,29 @@ class TestDirectReferenceSums:
         assert log_distance(direct, ref) <= 1e-12 * (1 + abs(ref.log_mag))
         bound = ev.a_priori_bound(z) + fast.a_priori_bound(z)
         assert log_distance(direct, sigma(fast, z)) <= bound
+
+    def test_sigma_at_200_shells(self, lat):
+        # 80,400 points: the last block holds 6,672, not a whole number of 64-factor products
+        assert 2 * 200 * 201 % SHELL_BLOCK % weierstrass._PRODUCT
+        ev = SigmaEvaluator(lat, "direct", 200)
+        # next to the origin the lattice sum is a small correction to log z
+        near_origin = [0.02 * abs(lat.p1) * cmath.exp(1j * a) for a in (0.3, 1.7, -2.2)]
+        for z in [0.31 * lat.p1 + 0.27 * lat.p2] + near_origin:
+            ref = LogValue.from_log(reference_log_sigma(lat, z, 200))
+            assert log_distance(sigma(ev, z), ref) <= 1e-12 * (1 + abs(ref.log_mag))
+
+    def test_sigma_where_products_overflow(self):
+        # far outside the cell (|z| ~ 3e4 periods; at |z| = 150 products stay within
+        # e^162) a product of 64 factors 1 - z^2/lam^2 overflows, and its block
+        # takes one log per factor
+        lat, z = make_lattice(1, 1j), 30000.3 + 4000.2j
+        w = z / next(_point_blocks(200, lat.p1, lat.p2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = ((1 - w) * (1 + w)).reshape(weierstrass._PRODUCT, -1).prod(axis=0)
+        assert not np.isfinite(products).all()
+        direct = sigma(SigmaEvaluator(lat, "direct", 200), z)
+        ref = LogValue.from_log(reference_log_sigma(lat, z, 200))
+        assert log_distance(direct, ref) <= 1e-12 * (1 + abs(ref.log_mag))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6])
     def test_eta(self, lat, scale):
