@@ -23,7 +23,6 @@ from .errors import (
     IllConditioned,
     IoFailure,
     PoleOrZeroHit,
-    TooManyPoleHits,
     UnbalancedDivisor,
 )
 from .lattice import (
@@ -88,7 +87,6 @@ __all__ = [
     "RenderSpec",
     "SigmaEvaluator",
     "SigmaQuotient",
-    "TooManyPoleHits",
     "UnbalancedDivisor",
     "VMethod",
     "VerificationReport",

@@ -1,9 +1,9 @@
 """Command-line front end: JSON in/out for every operation plus PPM portraits.
 
 Exit codes: 0 success, 1 validation error, 2 numerical-tolerance failure,
-3 I/O error; each package error class declares its own as `exit_code`.  The
-environment variable ELLIPSE_PHASE_SEED overrides --seed, and an optional
-./ellipse-phase.json supplies flag defaults.
+3 I/O error; each package error class declares its own as `exit_code`.  An
+optional ./ellipse-phase.json supplies flag defaults.  `verify --seed` is
+accepted and ignored: `verify` draws no random numbers.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ import re
 import sys
 
 from . import jsonio
-from .errors import EllipsePhaseError
+from .errors import AccuracyNotMet, EllipsePhaseError
 from .render import Coloring, RenderSpec, render_phase_portrait
 from .synthesis import eval_f, synthesize
-from .verify import GridSpec, QuadratureSpec, report_passes, verify_spec
+from .verify import GridSpec, report_passes, verify_spec
 from .weierstrass import Backend, SigmaEvaluator, eta, sigma, v_constant
 
 CONFIG_PATH = "ellipse-phase.json"
-SEED_ENV = "ELLIPSE_PHASE_SEED"
 
 
 def _fmt(x: float) -> str:
@@ -89,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a synthesized spec numerically")
     p_verify.add_argument("--spec", required=True)
     p_verify.add_argument("--grid", default="10x10")
+    # ignored; kept so that existing calls and config files still parse
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--tol", type=float, default=1e-6)
 
@@ -108,7 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sigma(args) -> int:
     lat = jsonio.lattice_from_obj(_read_json_arg(args.lattice))
     ev = SigmaEvaluator(lat, backend=Backend(args.backend), truncation_shells=args.shells)
-    lv = sigma(ev, _parse_complex(args.z))
+    z = _parse_complex(args.z)
+    lv = sigma(ev, z)
+    # library sigma still returns the truncated product where it has no bound
+    # (tests compare it there on purpose); the CLI prints only bounded values
+    if ev.a_priori_bound(z) == math.inf:
+        raise AccuracyNotMet(
+            f"the direct product has no error bound at |z| = {abs(z):.6g}"
+            f" with {ev.truncation_shells} shells"
+        )
     print(f"log_mag={_fmt(lv.log_mag)} phase={_fmt(lv.phase)}")
     return 0
 
@@ -150,9 +158,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     spec = jsonio.spec_from_obj(_read_json_arg(args.spec))
     nx, ny = _parse_grid(args.grid)
-    grid = GridSpec(spec.lattice, nx, ny, seed=args.seed)
-    quad = QuadratureSpec(seed=args.seed + 1)
-    report = verify_spec(spec, grid=grid, quad=quad)
+    report = verify_spec(spec, grid=GridSpec(spec.lattice, nx, ny))
     print(jsonio.dumps(jsonio.report_to_obj(report)))
     return 0 if report_passes(report, spec, tol=args.tol) else 2  # a tolerance failure
 
@@ -240,13 +246,6 @@ def main(argv=None) -> int:
             args = _parser(tuple(sorted(config.items()))).parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code == 0 else EllipsePhaseError.exit_code
-
-        if SEED_ENV in os.environ and hasattr(args, "seed"):
-            text = os.environ[SEED_ENV]
-            try:
-                args.seed = int(text)
-            except ValueError:
-                raise ValueError(f"{SEED_ENV} must be an integer, got {text!r}") from None
 
         return _COMMANDS[args.command](args)
     except OSError as exc:

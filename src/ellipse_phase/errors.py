@@ -18,7 +18,7 @@ class AccuracyNotMet(EllipsePhaseError):
 
 
 class PoleOrZeroHit(EllipsePhaseError):
-    """A sample point landed on a zero or pole; the caller should resample."""
+    """A sample point landed on a zero or pole."""
 
     exit_code = 2
 
@@ -33,12 +33,6 @@ class AbelViolation(EllipsePhaseError):
 
 class IllConditioned(EllipsePhaseError):
     """The period pair is too close to collinear for a stable solve."""
-
-
-class TooManyPoleHits(EllipsePhaseError):
-    """Grid resampling kept landing on zeros or poles."""
-
-    exit_code = 2
 
 
 class ContourTooClose(EllipsePhaseError):

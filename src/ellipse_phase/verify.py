@@ -9,14 +9,12 @@ stays finite where |f| overflows and never loses 2*pi jumps at the step scale.
 
 from __future__ import annotations
 
-import cmath
 import math
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .divisor import PoleValue
-from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit, TooManyPoleHits
+from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit
 from .lattice import Lattice, coordinates, reduce_basis, reduce_to_cell, torus_distance
 from .synthesis import PhaseFunctionSpec, eval_f
 from .weierstrass import LOG_NORMAL_RANGE, TAU, wrap_angle
@@ -34,16 +32,13 @@ CLEARANCE_FRACTION = 0.01
 #: shortest period, so the difference keeps its accuracy at every lattice scale.
 FD_STEP = 1e-5
 
-#: random contour offsets tried after the requested one.
-OFFSET_RETRIES = 10
-
 #: Most grid points phase_periodicity may sample per period.
 MAX_GRID = 1000 * 1000
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling grid over the fundamental cell, with a deterministic resample RNG."""
+    """Sampling grid over the fundamental cell; `seed` is accepted and ignored."""
 
     lattice: Lattice
     nx: int = 10
@@ -59,7 +54,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Contour quadrature: composite Gauss-Legendre panels along each cell side."""
+    """Gauss-Legendre panels along each cell side; `seed` is accepted and ignored."""
 
     panels_per_side: int = 32
     nodes_per_panel: int = 8
@@ -107,32 +102,39 @@ def _is_marker(value) -> bool:
     return isinstance(value, PoleValue) or value.is_zero() or not math.isfinite(value.log_mag)
 
 
-def phase_periodicity(fval, p: complex, grid: GridSpec) -> tuple[float, complex]:
+def _gap_midpoint(values) -> float:
+    """Midpoint, in [0, 1), of the largest circular gap among `values` mod 1; 1/2 if none."""
+    xs = sorted(v % 1.0 for v in values)
+    if not xs:
+        return 0.5
+    gap, a = max((b - a, a) for a, b in zip(xs, xs[1:] + [xs[0] + 1.0]))
+    return (a + gap / 2) % 1.0
+
+
+def phase_periodicity(fval, p: complex, grid: GridSpec, known_points=()) -> tuple[float, complex]:
     """Spread and mean of log f(z+p) - log f(z) over a cell grid.
 
     The mean is the log multiplier (real for a doubly periodic phase); the
     residual is the largest deviation of an individual difference from the
     mean, measured in the log domain with phase differences wrapped to
-    (-pi, pi].  Grid points hitting zeros/poles are resampled up to 10 times.
+    (-pi, pi].  The grid is (i + a)/nx * p1 + (k + b)/ny * p2, with a and b the
+    largest-gap midpoints of frac(nx*s) and frac(ny*t) over the known points'
+    coordinates (s, t), so no grid point or lattice translate of one lands on a
+    known point; without known points a = b = 1/2, the cell-centred grid.  A
+    grid point that still hits a zero or pole raises PoleOrZeroHit.
     """
     lat = grid.lattice
-    rng = random.Random(grid.seed)
+    coords = [coordinates(w, lat) for w in known_points]
+    a = _gap_midpoint(grid.nx * s for s, _ in coords)
+    b = _gap_midpoint(grid.ny * t for _, t in coords)
     diffs: list[complex] = []
     for i in range(grid.nx):
         for k in range(grid.ny):
-            s = (i + 0.5) / grid.nx
-            t = (k + 0.5) / grid.ny
-            for attempt in range(11):
-                z = s * lat.p1 + t * lat.p2
-                va = fval(z)
-                vb = fval(z + p)
-                if not (_is_marker(va) or _is_marker(vb)):
-                    break
-                s, t = rng.random(), rng.random()
-            else:
-                raise TooManyPoleHits(
-                    "grid keeps hitting zeros/poles; increase resolution"
-                )
+            z = (i + a) / grid.nx * lat.p1 + (k + b) / grid.ny * lat.p2
+            va = fval(z)
+            vb = fval(z + p)
+            if _is_marker(va) or _is_marker(vb):
+                raise PoleOrZeroHit(f"grid point {z} or its translate hit a zero/pole")
             diffs.append(
                 complex(vb.log_mag - va.log_mag, wrap_angle(vb.phase - va.phase))
             )
@@ -159,14 +161,6 @@ def _log_derivative(fval, z: complex, direction: complex, h: float) -> complex:
         raise PoleOrZeroHit("finite-difference stencil hit a zero/pole")
     diff = complex(va.log_mag - vb.log_mag, wrap_angle(va.phase - vb.phase))
     return diff / (2.0 * h * direction)
-
-
-def _offset_candidates(lat: Lattice, offset: complex, quad: QuadratureSpec):
-    yield complex(offset)
-    rng = random.Random(quad.seed)
-    radius = 0.13 * min(abs(lat.p1), abs(lat.p2))
-    for _ in range(OFFSET_RETRIES):
-        yield radius * math.sqrt(rng.random()) * cmath.exp(1j * TAU * rng.random())
 
 
 def _contour_clear(lat: Lattice, offset: complex, known_points, clearance: float) -> bool:
@@ -197,12 +191,17 @@ def count_zeros_poles(
 
     The winding is 0 for a doubly periodic phase.  The offset must clear the
     known zeros/poles geometrically; a stencil that hits one rejects it too.
+    A rejected offset is replaced once, by the one whose coordinates are the
+    largest-gap midpoints of the known points' coordinates, taken in [-1/2, 1/2].
     """
     t, weights = _gauss_nodes(quad)
     clearance = CLEARANCE_FRACTION * min(abs(lat.p1), abs(lat.p2))
     step = FD_STEP * abs(reduce_basis(lat).p1)
     last_error = None
-    for cand in _offset_candidates(lat, offset, quad):
+    coords = [coordinates(w, lat) for w in known_points]
+    s0 = math.remainder(_gap_midpoint(s for s, _ in coords), 1.0)
+    t0 = math.remainder(_gap_midpoint(t for _, t in coords), 1.0)
+    for cand in (complex(offset), s0 * lat.p1 + t0 * lat.p2):
         if not _contour_clear(lat, cand, known_points, clearance):
             continue
         corners = [cand, cand + lat.p1, cand + lat.p1 + lat.p2, cand + lat.p2]
@@ -225,7 +224,7 @@ def count_zeros_poles(
         distance = float(abs(winding - nearest))
         return ContourCount(nearest, winding, distance, complex(moment) / (TAU * 1j), cand)
     raise ContourTooClose(
-        f"none of {OFFSET_RETRIES + 1} offsets cleared the zeros/poles by {clearance:.3g}"
+        f"neither the requested nor the largest-gap offset cleared the zeros/poles by {clearance:.3g}"
         + (f"; last stencil error: {last_error}" if last_error else "")
     )
 
@@ -251,10 +250,9 @@ def verify_spec(
         grid = GridSpec(lat)
     fval = lambda z: eval_f(spec, spec.ev, z)
 
-    res1, mult1 = phase_periodicity(fval, lat.p1, grid)
-    res2, mult2 = phase_periodicity(fval, lat.p2, grid)
-
     known = [p for p, _ in spec.divisor.zeros] + [p for p, _ in spec.divisor.poles]
+    res1, mult1 = phase_periodicity(fval, lat.p1, grid, known)
+    res2, mult2 = phase_periodicity(fval, lat.p2, grid, known)
     count = count_zeros_poles(fval, lat, 0j, quad, known)
 
     zero_count = spec.divisor.zero_count()

@@ -5,8 +5,8 @@ Run from the repository root as
     PYTHONPATH=src python tests/fingerprint.py [N]
 
 with N seeded specs (default 60).  Every command runs in-process through
-`ellipse_phase.cli.main`, in an empty temporary working directory and without
-ELLIPSE_PHASE_SEED, and its exit code, stdout and stderr are hashed:
+`ellipse_phase.cli.main`, in an empty temporary working directory, and its
+exit code, stdout and stderr are hashed:
 
 - `synth` and `verify --grid 6x5` for each spec.  The specs have 1-3 pairs,
   lattices presented by shears (P1, P2 + k*P1) with k in [-2, 2] or by the
@@ -255,7 +255,6 @@ def fingerprint(n_specs: int) -> tuple[str, Counter, float, dict[str, str]]:
 
 def main(argv: list[str]) -> int:
     n_specs = int(argv[1]) if len(argv) > 1 else 60
-    os.environ.pop(cli.SEED_ENV, None)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

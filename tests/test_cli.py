@@ -100,6 +100,14 @@ class TestSigmaCommand:
         assert r.stdout == ""
         assert "not finite" in r.stderr
 
+    @pytest.mark.parametrize("backend", ["fast", "direct"])
+    def test_point_beyond_certified_range_exits_2(self, backend):
+        # the direct product has no truncation bound once c*N < 2|z|, and the
+        # fast backend misses its roundoff target there
+        r = run_cli("sigma", "--lattice", LATTICE, "--z=1e20,0.5", "--backend", backend)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("AccuracyNotMet:"), r.stderr
+
     def test_negative_value_attached_with_equals(self):
         # a value starting with "-" must be attached to its flag with "="
         neg = run_cli("sigma", "--lattice", LATTICE, "--z=-0.3,0.2")
@@ -208,6 +216,14 @@ class TestSynthVerifyRoundtrip:
         assert report["reliable"] is True
         assert report["zero_count"] == report["pole_count"] == 1
         assert report["phase_residual_p1"] <= 1e-8
+
+    def test_zero_at_origin_verifies(self):
+        # offset 0 puts the contour through the zero; the fallback must clear it
+        divisor = '{"zeros": [[0, 0, 1]], "poles": [[0.3, 0.4, 1]]}'
+        synth = run_cli("synth", "--lattice", LATTICE, "--divisor", divisor)
+        r = run_cli("verify", "--spec", synth.stdout)
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert json.loads(r.stdout)["contour_offset"] != [0, 0]
 
     def test_synth_deterministic(self):
         a = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR)
@@ -516,22 +532,18 @@ def _assert_command_raising(exc, code, monkeypatch, tmp_path, capsys):
 
 
 class TestConfigAndSeed:
-    def test_env_seed_overrides(self, tmp_path):
-        synth = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR)
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(synth.stdout)
-        r = run_cli(
-            "verify", "--spec", str(spec_path), "--seed", "3",
-            env={"ELLIPSE_PHASE_SEED": "7"},
-        )
-        assert r.returncode == 0
-
-    def test_env_seed_not_an_integer_names_the_variable(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("ELLIPSE_PHASE_SEED", "abc")
-        code, out, err = _main(capsys, "verify", "--spec", "spec.json")
-        assert (code, out) == (1, "")
-        assert err == "ValueError: ELLIPSE_PHASE_SEED must be an integer, got 'abc'\n"
+    def test_seed_is_ignored(self, tmp_path):
+        # the zero sits on a point of the cell-centred 10x10 grid, so the grid
+        # must move off it, and the same spec must give the same report
+        divisor = '{"zeros": [[0.05, 0.05, 1]], "poles": [[0.55, 0.25, 1]]}'
+        synth = run_cli("synth", "--lattice", LATTICE, "--divisor", divisor)
+        (tmp_path / "spec.json").write_text(synth.stdout)
+        runs = [run_cli("verify", "--spec", "spec.json", f"--seed={seed}", cwd=tmp_path)
+                for seed in (1, 2)]
+        (tmp_path / "ellipse-phase.json").write_text('{"seed": 3}')
+        runs.append(run_cli("verify", "--spec", "spec.json", cwd=tmp_path))
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout
 
     def test_config_file_defaults(self, tmp_path):
         synth = run_cli("synth", "--lattice", LATTICE, "--divisor", DIVISOR)
@@ -689,7 +701,6 @@ def test_scalar_commands_do_not_import_numpy(tmp_path):
     # numpy is most of the import time of a CLI call; only the lattice sums and
     # the Gauss nodes need it
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
-    env.pop("ELLIPSE_PHASE_SEED", None)
     r = subprocess.run(
         [sys.executable, "-c", LAZY_NUMPY_CHILD, LATTICE, DIVISOR],
         capture_output=True, text=True, cwd=tmp_path, env=env,

@@ -8,9 +8,9 @@ from ellipse_phase import (
     ContourTooClose,
     GridSpec,
     LogValue,
+    PoleOrZeroHit,
     QuadratureSpec,
     SigmaEvaluator,
-    TooManyPoleHits,
     build_elliptic,
     coordinates,
     count_zeros_poles,
@@ -27,7 +27,7 @@ from ellipse_phase import (
     wrap_angle,
 )
 
-from ellipse_phase.verify import CLEARANCE_FRACTION, _contour_clear
+from ellipse_phase.verify import CLEARANCE_FRACTION, _contour_clear, _gap_midpoint
 
 from conftest import log_ratio, log_spread, random_cell_point, random_lattice
 
@@ -91,8 +91,28 @@ class TestPhasePeriodicity:
 
     def test_too_many_pole_hits(self, square):
         always_zero = lambda z: LogValue.zero()
-        with pytest.raises(TooManyPoleHits):
+        with pytest.raises(PoleOrZeroHit):
             phase_periodicity(always_zero, 1.0, GridSpec(square, 2, 2))
+
+    def test_grid_avoids_known_points(self, square):
+        # 0.05+0.05i is a point of the cell-centred 10x10 grid
+        zero = 0.05 + 0.05j
+        fval = lambda z: (
+            LogValue.zero() if torus_distance(z, zero, square) < 1e-9 else exp_stub(z)
+        )
+        grid = GridSpec(square, 10, 10)
+        with pytest.raises(PoleOrZeroHit):
+            phase_periodicity(fval, square.p1, grid)
+        residual, mult = phase_periodicity(fval, square.p1, grid, known_points=[zero])
+        assert residual <= 1e-14
+        assert abs(mult - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "values, midpoint",
+        [([], 0.5), ([0.3], 0.8), ([0.3, 0.5], 0.9), ([0.5, 0.7], 0.1), ([1.3, -0.5], 0.9)],
+    )
+    def test_gap_midpoint(self, values, midpoint):
+        assert _gap_midpoint(values) == pytest.approx(midpoint, abs=1e-15)
 
     def test_grid_point_count_capped(self, square):
         GridSpec(square, 1000, 1000)
@@ -137,6 +157,13 @@ class TestCountZerosPoles:
         )
         assert abs(coarse.raw_winding - fine.raw_winding) < 1e-3
 
+    def test_fallback_offset_is_largest_gap(self, square):
+        # offset 0 runs through the zero at the origin; the fallback's lines
+        # s = -0.35 and t = -0.3 halve the gaps between the known coordinates
+        result = count_zeros_poles(const_stub, square, 0j, known_points=[0j, 0.3 + 0.4j])
+        assert abs(result.offset - (-0.35 - 0.3j)) <= 1e-15
+        assert result.zeros_minus_poles == 0
+
     def test_contour_too_close(self, square):
         # known points every 1/100 along the diagonal come within the 1%
         # clearance of every side, whatever the offset
@@ -145,7 +172,9 @@ class TestCountZerosPoles:
             count_zeros_poles(const_stub, square, 0j, known_points=known)
         # the message names the offsets tried and the clearance, and no
         # stencil error, since none was raised
-        assert str(exc.value) == "none of 11 offsets cleared the zeros/poles by 0.01"
+        assert str(exc.value) == (
+            "neither the requested nor the largest-gap offset cleared the zeros/poles by 0.01"
+        )
 
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -176,7 +205,7 @@ class TestContourClearance:
                 base = random_lattice(rng)
                 lat = make_lattice(base.p1, base.p2 + k * base.p1)
                 clearance = CLEARANCE_FRACTION * min(abs(lat.p1), abs(lat.p2))
-                # offsets as _offset_candidates draws them
+                # offsets within 0.13 of the shorter period of the origin
                 radius = 0.13 * min(abs(lat.p1), abs(lat.p2))
                 offset = radius * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
                 s0, t0 = coordinates(offset, lat)
