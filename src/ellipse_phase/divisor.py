@@ -4,7 +4,8 @@ A balanced divisor whose zero and pole sums are lattice-congruent (Abel's
 condition) is realized as g(z) = prod sigma(z - zero) / prod sigma(z - pole),
 made genuinely periodic by shifting one zero by the lattice part of the sum
 defect so the sums match exactly.  Both g and the synthesized f are a
-`SigmaQuotient`, evaluated by the same `eval_elliptic`.
+`SigmaQuotient`, evaluated by the same `eval_elliptic`; `log_derivative` gives
+its exact q'/q from `weierstrass.zeta`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import AbelViolation
+from .errors import AbelViolation, PoleOrZeroHit
 from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
-from .weierstrass import LogValue, SigmaEvaluator, _log_sigma
+from .weierstrass import LogValue, SigmaEvaluator, _log_sigma, zeta
 
 #: Allowed distance of the zero/pole sum defect from the lattice.
 ABEL_TOL = 1e-9
@@ -178,3 +179,22 @@ def eval_elliptic(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue 
     if zero_hits:
         return LogValue.zero()
     return LogValue.from_log(total)
+
+
+def log_derivative(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> complex:
+    """q'/q at z: exponent + sum zeta(z - zero) - sum zeta(z - pole), on a FastSeries ev.
+
+    PoleOrZeroHit where z lies on a zero or pole of q (mod L); a non-finite z is a
+    ValueError, also for a quotient without sigma factors.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
+    total = q.exponent
+    for sign, points in ((1, q.zeros), (-1, q.poles)):
+        for w in points:
+            value = zeta(ev, z - w)
+            if value is None:
+                raise PoleOrZeroHit(f"{z} lies on a zero or pole")
+            total += sign * value
+    return total

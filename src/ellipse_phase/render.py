@@ -10,7 +10,6 @@ channel = round(255 * component).
 from __future__ import annotations
 
 import cmath
-import colorsys
 import enum
 import math
 from dataclasses import dataclass
@@ -61,8 +60,26 @@ def _pixel_rgb(value, coloring: Coloring) -> tuple[int, int, int]:
     v = 1.0
     if coloring is Coloring.PHASE_HUE_MODULUS and math.isfinite(value.log_mag):
         v = 0.7 + 0.3 * (value.log_mag - math.floor(value.log_mag))
-    r, g, b = colorsys.hsv_to_rgb(hue % 1.0, 1.0, v)
-    return (int(255 * r + 0.5), int(255 * g + 0.5), int(255 * b + 0.5))
+    # colorsys.hsv_to_rgb(hue % 1.0, 1.0, v) with the same operations at s = 1,
+    # where its p = v*(1 - s) is 0
+    h6 = hue % 1.0 * 6.0
+    i = int(h6)
+    f = h6 - i
+    q = int(255 * (v * (1.0 - f)) + 0.5)
+    t = int(255 * (v * (1.0 - (1.0 - f))) + 0.5)
+    v = int(255 * v + 0.5)
+    i %= 6
+    if i == 0:
+        return (v, t, 0)
+    if i == 1:
+        return (q, v, 0)
+    if i == 2:
+        return (0, v, t)
+    if i == 3:
+        return (0, q, v)
+    if i == 4:
+        return (t, 0, v)
+    return (v, 0, q)
 
 
 def render_pixels(fval, spec: RenderSpec) -> bytes:

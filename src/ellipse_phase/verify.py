@@ -1,10 +1,13 @@
 """Numerical verification: phase periodicity, winding counts, and divisor sums.
 
-The checks only need a black-box evaluator returning LogValue (or PoleValue at
-poles).  Contour work integrates f'/f and z*f'/f over the boundary of an
-offset fundamental cell with composite Gauss-Legendre panels; f'/f comes from
-central differences of log f with phase increments wrapped to (-pi, pi], which
-stays finite where |f| overflows and never loses 2*pi jumps at the step scale.
+The periodicity check only needs a black-box evaluator returning LogValue (or
+PoleValue at poles).  Contour work integrates f'/f and z*f'/f over the
+boundary of an offset fundamental cell with composite Gauss-Legendre panels.
+`verify_spec` integrates the exact f'/f = A + sum zeta(z - n_k) - sum
+zeta(z - d_k) of the spec's evaluation form, one evaluation per node.  Only a
+black-box fval, as `count_zeros_poles` takes, gets f'/f from central
+differences of log f, with phase increments wrapped to (-pi, pi], which stays
+finite where |f| overflows and never loses 2*pi jumps at the step scale.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .divisor import PoleValue
+from .divisor import PoleValue, log_derivative
 from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit
 from .lattice import Lattice, coordinates, reduce_basis, reduce_to_cell, torus_distance
 from .synthesis import PhaseFunctionSpec, eval_f
@@ -28,8 +31,8 @@ if TYPE_CHECKING:
 #: much larger than the clearance, which elongated cells break at 32 panels.
 CLEARANCE_FRACTION = 0.01
 
-#: central-difference step for f'/f along a contour side, as a fraction of the
-#: shortest period, so the difference keeps its accuracy at every lattice scale.
+#: central-difference step for a black box's f'/f along a contour side, as a fraction
+#: of the shortest period, so the difference keeps its accuracy at every lattice scale.
 FD_STEP = 1e-5
 
 #: Most grid points phase_periodicity may sample per period.
@@ -180,23 +183,17 @@ def _contour_clear(lat: Lattice, offset: complex, known_points, clearance: float
     return True
 
 
-def count_zeros_poles(
-    fval,
-    lat: Lattice,
-    offset: complex,
-    quad: QuadratureSpec = QuadratureSpec(),
-    known_points=(),
-) -> ContourCount:
-    """One argument-principle pass over d(F + offset): winding and moment of f'/f.
+def _contour_pass(dlog, lat: Lattice, offset: complex, quad: QuadratureSpec, known_points) -> ContourCount:
+    """One argument-principle pass over d(F + offset) with f'/f = dlog(z, direction).
 
-    The winding is 0 for a doubly periodic phase.  The offset must clear the
-    known zeros/poles geometrically; a stencil that hits one rejects it too.
-    A rejected offset is replaced once, by the one whose coordinates are the
-    largest-gap midpoints of the known points' coordinates, taken in [-1/2, 1/2].
+    direction is the unit tangent of the side through z.  The offset must clear
+    the known zeros/poles geometrically; an integrand that hits one
+    (PoleOrZeroHit) rejects it too.  A rejected offset is replaced once, by the
+    one whose coordinates are the largest-gap midpoints of the known points'
+    coordinates, taken in [-1/2, 1/2].
     """
     t, weights = _gauss_nodes(quad)
     clearance = CLEARANCE_FRACTION * min(abs(lat.p1), abs(lat.p2))
-    step = FD_STEP * abs(reduce_basis(lat).p1)
     last_error = None
     coords = [coordinates(w, lat) for w in known_points]
     s0 = math.remainder(_gap_midpoint(s for s, _ in coords), 1.0)
@@ -213,7 +210,7 @@ def count_zeros_poles(
                 direction = edge / abs(edge)
                 for tk, wk in zip(t, weights):
                     z = corner + tk * edge
-                    psi = _log_derivative(fval, z, direction, step)
+                    psi = dlog(z, direction)
                     winding += wk * psi * edge
                     moment += wk * z * psi * edge
         except PoleOrZeroHit as exc:
@@ -225,8 +222,25 @@ def count_zeros_poles(
         return ContourCount(nearest, winding, distance, complex(moment) / (TAU * 1j), cand)
     raise ContourTooClose(
         f"neither the requested nor the largest-gap offset cleared the zeros/poles by {clearance:.3g}"
-        + (f"; last stencil error: {last_error}" if last_error else "")
+        + (f"; last integrand error: {last_error}" if last_error else "")
     )
+
+
+def count_zeros_poles(
+    fval,
+    lat: Lattice,
+    offset: complex,
+    quad: QuadratureSpec = QuadratureSpec(),
+    known_points=(),
+) -> ContourCount:
+    """`_contour_pass` for a black-box fval: winding and moment of f'/f.
+
+    f'/f comes from central differences of log f, two evaluations per node.
+    The winding is 0 for a doubly periodic phase.
+    """
+    step = FD_STEP * abs(reduce_basis(lat).p1)
+    dlog = lambda z, direction: _log_derivative(fval, z, direction, step)
+    return _contour_pass(dlog, lat, offset, quad, known_points)
 
 
 def _multiplier(j: int, alpha: float) -> float:
@@ -244,7 +258,10 @@ def verify_spec(
     grid: GridSpec | None = None,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> VerificationReport:
-    """Full report for a synthesized function: periodicity, winding, divisor sum."""
+    """Full report for a synthesized function: periodicity, winding, divisor sum.
+
+    The contour integrates the exact f'/f of `spec.quotient`.
+    """
     lat = spec.lattice
     if grid is None:
         grid = GridSpec(lat)
@@ -253,7 +270,8 @@ def verify_spec(
     known = [p for p, _ in spec.divisor.zeros] + [p for p, _ in spec.divisor.poles]
     res1, mult1 = phase_periodicity(fval, lat.p1, grid, known)
     res2, mult2 = phase_periodicity(fval, lat.p2, grid, known)
-    count = count_zeros_poles(fval, lat, 0j, quad, known)
+    dlog = lambda z, _: log_derivative(spec.quotient, spec.ev, z)
+    count = _contour_pass(dlog, lat, 0j, quad, known)
 
     zero_count = spec.divisor.zero_count()
     return VerificationReport(

@@ -23,6 +23,20 @@ from the exponentially convergent odd theta series
 
 via  sigma(z) = (P1/pi) * exp(eta1' z^2 / (2 P1)) * theta1(pi z / P1) / theta1'(0).
 
+The range reduction works in v = pi*z/P1: z = z0 + m*P1 + n*P2 with the
+rounding of `nearest_lattice_point`, v0 = pi*z0/P1 (z0 is formed in the
+z-plane, so it is exact next to a period), and the theta1 quasi-period
+theta1(v0 + pi*m + pi*n*omega') = (-1)^(m+n) q^(-n^2) exp(-2i*n*v0) theta1(v0)
+gives
+
+    log sigma(z) = log(P1/pi) - log theta1'(0) + eta1' z^2/(2 P1) + log theta1(v0)
+                   + i*pi*(m+n) - i*pi*n^2*omega' - 2i*n*v0,
+    zeta(z)      = eta1' z/P1 + (pi/P1) * (theta1'(v0)/theta1(v0) - 2i*n)
+
+(DLMF 20.2, 23.6).  The series is summed as theta1(v) = 2 sin(v) S(cos 2v),
+S a polynomial of degree 4 at most on a reduced basis, by Horner; the factor
+sin(v) keeps theta1 accurate next to 0, and `zeta` sums S and S' in one pass.
+
 Quasi-periods: sigma(z + p_j) = -sigma(z) * exp(eta_j (z + p_j/2)).  For the
 reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
@@ -45,13 +59,15 @@ cells.  `_log_sigma(ev, z)` is the one per-factor kernel of both backends: it
 returns log sigma(z) as a complex number with its phase wrapped, or None on
 the lattice.  `sigma` wraps it in a LogValue, and `divisor.eval_elliptic` (so
 `eval_f`) adds and subtracts its values and builds a LogValue, if any, only at
-its return.
+its return.  `zeta(ev, z)` (FastSeries only) shares its range reduction,
+`_theta_cell`, and `divisor.log_derivative` sums it into the exact f'/f.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -138,6 +154,23 @@ def _theta_coefficients(q: complex, im_omega: float) -> list[complex]:
     return coeffs
 
 
+def _cosine_polynomial(coeffs: list[complex]) -> list[complex]:
+    """Coefficients of S(c), highest degree first, with theta1(v) = 2 sin(v) S(cos 2v).
+
+    sin((2k+1)v) / sin(v) = 1 + 2 sum_{j=1..k} cos(2jv), so S = C_0 + 2 sum_j C_j T_j(c)
+    with the tails C_j = sum_{k >= j} c_k and the Chebyshev polynomials T_j.
+    """
+    tails = list(itertools.accumulate(reversed(coeffs)))[::-1]
+    cheb = [[1], [0, 1]]
+    while len(cheb) < len(tails):
+        cheb.append([2 * a - b for a, b in zip([0, *cheb[-1]], [*cheb[-2], 0, 0])])
+    poly = [0j] * len(tails)
+    for j, C in enumerate(tails):
+        for i, t in enumerate(cheb[j]):
+            poly[i] += (2 if j else 1) * C * t
+    return poly[::-1]
+
+
 def eta_from_sum(lat: Lattice, j: int, N: int) -> complex:
     """eta_j = 3/p_j - p_j^2 * sum 1/(lam (lam+p_j)^2) over the shells up to N, lam != 0, -p_j.
 
@@ -211,17 +244,17 @@ class SigmaEvaluator:
                 )
             q = cmath.exp(1j * math.pi * red.omega)
             coeffs = _theta_coefficients(q, red.omega.imag)
-            # (c_k, log|c_k|, 2k+1) for the theta1 series of _log_sigma
-            self._terms = tuple(
-                (c, math.log(abs(c)), 2 * k + 1) for k, c in enumerate(coeffs)
-            )
             t1p = 2 * sum(c * (2 * k + 1) for k, c in enumerate(coeffs))
             t1ppp = -2 * sum(c * (2 * k + 1) ** 3 for k, c in enumerate(coeffs))
-            self._log_t1p = cmath.log(t1p)
-            self._log_prefactor = cmath.log(red.p1 / math.pi)
             eta1_red = -(math.pi**2) * t1ppp / (3 * red.p1 * t1p)
             eta2_red = (eta1_red * red.p2 - TAU * 1j) / red.p1
-            self._eta_reduced = (eta1_red, eta2_red)
+            # theta1(v) = 2 sin(v) S(cos 2v), S a polynomial of degree K-1; see _cosine_polynomial
+            top, *rest = _cosine_polynomial(coeffs)
+            self._cos_poly = top, tuple(rest)
+            self._log_const = cmath.log(red.p1 / math.pi) - cmath.log(t1p)
+            self._quad = eta1_red / (2 * red.p1)
+            self._pi_p1 = math.pi / red.p1
+            self._pi_omega = math.pi * red.omega
             # [p1; p2] = det * [[d, -b], [-c, a]] [P1; P2] with integer entries
             (a, b, _), (c, d, _) = (nearest_lattice_point(P, lattice) for P in (red.p1, red.p2))
             det = a * d - b * c
@@ -243,13 +276,31 @@ class SigmaEvaluator:
         return (16.0 / 3.0) * abs(z) ** 3 / (c**3 * N)
 
 
+def _theta_cell(ev: SigmaEvaluator, z: complex) -> tuple[int, int, complex, complex] | None:
+    """(m, n, v0, sin v0) with z = z0 + m*P1 + n*P2 and v0 = pi*z0/P1, or None on the lattice.
+
+    The range reduction of `_log_sigma` and `zeta` on the FastSeries backend,
+    by `nearest_lattice_point` on the reduced basis: v = pi*z/P1 = v0 +
+    pi*(m + n*omega) with the coordinates of v0 in [-1/2, 1/2).  z0 = z - lam
+    is formed in the z-plane, where it is exact next to a period; rounding v
+    before subtracting pi*(m + n*omega) loses eps*|v|/|v0| of log sigma there.
+    """
+    red = ev._reduced
+    m, n, lam = nearest_lattice_point(z, red)
+    z0 = z - lam
+    # z0 sits in the centered cell, so the only lattice point in range is 0
+    if abs(z0) <= SNAP_TOL:
+        return None
+    v0 = math.pi * z0 / red.p1
+    return m, n, v0, cmath.sin(v0)
+
+
 def _log_sigma(ev: SigmaEvaluator, z: complex) -> complex | None:
     """log sigma(z) with its phase wrapped onto (-pi, pi], or None on the lattice.
 
     The one per-factor kernel of both backends; z must be a complex number.
     """
-    red = ev._reduced
-    if red is None:
+    if ev._reduced is None:
         if torus_distance(z, 0j, ev.lattice) <= SNAP_TOL:
             return None
         import numpy as np
@@ -274,40 +325,38 @@ def _log_sigma(ev: SigmaEvaluator, z: complex) -> complex | None:
                     logs = np.log(t)
                 w *= w
                 log_sigma += complex(logs.sum()) + complex(w.sum())
-    else:
-        m, n, lam = nearest_lattice_point(z, red)
-        z0 = z - lam
-        # z0 sits in the centered cell, so the only lattice point in range is 0
-        if abs(z0) <= SNAP_TOL:
-            return None
+        return complex(log_sigma.real, wrap_angle(log_sigma.imag))
 
-        e1, e2 = ev._eta_reduced
-        u = math.pi * z0 / red.p1
-        # theta1(u) = 2 * sum c_k sin((2k+1) u), skipping negligible terms
-        aiu = abs(u.imag)
-        cutoff = ev._terms[0][1] + aiu - 50.0
-        total = 0j
-        for c, log_c, odd in ev._terms:
-            if log_c + odd * aiu < cutoff:
-                break
-            total += c * cmath.sin(odd * u)
-        quad = e1 * z0 * z0 / (2 * red.p1)
-        log_sigma = ev._log_prefactor + cmath.log(2 * total) - ev._log_t1p + quad
-        amplitude = abs(quad) + aiu
-        if m or n:
-            eta_lam = m * e1 + n * e2
-            corr = eta_lam * (z0 + lam / 2)
-            log_sigma += corr
-            amplitude += abs(corr)
-            if (m % 2) or (n % 2):
-                log_sigma += 1j * math.pi
+    cell = _theta_cell(ev, z)
+    if cell is None:
+        return None
+    m, n, v0, sin_v = cell
+    # theta1(v0) = 2 sin(v0) S(cos 2v0), summed by Horner
+    c = 1 - 2 * sin_v * sin_v
+    s, rest = ev._cos_poly
+    for a in rest:
+        s = s * c + a
+    quad = ev._quad * z * z
+    log_sigma = ev._log_const + quad + cmath.log(2 * sin_v * s)
+    # theta1(v0 + pi*m + pi*n*omega) = (-1)^(m+n) q^(-n^2) exp(-2i*n*v0) theta1(v0)
+    amplitude = abs(quad) + abs(v0.imag)
+    if n:
+        corr = n * (n * ev._pi_omega + 2 * v0)
+        log_sigma -= 1j * corr
+        amplitude += abs(corr)
+    if (m + n) % 2:
+        log_sigma += 1j * math.pi
 
-        certified = _EPS * (10.0 + amplitude)
-        if certified > ev.target_rel_error:
-            raise AccuracyNotMet(
-                f"roundoff estimate {certified:.3e} exceeds target {ev.target_rel_error:.3e}"
-            )
-    return complex(log_sigma.real, wrap_angle(log_sigma.imag))
+    certified = _EPS * (10.0 + amplitude)
+    if certified > ev.target_rel_error:
+        raise AccuracyNotMet(
+            f"roundoff estimate {certified:.3e} exceeds target {ev.target_rel_error:.3e}"
+        )
+    # wrap_angle, inlined: this runs once per sigma factor of every pixel
+    phase = math.remainder(log_sigma.imag, TAU)
+    if phase <= -math.pi:
+        phase += TAU
+    return complex(log_sigma.real, phase)
 
 
 def sigma(ev: SigmaEvaluator, z: complex) -> LogValue:
@@ -316,6 +365,31 @@ def sigma(ev: SigmaEvaluator, z: complex) -> LogValue:
     if log_sigma is None:
         return LogValue.zero()
     return LogValue(log_sigma.real, log_sigma.imag)
+
+
+def zeta(ev: SigmaEvaluator, z: complex) -> complex | None:
+    """Weierstrass zeta(z) = sigma'(z)/sigma(z) on the FastSeries backend, or None on the lattice.
+
+    zeta(z) = eta1' z/P1 + (pi/P1) (theta1'(v0)/theta1(v0) - 2i*n) with v0 and n
+    from `_theta_cell`; theta1'/theta1 = cot(v0) - 4 sin(v0) cos(v0) S'(c)/S(c) at
+    c = cos 2v0, with S and S' summed in one Horner pass (DLMF 20.2.9, 23.6).
+    """
+    if ev._reduced is None:
+        raise ValueError("zeta needs the FastSeries backend")
+    z = complex(z)
+    cell = _theta_cell(ev, z)
+    if cell is None:
+        return None
+    _, n, v0, sin_v = cell
+    cos_v = cmath.cos(v0)
+    c = 1 - 2 * sin_v * sin_v
+    s, rest = ev._cos_poly
+    ds = 0j
+    for a in rest:
+        ds = ds * c + s
+        s = s * c + a
+    ratio = cos_v / sin_v - 4 * sin_v * cos_v * ds / s
+    return 2 * ev._quad * z + ev._pi_p1 * (ratio - 2j * n)
 
 
 def eta(ev: SigmaEvaluator, j: int) -> complex:

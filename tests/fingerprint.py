@@ -32,7 +32,9 @@ each family's bytes, so a moved hash names what moved.  The families in
 `PARTS_ONLY` go into `parts` and not into the sha256, so the sha256 recorded
 before they were added stays comparable.  The `divisor` family hashes `synth`,
 the reloaded quotient and g of one more divisor per spec, drawn from its own
-seeded generator (see `divisor_case`).  `verify_worst_miss` is the largest
+seeded generator (see `divisor_case`).  The `zeta` family hashes the exact
+`repr` of the fast `zeta` and of the spec's exact f'/f (`log_derivative`) at
+the same 6 points per spec.  `verify_worst_miss` is the largest
 torus distance from `xi0_recovered` to the spec's `xi0` over the `verify` runs
 that exit 0, so a change in accuracy shows even where no exit code flips; it
 is in neither the sha256 nor `parts`.  Output is one line:
@@ -68,6 +70,8 @@ from ellipse_phase import (
     sigma,
     torus_distance,
 )
+from ellipse_phase.divisor import log_derivative
+from ellipse_phase.weierstrass import zeta
 
 #: Direct-backend shells: enough to exercise the sums, cheap enough for Tier-1.
 DIRECT_SHELLS = 20
@@ -80,10 +84,10 @@ TORUS_TOLS = (1e-12, 1e-9, 1e-6)
 
 #: Hash families, in output order: CLI commands by name, and `values` for the
 #: exact library values (quotient, eta, eval_f, sigma, bounds, torus distances).
-FAMILIES = ("eta", "synth", "verify", "values", "plot", "sigma", "vj", "divisor")
+FAMILIES = ("eta", "synth", "verify", "values", "plot", "sigma", "vj", "divisor", "zeta")
 
 #: Families hashed into `parts` only, not into the overall sha256.
-PARTS_ONLY = ("divisor",)
+PARTS_ONLY = ("divisor", "zeta")
 
 #: Divisor with xi0 = 0 on the real axis, synthesized on the small-entry lattices.
 AXIS_DIVISOR = json.dumps({"zeros": [[0.25, 0, 1], [0.75, 0, 1]], "poles": [[0.5, 0, 2]]})
@@ -231,6 +235,7 @@ def fingerprint(n_specs: int) -> tuple[str, Counter, float, dict[str, str]]:
             z = rng.uniform(-1.5, 2.5) * P1 + rng.uniform(-1.5, 2.5) * P2
             bounds = ev.a_priori_bound(z), direct.a_priori_bound(z)
             feed("values", eval_f(spec, ev, z), sigma(ev, z), *bounds)
+            feed("zeta", zeta(ev, z), log_derivative(spec.quotient, ev, z))
         if i % 10 == 0:
             plot = run_cli(["plot", "--spec", synth[1], "--out", "f.ppm", "--resolution", "16x16"])
             with open("f.ppm", "rb") as fh:

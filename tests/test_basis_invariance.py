@@ -1,4 +1,4 @@
-"""Basis invariance of sigma, eta and xi0, and a 30-digit theta oracle for sigma and eta.
+"""Basis invariance of sigma, eta and xi0, and a 30-digit theta oracle for sigma, eta and zeta.
 
 sigma, the quasi-period of a lattice vector and the divisor class depend only
 on the lattice, so every basis of one lattice must give the same values up to
@@ -12,6 +12,7 @@ presented cell, which is long and thin for a large |k|, and misses the divisor
 sum there whatever sigma does.
 """
 
+import cmath
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from ellipse_phase import (
     eta,
     make_divisor,
     make_lattice,
+    reduce_basis,
     sigma,
     synthesize,
     torus_distance,
@@ -33,6 +35,8 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import random_cell_point, random_lattice  # noqa: E402
+
+from ellipse_phase.weierstrass import _theta_cell, zeta  # noqa: E402
 
 #: (basis matrix M, k): the presented basis is (p1, p2) = M (P1, P2).
 PRESENTATIONS = (
@@ -89,11 +93,12 @@ def test_xi0_agrees_mod_lattice(rng, presentation):
     assert torus_distance(xi0_other, xi0, lat) <= 1e-12 * (1 + abs(k)) * (1 + abs(xi0))
 
 
-def theta_oracle(p1: complex, p2: complex, points) -> tuple[complex, list[complex]]:
-    """eta_1 and log sigma at the points from mpmath's theta_1, at 30 digits.
+def theta_oracle(p1: complex, p2: complex, points) -> tuple[complex, list[complex], list[complex]]:
+    """eta_1, and log sigma and zeta at the points, from mpmath's theta_1 at 30 digits.
 
-    sigma(z) = (p1/pi) exp(eta1 z^2 / (2 p1)) theta1(pi z / p1) / theta1'(0) and
-    eta1 = -pi^2 theta1'''(0) / (3 p1 theta1'(0)), with nome q = exp(i pi p2/p1);
+    sigma(z) = (p1/pi) exp(eta1 z^2 / (2 p1)) theta1(pi z / p1) / theta1'(0), its
+    log-derivative zeta(z) = eta1 z / p1 + (pi/p1) theta1'(pi z / p1) / theta1(pi z / p1)
+    and eta1 = -pi^2 theta1'''(0) / (3 p1 theta1'(0)), with nome q = exp(i pi p2/p1);
     p2 is negated if need be so that Im(p2/p1) > 0, which keeps the lattice.
     """
     with mpmath.workdps(30):
@@ -103,12 +108,14 @@ def theta_oracle(p1: complex, p2: complex, points) -> tuple[complex, list[comple
         q = mpmath.exp(1j * mpmath.pi * P2 / P1)
         t1p = mpmath.jtheta(1, 0, q, 1)
         eta1 = -(mpmath.pi**2) * mpmath.jtheta(1, 0, q, 3) / (3 * P1 * t1p)
-        logs = []
+        logs, zetas = [], []
         for z in points:
             Z = mpmath.mpc(z)
-            theta = mpmath.jtheta(1, mpmath.pi * Z / P1, q)
+            u = mpmath.pi * Z / P1
+            theta = mpmath.jtheta(1, u, q)
             logs.append(complex(mpmath.log(P1 / mpmath.pi * theta / t1p) + eta1 * Z**2 / (2 * P1)))
-        return complex(eta1), logs
+            zetas.append(complex(eta1 * Z / P1 + mpmath.pi / P1 * mpmath.jtheta(1, u, q, 1) / theta))
+        return complex(eta1), logs, zetas
 
 
 def test_theta_oracle_matches_sigma_and_eta():
@@ -119,9 +126,55 @@ def test_theta_oracle_matches_sigma_and_eta():
         for p1, p2 in ((P1, P2), (P1, P2 + 2 * P1), (P2, -P1)):
             ev = SigmaEvaluator(make_lattice(p1, p2))
             points = [rng.uniform(-1.5, 1.5) * P1 + rng.uniform(-1.5, 1.5) * P2 for _ in range(2)]
-            eta1, logs = theta_oracle(p1, p2, points)
+            eta1, logs, _ = theta_oracle(p1, p2, points)
             assert abs(eta(ev, 1) - eta1) <= 1e-13 * (1 + abs(eta1))
             for z, want in zip(points, logs):
                 got = sigma(ev, z)
                 diff = complex(got.log_mag - want.real, wrap_angle(got.phase - want.imag))
                 assert abs(diff) <= 1e-13 * (1 + abs(want))
+
+
+def test_theta_oracle_matches_zeta():
+    # the conftest lattices presented as sheared and swapped, at points 1-3
+    # periods out in each direction, so the reduction of v = pi*z/P1 takes odd
+    # and even m and n (collected in `parities`).  zeta' = -wp is large next to
+    # a lattice point, so the rounding of the reduced argument, ~eps*|z|,
+    # allows more than eps*|zeta|
+    rng = random.Random(8)
+    parities = set()
+    for _ in range(40):
+        lat = random_lattice(rng)
+        P1, P2 = lat.p1, lat.p2
+        for p1, p2 in ((P1, P2 + 2 * P1), (P2, -P1)):
+            ev = SigmaEvaluator(make_lattice(p1, p2))
+            points = []
+            for _ in range(3):
+                m, n = (rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(2))
+                points.append(random_cell_point(rng, lat) + m * P1 + n * P2)
+            _, _, zetas = theta_oracle(p1, p2, points)
+            for z, want in zip(points, zetas):
+                assert abs(zeta(ev, z) - want) <= 1e-12 * (1 + abs(want))
+                m, n = _theta_cell(ev, z)[:2]
+                parities.add((m % 2, n % 2))
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_theta_oracle_next_to_a_period():
+    # z = k*P + d for a period P of a reduced basis, k in {-2, -1, 1, 2} and |d|
+    # from 1e-9 to 1e-3 of |P|: the kernel subtracts k*P exactly there, so log
+    # sigma keeps its accuracy.  Rounding pi*z/P1 before subtracting pi*k would
+    # lose eps*|v|/|v0|, ~1e-6 at |d| = 1e-9.
+    rng = random.Random(9)
+    for _ in range(10):
+        red = reduce_basis(random_lattice(rng))
+        ev = SigmaEvaluator(red)
+        points = [
+            rng.choice((-2, -1, 1, 2)) * P + 10.0 ** rng.uniform(-9, -3) * abs(P) * cmath.exp(1j * rng.uniform(0, 7))
+            for P in (red.p1, red.p2)
+            for _ in range(3)
+        ]
+        _, logs, _ = theta_oracle(red.p1, red.p2, points)
+        for z, want in zip(points, logs):
+            got = sigma(ev, z)
+            diff = complex(got.log_mag - want.real, wrap_angle(got.phase - want.imag))
+            assert abs(diff) <= 1e-13 * (1 + abs(want))

@@ -392,6 +392,28 @@ class TestPlot:
         # frac(0.5) = 0.5 dims the value channel to 0.85
         assert render_pixels(half, spec) == bytes((0, 217, 217))
 
+    @pytest.mark.parametrize("coloring", list(Coloring))
+    def test_pixel_colours_match_colorsys(self, coloring):
+        # the inlined HSV-to-RGB must give colorsys.hsv_to_rgb's bytes, also on
+        # and next to the six sector boundaries
+        import colorsys
+        import random
+
+        from ellipse_phase.render import _pixel_rgb
+
+        rng = random.Random(11)
+        phases = [rng.uniform(-math.pi, math.pi) for _ in range(2000)]
+        for k in range(-2, 4):
+            edge = k * math.pi / 3
+            phases += [edge, math.nextafter(edge, -4.0), math.nextafter(edge, 4.0)]
+        for phase in (p for p in phases if -math.pi < p <= math.pi):
+            value = LogValue(rng.uniform(-30.0, 30.0), phase)
+            v = 1.0
+            if coloring is Coloring.PHASE_HUE_MODULUS:
+                v = 0.7 + 0.3 * (value.log_mag - math.floor(value.log_mag))
+            rgb = colorsys.hsv_to_rgb((phase + math.pi) / (2.0 * math.pi) % 1.0, 1.0, v)
+            assert _pixel_rgb(value, coloring) == tuple(int(255 * c + 0.5) for c in rgb)
+
     def test_negative_center_spaced_from_flag(self, tmp_path, spec_m12):
         outputs = []
         for center in (["--center", "-0.5,0.25"], ["--center=-0.5,0.25"]):
@@ -845,7 +867,7 @@ def test_fingerprint_script():
         [sys.executable, str(script), "3"], capture_output=True, text=True, env=env
     )
     assert r.returncode == 0, r.stderr
-    names = ("eta", "synth", "verify", "values", "plot", "sigma", "vj", "divisor")
+    names = ("eta", "synth", "verify", "values", "plot", "sigma", "vj", "divisor", "zeta")
     families = ",".join(f"{family}:[0-9a-f]{{12}}" for family in names)
     pattern = (
         rf"sha256=[0-9a-f]{{64}} specs=3 verify_exits=((\d+:\d+,?)+) "

@@ -2,8 +2,8 @@
 
 sigma, the multipliers and the divisor class are covariant under z -> c*z, so
 `verify_spec` of (c*L, c*D) must pass its gate and recover c times the xi0 it
-recovers at c = 1.  The contour's central-difference step is a fraction of the
-shortest period for this reason.
+recovers at c = 1.  The contour integrates the exact f'/f, a sum of zeta values
+with no step size, so its error stays relative to the scale.
 """
 
 import pytest

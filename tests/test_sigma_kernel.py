@@ -1,10 +1,12 @@
-"""One per-factor sigma kernel behind sigma and eval_f.
+"""One per-factor sigma kernel behind sigma and eval_f, and zeta behind the exact f'/f.
 
 `eval_f` adds and subtracts the kernel's values without building a LogValue
 per factor.  These tests pin that down to the bit: it must equal the same sum
 written with the public `sigma(...).log()`, in the same order, on both
 backends, at points whose range reduction takes odd and even lattice
-coordinates, and at zero and pole hits.
+coordinates, and at zero and pole hits.  `zeta` shares the kernel's range
+reduction; `log_derivative` sums it into the f'/f that `verify_spec`
+integrates.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from ellipse_phase import (
     AccuracyNotMet,
     LogValue,
+    PoleOrZeroHit,
     PoleValue,
     SigmaEvaluator,
     eval_elliptic,
@@ -23,7 +26,10 @@ from ellipse_phase import (
     make_lattice,
     sigma,
     synthesize,
+    wrap_angle,
 )
+from ellipse_phase.divisor import log_derivative
+from ellipse_phase.weierstrass import zeta
 
 from conftest import random_cell_point
 
@@ -102,6 +108,13 @@ def test_non_finite_point_is_value_error(backend, z):
             eval_f(s, ev, z)
         with pytest.raises(ValueError, match="not finite"):
             eval_elliptic(s.g, ev, z)
+        with pytest.raises(ValueError, match="not finite"):
+            log_derivative(s.quotient, ev, z)
+    with pytest.raises(ValueError, match="not finite"):
+        sigma(ev, z)
+    if backend == "fast":
+        with pytest.raises(ValueError, match="not finite"):
+            zeta(ev, z)
 
 
 def test_far_point_misses_accuracy_target():
@@ -109,3 +122,36 @@ def test_far_point_misses_accuracy_target():
     spec = synthesize(make_divisor([(0.3 + 0.4j, 1)], [(0.6 + 0.1j, 1)], lat), 0, 0, lat)
     with pytest.raises(AccuracyNotMet, match="roundoff estimate"):
         eval_f(spec, SigmaEvaluator(lat), 40 + 40j)
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_zeta_is_quasi_periodic_and_odd(basis):
+    # zeta(z + p_j) = zeta(z) + eta_j, zeta(-z) = -zeta(z), and None on the lattice
+    lat = make_lattice(*BASES[basis])
+    ev = SigmaEvaluator(lat)
+    rng = random.Random(basis)
+    for z in outside_points(rng, lat):
+        for p, e in ((lat.p1, ev.eta1), (lat.p2, ev.eta2)):
+            assert abs(zeta(ev, z + p) - zeta(ev, z) - e) <= 1e-12 * (1 + abs(zeta(ev, z)))
+        assert abs(zeta(ev, -z) + zeta(ev, z)) <= 1e-12 * (1 + abs(zeta(ev, z)))
+    assert zeta(ev, 2 * lat.p1 - 3 * lat.p2) is None
+    with pytest.raises(ValueError, match="FastSeries"):
+        zeta(SigmaEvaluator(lat, **BACKENDS["direct-20"]), 0.3 + 0.2j)
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_log_derivative_is_the_derivative_of_eval_f(basis):
+    lat = make_lattice(*BASES[basis])
+    ev = SigmaEvaluator(lat)
+    rng = random.Random(f"dlog-{basis}")
+    h = 1e-5
+    for _ in range(3):
+        spec = seeded_spec(rng, lat)
+        for z in outside_points(rng, lat, count=3):
+            a, b = eval_f(spec, ev, z + h).log(), eval_f(spec, ev, z - h).log()
+            diff = complex(a.real - b.real, wrap_angle(a.imag - b.imag)) / (2 * h)
+            exact = log_derivative(spec.quotient, ev, z)
+            assert abs(exact - diff) <= 1e-6 * (1 + abs(exact))
+        for hit in (spec.quotient.zeros[0] + lat.p1, spec.quotient.poles[0] - lat.p2):
+            with pytest.raises(PoleOrZeroHit):
+                log_derivative(spec.quotient, ev, hit)

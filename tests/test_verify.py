@@ -27,7 +27,9 @@ from ellipse_phase import (
     wrap_angle,
 )
 
-from ellipse_phase.verify import CLEARANCE_FRACTION, _contour_clear, _gap_midpoint
+from ellipse_phase import verify, weierstrass
+from ellipse_phase.divisor import log_derivative
+from ellipse_phase.verify import CLEARANCE_FRACTION, _contour_clear, _contour_pass, _gap_midpoint
 
 from conftest import log_ratio, log_spread, random_cell_point, random_lattice
 
@@ -171,7 +173,7 @@ class TestCountZerosPoles:
         with pytest.raises(ContourTooClose) as exc:
             count_zeros_poles(const_stub, square, 0j, known_points=known)
         # the message names the offsets tried and the clearance, and no
-        # stencil error, since none was raised
+        # integrand error, since none was raised
         assert str(exc.value) == (
             "neither the requested nor the largest-gap offset cleared the zeros/poles by 0.01"
         )
@@ -303,6 +305,33 @@ class TestVerifySpec:
         verify_spec(sample_spec, GridSpec(sample_spec.lattice, 3, 3))
         assert evaluator_inits == []
 
+    @pytest.mark.parametrize("nx, ny, panels, nodes", [(3, 2, 4, 5), (10, 10, 32, 8)])
+    def test_one_kernel_pass_per_node_and_factor(self, monkeypatch, nx, ny, panels, nodes):
+        # the grid takes f at each point and its translate, for both periods;
+        # the contour takes the exact f'/f once per node, one kernel pass per
+        # sigma factor (a central difference took f twice per node)
+        lat = make_lattice(1, 0.3 + 1.1j)
+        d = make_divisor(
+            [(0.2 + 0.3j, 1), (0.6 + 0.1j, 1)], [(0.5 + 0.5j, 1), (0.3 + 0.2j, 1)], lat
+        )
+        spec = synthesize(d, 1, -1, lat)
+        factors = len(spec.quotient.zeros) + len(spec.quotient.poles)
+        calls = {"eval_f": 0, "kernel": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(verify, "eval_f", counted("eval_f", verify.eval_f))
+        monkeypatch.setattr(weierstrass, "_theta_cell", counted("kernel", weierstrass._theta_cell))
+        report = verify_spec(spec, GridSpec(lat, nx, ny), QuadratureSpec(panels, nodes))
+        assert report.contour_offset == 0
+        assert calls["eval_f"] == 4 * nx * ny
+        assert calls["kernel"] == (4 * nx * ny + 4 * panels * nodes) * factors
+
     @pytest.mark.parametrize("p2", [1j, 1 + 1j], ids=["square", "sheared"])
     def test_report_reads_one_contour_pass(self, p2):
         lat = make_lattice(1, p2)
@@ -312,9 +341,11 @@ class TestVerifySpec:
         spec = synthesize(d, 1, 0, lat)
         quad = QuadratureSpec(seed=9)
         report = verify_spec(spec, quad=quad)
+        # the same pass over the exact f'/f of the evaluation form, from a fresh evaluator
         ev = SigmaEvaluator(lat)
         known = [p for p, _ in d.zeros] + [p for p, _ in d.poles]
-        count = count_zeros_poles(lambda z: eval_f(spec, ev, z), lat, 0j, quad, known)
+        dlog = lambda z, _: log_derivative(spec.quotient, ev, z)
+        count = _contour_pass(dlog, lat, 0j, quad, known)
         assert report.contour_offset == count.offset
         assert report.winding_distance == count.integer_distance
         assert report.pole_count == report.zero_count - count.zeros_minus_poles
