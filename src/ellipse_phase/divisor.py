@@ -4,7 +4,8 @@ A balanced divisor whose zero and pole sums are lattice-congruent (Abel's
 condition) is realized as g(z) = prod sigma(z - zero) / prod sigma(z - pole),
 made genuinely periodic by shifting one zero by the lattice part of the sum
 defect so the sums match exactly.  Both g and the synthesized f are a
-`SigmaQuotient`, evaluated by the same `eval_elliptic`; `log_derivative` gives
+`SigmaQuotient`, evaluated by the same `eval_elliptic`, which takes all of its
+sigma factors in one `weierstrass._log_quotient` pass; `log_derivative` gives
 its exact q'/q from `weierstrass.zeta`.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AbelViolation, PoleOrZeroHit
 from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
-from .weierstrass import LogValue, SigmaEvaluator, _log_sigma, zeta
+from .weierstrass import LogValue, SigmaEvaluator, _log_quotient, zeta
 
 #: Allowed distance of the zero/pole sum defect from the lattice.
 ABEL_TOL = 1e-9
@@ -157,28 +158,14 @@ def eval_elliptic(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue 
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"point {z} is not finite")
-    zero_hits = 0
-    pole_hits = 0
-    total = q.exponent * z + q.log_scale
-    for w in q.zeros:
-        log_sigma = _log_sigma(ev, z - w)
-        if log_sigma is None:
-            zero_hits += 1
-        else:
-            total += log_sigma
-    for w in q.poles:
-        log_sigma = _log_sigma(ev, z - w)
-        if log_sigma is None:
-            pole_hits += 1
-        else:
-            total -= log_sigma
+    log_sigma, zero_hits, pole_hits = _log_quotient(ev, z, q.zeros, q.poles)
     if zero_hits and pole_hits:
         raise ArithmeticError("congruent zero/pole factors were not cancelled")
     if pole_hits:
         return PoleValue(pole_hits)
     if zero_hits:
         return LogValue.zero()
-    return LogValue.from_log(total)
+    return LogValue.from_log(q.exponent * z + q.log_scale + log_sigma)
 
 
 def log_derivative(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> complex:

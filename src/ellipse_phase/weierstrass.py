@@ -36,6 +36,8 @@ gives
 (DLMF 20.2, 23.6).  The series is summed as theta1(v) = 2 sin(v) S(cos 2v),
 S a polynomial of degree 4 at most on a reduced basis, by Horner; the factor
 sin(v) keeps theta1 accurate next to 0, and `zeta` sums S and S' in one pass.
+The nome underflows to 0 in double precision once the reduced Im(omega')
+exceeds about 237, and the evaluator refuses such a lattice with AccuracyNotMet.
 
 Quasi-periods: sigma(z + p_j) = -sigma(z) * exp(eta_j (z + p_j/2)).  For the
 reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
@@ -55,12 +57,21 @@ DirectProduct evaluator over the shells (the paired lattice sum of
 theta-series quasi-period and is the accurate default.
 
 All values are in log form because |sigma| grows like exp(quadratic) across
-cells.  `_log_sigma(ev, z)` is the one per-factor kernel of both backends: it
-returns log sigma(z) as a complex number with its phase wrapped, or None on
-the lattice.  `sigma` wraps it in a LogValue, and `divisor.eval_elliptic` (so
-`eval_f`) adds and subtracts its values and builds a LogValue, if any, only at
-its return.  `zeta(ev, z)` (FastSeries only) shares its range reduction,
-`_theta_cell`, and `divisor.log_derivative` sums it into the exact f'/f.
+cells.  `_log_quotient(ev, z, zeros, poles)` is the one sigma kernel of both
+backends: it returns the unwrapped log of prod sigma(z - w) over the zeros
+over prod sigma(z - w) over the poles, with the counts of factors on the
+lattice.  `sigma` is the quotient with the single zero 0, and
+`divisor.eval_elliptic` (so `eval_f`) calls it once per point; each wraps the
+phase once, in `LogValue.from_log`.  DirectProduct adds and subtracts the log
+sigma of each factor.  FastSeries runs one loop over the factors: it repeats
+the rounding of `nearest_lattice_point` inline, multiplies sin(v0) S(cos 2v0)
+into one running product for the zeros and one for the poles, and adds the
+terms in eta1' and n to one sum.  A product takes a complex log only when its
+magnitude leaves `_WINDOW`, chosen so that one more factor keeps it a normal
+double, and once at the end; the constant log(P1/pi) - log(theta1'(0)/2) is
+added once, times the number of zeros less poles.  `zeta(ev, z)` (FastSeries
+only) reduces by `_theta_cell`, which calls `nearest_lattice_point`, and
+`divisor.log_derivative` sums it into the exact f'/f.
 """
 
 from __future__ import annotations
@@ -74,6 +85,7 @@ from dataclasses import dataclass
 
 from .errors import AccuracyNotMet
 from .lattice import (
+    MAX_PERIOD,
     SNAP_TOL,
     Lattice,
     _point_blocks,
@@ -96,6 +108,16 @@ LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 #: factors per complex log in the direct log sigma.
 _PRODUCT = 64
+
+#: A running FastSeries product takes a complex log once its magnitude leaves
+#: this window, so one more factor keeps it a normal double.  A factor
+#: sin(v0) S(cos 2v0) is about q^(1/4) sin(v0) with |Im v0| <= pi*Im(omega)/2:
+#: at most |q|^(-1/4), and off the lattice at least |q|^(1/4) pi*SNAP_TOL/MAX_PERIOD,
+#: where |q| >= the least subnormal (q == 0 is refused); e^2 covers the rest of S.
+_WINDOW = (
+    sys.float_info.min / (5e-324**0.25 * math.pi * SNAP_TOL / MAX_PERIOD / math.e**2),
+    sys.float_info.max / (5e-324**-0.25 * math.e**2),
+)
 
 
 def wrap_angle(x: float) -> float:
@@ -120,7 +142,11 @@ class LogValue:
     @staticmethod
     def from_log(log_w: complex) -> "LogValue":
         """LogValue of exp(log_w) for an unwrapped complex logarithm."""
-        return LogValue(log_w.real, wrap_angle(log_w.imag))
+        # wrap_angle, inlined: this runs once per sigma and eval_f call
+        phase = math.remainder(log_w.imag, TAU)
+        if phase <= -math.pi:
+            phase += TAU
+        return LogValue(log_w.real, phase)
 
     @staticmethod
     def zero() -> "LogValue":
@@ -234,15 +260,14 @@ class SigmaEvaluator:
         if not 1 <= self.truncation_shells <= MAX_SHELLS:
             raise ValueError(f"truncation_shells must be in [1, {MAX_SHELLS}]")
 
-        # the reduced basis; None marks DirectProduct, which is what _log_sigma tests
+        # the reduced basis; None marks DirectProduct, which is what _log_quotient tests
         self._reduced = None
         if self.backend is Backend.FAST_SERIES:
             self._reduced = red = reduce_basis(lattice)
-            if math.pi * red.omega.imag / 2 > 650.0:
-                raise AccuracyNotMet(
-                    "reduced aspect ratio too extreme for the theta backend"
-                )
             q = cmath.exp(1j * math.pi * red.omega)
+            if q == 0:
+                # the nome underflows once the reduced Im(omega) exceeds about 237
+                raise AccuracyNotMet("reduced aspect ratio too extreme for the theta backend")
             coeffs = _theta_coefficients(q, red.omega.imag)
             t1p = 2 * sum(c * (2 * k + 1) for k, c in enumerate(coeffs))
             t1ppp = -2 * sum(c * (2 * k + 1) ** 3 for k, c in enumerate(coeffs))
@@ -251,10 +276,13 @@ class SigmaEvaluator:
             # theta1(v) = 2 sin(v) S(cos 2v), S a polynomial of degree K-1; see _cosine_polynomial
             top, *rest = _cosine_polynomial(coeffs)
             self._cos_poly = top, tuple(rest)
-            self._log_const = cmath.log(red.p1 / math.pi) - cmath.log(t1p)
             self._quad = eta1_red / (2 * red.p1)
             self._pi_p1 = math.pi / red.p1
-            self._pi_omega = math.pi * red.omega
+            # _log_quotient's constants, in the order it unpacks them; the last is the
+            # log of (P1/pi) * 2/theta1'(0), the constant of sigma(z) = ... * theta1(v0)/2
+            log_const = cmath.log(red.p1 / math.pi) - cmath.log(t1p / 2)
+            self._theta = (red.p1, red.p2, red.omega.real, red.omega.imag, top, tuple(rest),
+                           self._quad, math.pi * red.omega, self.target_rel_error, log_const)
             # [p1; p2] = det * [[d, -b], [-c, a]] [P1; P2] with integer entries
             (a, b, _), (c, d, _) = (nearest_lattice_point(P, lattice) for P in (red.p1, red.p2))
             det = a * d - b * c
@@ -279,11 +307,11 @@ class SigmaEvaluator:
 def _theta_cell(ev: SigmaEvaluator, z: complex) -> tuple[int, int, complex, complex] | None:
     """(m, n, v0, sin v0) with z = z0 + m*P1 + n*P2 and v0 = pi*z0/P1, or None on the lattice.
 
-    The range reduction of `_log_sigma` and `zeta` on the FastSeries backend,
-    by `nearest_lattice_point` on the reduced basis: v = pi*z/P1 = v0 +
-    pi*(m + n*omega) with the coordinates of v0 in [-1/2, 1/2).  z0 = z - lam
-    is formed in the z-plane, where it is exact next to a period; rounding v
-    before subtracting pi*(m + n*omega) loses eps*|v|/|v0| of log sigma there.
+    The range reduction of `zeta`, by `nearest_lattice_point` on the reduced
+    basis: v = pi*z/P1 = v0 + pi*(m + n*omega) with the coordinates of v0 in
+    [-1/2, 1/2).  z0 = z - lam is formed in the z-plane, where it is exact next
+    to a period; rounding v before subtracting pi*(m + n*omega) loses
+    eps*|v|/|v0| there.  `_log_quotient` repeats the same operations inline.
     """
     red = ev._reduced
     m, n, lam = nearest_lattice_point(z, red)
@@ -295,76 +323,120 @@ def _theta_cell(ev: SigmaEvaluator, z: complex) -> tuple[int, int, complex, comp
     return m, n, v0, cmath.sin(v0)
 
 
-def _log_sigma(ev: SigmaEvaluator, z: complex) -> complex | None:
-    """log sigma(z) with its phase wrapped onto (-pi, pi], or None on the lattice.
+def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
+    """log sigma(z) of the DirectProduct backend, phase wrapped onto (-pi, pi], or None on the lattice."""
+    if torus_distance(z, 0j, ev.lattice) <= SNAP_TOL:
+        return None
+    import numpy as np
 
-    The one per-factor kernel of both backends; z must be a complex number.
+    low, high = LOG_NORMAL_RANGE
+    log_sigma = cmath.log(z)
+    blocks = _point_blocks(ev.truncation_shells, ev.lattice.p1, ev.lattice.p2)
+    # a product that over- or underflows is caught below, so numpy need not warn
+    with np.errstate(all="ignore"):
+        for w in blocks:
+            np.divide(z, w, out=w)
+            # the factors of lam and -lam multiply to (1 - w^2) exp(w^2); forming
+            # 1 - w^2 as (1 - w)(1 + w) keeps it accurate next to a lattice point
+            t = 1 - w
+            t *= 1 + w
+            # one log per product of _PRODUCT factors: the phase is wrapped at
+            # the end, so a sum of logs of products is exact mod 2*pi*i
+            k = len(t) - len(t) % _PRODUCT
+            logs = np.log(np.append(t[:k].reshape(_PRODUCT, -1).prod(axis=0), t[k:].prod()))
+            if not ((low < logs.real) & (logs.real < high)).all():
+                # a product left the normal range: |z| is far outside the cell
+                logs = np.log(t)
+            w *= w
+            log_sigma += complex(logs.sum()) + complex(w.sum())
+    return complex(log_sigma.real, wrap_angle(log_sigma.imag))
+
+
+def _log_quotient(ev: SigmaEvaluator, z: complex, zeros, poles) -> tuple[complex, int, int]:
+    """(log, zero hits, pole hits) of prod sigma(z - w) over zeros / prod sigma(z - w) over poles.
+
+    The one sigma kernel of both backends, laid out in the module docstring; z
+    must be a finite complex number.  log is unwrapped, and only meaningful
+    when neither count is positive.
     """
     if ev._reduced is None:
-        if torus_distance(z, 0j, ev.lattice) <= SNAP_TOL:
-            return None
-        import numpy as np
+        log = 0j
+        hits = [0, 0]
+        for k, points in enumerate((zeros, poles)):
+            for w in points:
+                log_sigma = _log_sigma_direct(ev, z - w)
+                if log_sigma is None:
+                    hits[k] += 1
+                elif k:
+                    log -= log_sigma
+                else:
+                    log += log_sigma
+        return log, *hits
 
-        low, high = LOG_NORMAL_RANGE
-        log_sigma = cmath.log(z)
-        blocks = _point_blocks(ev.truncation_shells, ev.lattice.p1, ev.lattice.p2)
-        # a product that over- or underflows is caught below, so numpy need not warn
-        with np.errstate(all="ignore"):
-            for w in blocks:
-                np.divide(z, w, out=w)
-                # the factors of lam and -lam multiply to (1 - w^2) exp(w^2); forming
-                # 1 - w^2 as (1 - w)(1 + w) keeps it accurate next to a lattice point
-                t = 1 - w
-                t *= 1 + w
-                # one log per product of _PRODUCT factors: the phase is wrapped at
-                # the end, so a sum of logs of products is exact mod 2*pi*i
-                k = len(t) - len(t) % _PRODUCT
-                logs = np.log(np.append(t[:k].reshape(_PRODUCT, -1).prod(axis=0), t[k:].prod()))
-                if not ((low < logs.real) & (logs.real < high)).all():
-                    # a product left the normal range: |z| is far outside the cell
-                    logs = np.log(t)
-                w *= w
-                log_sigma += complex(logs.sum()) + complex(w.sum())
-        return complex(log_sigma.real, wrap_angle(log_sigma.imag))
-
-    cell = _theta_cell(ev, z)
-    if cell is None:
-        return None
-    m, n, v0, sin_v = cell
-    # theta1(v0) = 2 sin(v0) S(cos 2v0), summed by Horner
-    c = 1 - 2 * sin_v * sin_v
-    s, rest = ev._cos_poly
-    for a in rest:
-        s = s * c + a
-    quad = ev._quad * z * z
-    log_sigma = ev._log_const + quad + cmath.log(2 * sin_v * s)
-    # theta1(v0 + pi*m + pi*n*omega) = (-1)^(m+n) q^(-n^2) exp(-2i*n*v0) theta1(v0)
-    amplitude = abs(quad) + abs(v0.imag)
-    if n:
-        corr = n * (n * ev._pi_omega + 2 * v0)
-        log_sigma -= 1j * corr
-        amplitude += abs(corr)
-    if (m + n) % 2:
-        log_sigma += 1j * math.pi
-
-    certified = _EPS * (10.0 + amplitude)
-    if certified > ev.target_rel_error:
-        raise AccuracyNotMet(
-            f"roundoff estimate {certified:.3e} exceeds target {ev.target_rel_error:.3e}"
-        )
-    # wrap_angle, inlined: this runs once per sigma factor of every pixel
-    phase = math.remainder(log_sigma.imag, TAU)
-    if phase <= -math.pi:
-        phase += TAU
-    return complex(log_sigma.real, phase)
+    p1, p2, om_re, om_im, top, rest, quad_coef, pi_omega, target, log_const = ev._theta
+    low, high = _WINDOW
+    total = (len(zeros) - len(poles)) * log_const
+    zero_hits = pole_hits = parity = 0
+    is_pole = False  # the zeros' pass, then the poles'
+    for points in (zeros, poles):
+        hits = 0
+        linear = 0j
+        prod = 1 + 0j
+        for w in points:
+            u = z - w
+            # nearest_lattice_point(u, red), inlined: a call per factor cost as much as its theta sum
+            r = u / p1
+            t = r.imag / om_im
+            m = math.floor(r.real - t * om_re + 0.5)
+            n = math.floor(t + 0.5)
+            z0 = u - (m * p1 + n * p2)
+            # z0 sits in the centered cell, so the only lattice point in range is 0
+            if abs(z0) <= SNAP_TOL:
+                hits += 1
+                continue
+            v0 = math.pi * z0 / p1
+            sin_v = cmath.sin(v0)
+            c = 1 - 2 * sin_v * sin_v
+            s = top
+            for a in rest:
+                s = s * c + a
+            quad = quad_coef * u * u
+            amplitude = abs(quad) + abs(v0.imag)
+            # theta1(v0 + pi*m + pi*n*omega) = (-1)^(m+n) q^(-n^2) exp(-2i*n*v0) theta1(v0)
+            if n:
+                corr = n * (n * pi_omega + 2 * v0)
+                quad -= 1j * corr
+                amplitude += abs(corr)
+            certified = _EPS * (10.0 + amplitude)
+            if certified > target:
+                raise AccuracyNotMet(f"roundoff estimate {certified:.3e} exceeds target {target:.3e}")
+            parity += m + n
+            linear += quad
+            prod *= sin_v * s
+            if not low < abs(prod) < high:
+                linear += cmath.log(prod)
+                prod = 1 + 0j
+        if prod != 1:
+            linear += cmath.log(prod)
+        if is_pole:
+            total -= linear
+            pole_hits = hits
+        else:
+            total += linear
+            zero_hits = hits
+            is_pole = True
+    if parity % 2:
+        total += 1j * math.pi
+    return total, zero_hits, pole_hits
 
 
 def sigma(ev: SigmaEvaluator, z: complex) -> LogValue:
     """sigma(z) in log form; exactly zero iff z lies on the lattice."""
-    log_sigma = _log_sigma(ev, complex(z))
-    if log_sigma is None:
-        return LogValue.zero()
-    return LogValue(log_sigma.real, log_sigma.imag)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
+    log_sigma, hits, _ = _log_quotient(ev, z, (0j,), ())
+    return LogValue.zero() if hits else LogValue.from_log(log_sigma)
 
 
 def zeta(ev: SigmaEvaluator, z: complex) -> complex | None:

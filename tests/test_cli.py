@@ -108,6 +108,16 @@ class TestSigmaCommand:
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr.startswith("AccuracyNotMet:"), r.stderr
 
+    @pytest.mark.parametrize("im", [240, 300, 413])
+    @pytest.mark.parametrize("command", ["sigma", "synth"])
+    def test_thin_lattice_exits_2(self, command, im):
+        # the fast backend's nome underflows to 0 there; this was a ZeroDivisionError
+        lattice = f'{{"p1": [1, 0], "p2": [0.2, {im}]}}'
+        extra = ["--z=0.3,0.2"] if command == "sigma" else ["--divisor", DIVISOR]
+        r = run_cli(command, "--lattice", lattice, *extra)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("AccuracyNotMet:"), r.stderr
+
     def test_negative_value_attached_with_equals(self):
         # a value starting with "-" must be attached to its flag with "="
         neg = run_cli("sigma", "--lattice", LATTICE, "--z=-0.3,0.2")

@@ -1,14 +1,20 @@
-"""One per-factor sigma kernel behind sigma and eval_f, and zeta behind the exact f'/f.
+"""One sigma-quotient kernel behind sigma and eval_f, and zeta behind the exact f'/f.
 
-`eval_f` adds and subtracts the kernel's values without building a LogValue
-per factor.  These tests pin that down to the bit: it must equal the same sum
-written with the public `sigma(...).log()`, in the same order, on both
-backends, at points whose range reduction takes odd and even lattice
-coordinates, and at zero and pole hits.  `zeta` shares the kernel's range
-reduction; `log_derivative` sums it into the f'/f that `verify_spec`
-integrates.
+`eval_f` evaluates its whole quotient in one kernel pass, `sigma` is the
+quotient with the single zero 0, and the phase is wrapped once, at the end.
+On the direct backend the pass adds and subtracts each factor's log, so
+`eval_f` equals, to the bit, the same sum written with the public
+`sigma(...).log()`.  On the fast backend the pass multiplies the theta values
+of all zeros (and of all poles) and takes one log per product, which rounds
+differently: there the two agree within the sum of the per-factor roundoff
+certificates and eps times the exponential's log.  Both hold at points whose range reduction takes odd and even
+lattice coordinates, and the zero and pole hits agree exactly.  The kernel
+repeats `nearest_lattice_point`'s rounding inline, pinned here factor by
+factor.  `zeta` keeps its own range reduction; `log_derivative` sums it into
+the f'/f that `verify_spec` integrates.
 """
 
+import cmath
 import math
 import random
 
@@ -28,10 +34,12 @@ from ellipse_phase import (
     synthesize,
     wrap_angle,
 )
+from ellipse_phase import weierstrass
 from ellipse_phase.divisor import log_derivative
-from ellipse_phase.weierstrass import zeta
+from ellipse_phase.lattice import coordinates, nearest_lattice_point
+from ellipse_phase.weierstrass import _EPS, zeta
 
-from conftest import random_cell_point
+from conftest import random_cell_point, random_lattice
 
 SQUARE = (1 + 0j, 1j)
 # the square presented by a shear (P1, P2 + 2*P1) and by the swap (P2, -P1)
@@ -56,12 +64,36 @@ def literal(q, ev, z):
         return PoleValue(pole_hits)
     if any(v.is_zero() for v in zeros):
         return LogValue.zero()
-    total = q.exponent * z + q.log_scale
+    log_sigma = 0j
     for v in zeros:
-        total += v.log()
+        log_sigma += v.log()
     for v in poles:
-        total -= v.log()
-    return LogValue.from_log(total)
+        log_sigma -= v.log()
+    return LogValue.from_log(q.exponent * z + q.log_scale + log_sigma)
+
+
+def certificate(q, ev, z):
+    """Sum over q's factors of the fast kernel's roundoff estimate eps*(10 + amplitude).
+
+    The amplitude of the factor sigma(u), u = z - w, is |eta1' u^2/(2 P1)| +
+    |Im v0| + |n*(n*pi*omega + 2 v0)| with (m, n) the nearest lattice point of
+    u on the reduced basis; eps*|exponent*z + log_scale| covers the exponential.
+    """
+    red = ev._reduced
+    total = _EPS * abs(q.exponent * z + q.log_scale)
+    for w in (*q.zeros, *q.poles):
+        u = z - w
+        _, n, lam = nearest_lattice_point(u, red)
+        v0 = math.pi * (u - lam) / red.p1
+        amplitude = abs(ev._quad * u * u) + abs(v0.imag)
+        if n:
+            amplitude += abs(n * (n * math.pi * red.omega + 2 * v0))
+        total += _EPS * (10.0 + amplitude)
+    return total
+
+
+def log_distance(a: LogValue, b: LogValue) -> float:
+    return abs(complex(a.log_mag - b.log_mag, wrap_angle(a.phase - b.phase)))
 
 
 def outside_points(rng: random.Random, lat, count=6):
@@ -87,11 +119,99 @@ def test_eval_f_equals_sum_of_sigma_logs(basis, backend):
         for z in outside_points(rng, lat):
             got = eval_f(spec, ev, z)
             assert isinstance(got, LogValue) and not got.is_zero()
-            assert got == literal(q, ev, z)
+            if backend == "fast":
+                assert log_distance(got, literal(q, ev, z)) <= certificate(q, ev, z)
+            else:
+                assert got == literal(q, ev, z)
         zero_hit = q.zeros[0] + 2 * lat.p1 - 3 * lat.p2
         pole_hit = q.poles[0] - lat.p1 + lat.p2
         assert eval_f(spec, ev, zero_hit) == literal(q, ev, zero_hit) == LogValue.zero()
         assert eval_f(spec, ev, pole_hit) == literal(q, ev, pole_hit) == PoleValue(1)
+
+
+class SinRecorder:
+    """Stands in for the cmath module inside weierstrass and records every sin argument."""
+
+    def __init__(self):
+        self.args = []
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def sin(self, v):
+        self.args.append(v)
+        return cmath.sin(v)
+
+
+def tie_points(red):
+    """Points whose coordinates on the reduced basis are exactly +-1/2, in several cells."""
+    coords = [(0.5, 0.3), (-0.5, 0.3), (0.2, 0.5), (0.2, -0.5), (0.5, 0.5), (-0.5, -0.5)]
+    return [(s + m) * red.p1 + (t + n) * red.p2 for s, t in coords for m, n in ((0, 0), (2, -3), (-1, 1))]
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_kernel_reduces_like_nearest_lattice_point(basis, monkeypatch):
+    # the quotient kernel repeats nearest_lattice_point's rounding inline: for
+    # every factor u = z - w it must take the same (m, n), so the same v0 =
+    # pi*(u - lam)/P1 reaches cmath.sin, also where a coordinate is exactly +-1/2
+    rng = random.Random(f"reduce-{basis}")
+    cases = [(make_lattice(*BASES[basis]), True)]
+    for _ in range(4):
+        lat = random_lattice(rng)
+        P1, P2 = lat.p1, lat.p2
+        cases += [(make_lattice(P1, P2 + 2 * P1), False), (make_lattice(P2, -P1), False)]
+    for lat, exact in cases:
+        ev = SigmaEvaluator(lat)
+        red = ev._reduced
+        ties = tie_points(red)
+        if exact:
+            # on the square every tie is exact in floating point
+            assert all(0.5 in {c % 1 for c in coordinates(u, red)} for u in ties)
+        us = ties + outside_points(rng, lat, count=12)
+        z = 0.3 + 0.1j
+        zeros, poles = [z - u for u in us[::2]], [z - u for u in us[1::2]]
+        recorder = SinRecorder()
+        monkeypatch.setattr(weierstrass, "cmath", recorder)
+        weierstrass._log_quotient(ev, z, zeros, poles)
+        monkeypatch.undo()
+        expected = []
+        for w in zeros + poles:
+            u = z - w
+            _, _, lam = nearest_lattice_point(u, red)
+            expected.append(math.pi * (u - lam) / red.p1)
+        assert recorder.args == expected
+
+
+def test_thin_lattice_products_stay_in_range(monkeypatch):
+    # 100 zeros and 100 poles near the bottom of a (1, 0.2+100i) cell, seen
+    # from half a cell up: each factor sin(v0) S(cos 2v0) is up to ~exp(78), so
+    # a plain running product of them overflows.  The kernel takes a log each
+    # time the product leaves its window
+    lat = make_lattice(1, 0.2 + 100j)
+    rng = random.Random(100)
+    s = [rng.uniform(0, 1) for _ in range(100)]
+    t = [rng.uniform(0, 0.1) for _ in range(100)]
+    # the poles take the zeros' t in a shifted order: the sums agree and xi0 = 0
+    zeros = [(a * lat.p1 + b * lat.p2, 1) for a, b in zip(s, t)]
+    poles = [(a * lat.p1 + b * lat.p2, 1) for a, b in zip(s, t[1:] + t[:1])]
+    spec = synthesize(make_divisor(zeros, poles, lat), 0, 0, lat)
+    q = spec.quotient
+    values = {}
+    for _ in range(40):
+        z = rng.uniform(0, 1) * lat.p1 + rng.uniform(0.4, 0.6) * lat.p2
+        try:
+            values[z] = eval_f(spec, spec.ev, z)
+        except AccuracyNotMet:
+            continue
+    assert len(values) >= 10
+    factors = len(q.zeros) + len(q.poles)
+    for z, got in values.items():
+        assert math.isfinite(got.log_mag)
+        # a running sum of k terms rounds by up to k*eps times the sum of their sizes
+        assert log_distance(got, literal(q, spec.ev, z)) <= factors * certificate(q, spec.ev, z)
+    # without the window the same points overflow
+    monkeypatch.setattr(weierstrass, "_WINDOW", (0.0, math.inf))
+    assert not all(math.isfinite(eval_f(spec, spec.ev, z).log_mag) for z in values)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

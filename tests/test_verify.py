@@ -27,7 +27,7 @@ from ellipse_phase import (
     wrap_angle,
 )
 
-from ellipse_phase import verify, weierstrass
+from ellipse_phase import divisor, verify, weierstrass
 from ellipse_phase.divisor import log_derivative
 from ellipse_phase.verify import CLEARANCE_FRACTION, _contour_clear, _contour_pass, _gap_midpoint
 
@@ -307,16 +307,17 @@ class TestVerifySpec:
 
     @pytest.mark.parametrize("nx, ny, panels, nodes", [(3, 2, 4, 5), (10, 10, 32, 8)])
     def test_one_kernel_pass_per_node_and_factor(self, monkeypatch, nx, ny, panels, nodes):
-        # the grid takes f at each point and its translate, for both periods;
-        # the contour takes the exact f'/f once per node, one kernel pass per
-        # sigma factor (a central difference took f twice per node)
+        # the grid takes f at each point and its translate, for both periods,
+        # one quotient kernel pass per f; the contour takes the exact f'/f once
+        # per node, one zeta range reduction per sigma factor (a central
+        # difference took f twice per node)
         lat = make_lattice(1, 0.3 + 1.1j)
         d = make_divisor(
             [(0.2 + 0.3j, 1), (0.6 + 0.1j, 1)], [(0.5 + 0.5j, 1), (0.3 + 0.2j, 1)], lat
         )
         spec = synthesize(d, 1, -1, lat)
         factors = len(spec.quotient.zeros) + len(spec.quotient.poles)
-        calls = {"eval_f": 0, "kernel": 0}
+        calls = {"eval_f": 0, "quotient": 0, "zeta": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -326,11 +327,12 @@ class TestVerifySpec:
             return wrapper
 
         monkeypatch.setattr(verify, "eval_f", counted("eval_f", verify.eval_f))
-        monkeypatch.setattr(weierstrass, "_theta_cell", counted("kernel", weierstrass._theta_cell))
+        monkeypatch.setattr(divisor, "_log_quotient", counted("quotient", divisor._log_quotient))
+        monkeypatch.setattr(weierstrass, "_theta_cell", counted("zeta", weierstrass._theta_cell))
         report = verify_spec(spec, GridSpec(lat, nx, ny), QuadratureSpec(panels, nodes))
         assert report.contour_offset == 0
-        assert calls["eval_f"] == 4 * nx * ny
-        assert calls["kernel"] == (4 * nx * ny + 4 * panels * nodes) * factors
+        assert calls["eval_f"] == calls["quotient"] == 4 * nx * ny
+        assert calls["zeta"] == 4 * panels * nodes * factors
 
     @pytest.mark.parametrize("p2", [1j, 1 + 1j], ids=["square", "sheared"])
     def test_report_reads_one_contour_pass(self, p2):

@@ -355,6 +355,23 @@ class TestBackends:
         with pytest.raises(AccuracyNotMet):
             SigmaEvaluator(lat)
 
+    @pytest.mark.parametrize("im", [240, 300, 413])
+    def test_thin_lattice_refused_where_the_nome_underflows(self, im):
+        # q = exp(i*pi*omega) is 0 in double precision from reduced Im(omega) ~237.3
+        # up, so theta1'(0) would be 0: refused, not a ZeroDivisionError
+        with pytest.raises(AccuracyNotMet, match="aspect ratio"):
+            SigmaEvaluator(make_lattice(1, complex(0.2, im)))
+
+    def test_thinnest_accepted_lattice_matches_direct(self):
+        # at Im(omega) = 237 the nome is subnormal; its rounding cancels from
+        # theta1(v)/theta1'(0), so sigma still agrees with the lattice product
+        lat = make_lattice(1, 0.2 + 237j)
+        fast = SigmaEvaluator(lat)
+        direct = SigmaEvaluator(lat, backend=Backend.DIRECT_PRODUCT, truncation_shells=200)
+        for z in (0.3 + 0.2j, -0.45 + 0.7j, 0.1 - 0.9j, 0.35 + 0.05j):
+            bound = fast.a_priori_bound(z) + direct.a_priori_bound(z)
+            assert log_distance(sigma(fast, z), sigma(direct, z)) <= bound
+
     def test_truncation_shells_validated(self):
         for backend in Backend:
             for shells in (0, MAX_SHELLS + 1):
