@@ -61,6 +61,13 @@ def number_from_obj(x) -> float:
         raise ValueError("integer too large for a float") from None
 
 
+def _expect(obj, kind: type, what: str):
+    """obj if it is a `kind`; else a ValueError naming what was expected."""
+    if not isinstance(obj, kind):
+        raise ValueError(f"expected {what}, got {obj!r}")
+    return obj
+
+
 def complex_from_obj(obj) -> complex:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ValueError(f"expected a complex number as [re, im], got {obj!r}")
@@ -72,6 +79,7 @@ def lattice_to_obj(lat: Lattice) -> dict:
 
 
 def lattice_from_obj(obj) -> Lattice:
+    obj = _expect(obj, dict, "a lattice object")
     return make_lattice(complex_from_obj(obj["p1"]), complex_from_obj(obj["p2"]))
 
 
@@ -83,14 +91,13 @@ def divisor_to_obj(d: Divisor) -> dict:
 
 
 def divisor_from_obj(obj, lat: Lattice) -> Divisor:
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a divisor object with zeros and poles, got {obj!r}")
+    obj = _expect(obj, dict, "a divisor object with zeros and poles")
     for key in obj:
         if key not in ("zeros", "poles"):
             raise ValueError(f"divisor key {key!r} is neither 'zeros' nor 'poles'")
     zeros, poles = [], []
     for key, entries in (("zeros", zeros), ("poles", poles)):
-        for e in obj.get(key, []):
+        for e in _expect(obj.get(key, []), list, f"divisor field {key!r} as a list"):
             if not (isinstance(e, list) and len(e) in (2, 3)):
                 raise ValueError(f"divisor entries must be [re, im] or [re, im, mult], got {e!r}")
             entries.append((complex_from_obj(e[:2]), number_from_obj(e[2]) if len(e) > 2 else 1))
@@ -124,6 +131,7 @@ def spec_from_obj(obj) -> PhaseFunctionSpec:
     17-digit round trip; the first that differs raises ValueError, as does a
     non-integral m.
     """
+    obj = _expect(obj, dict, "a spec object")
     lat = lattice_from_obj(obj["lattice"])
     d = divisor_from_obj(obj["divisor"], lat)
     if not (isinstance(obj["m"], list) and len(obj["m"]) == 2):

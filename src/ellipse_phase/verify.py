@@ -2,12 +2,13 @@
 
 The periodicity check only needs a black-box evaluator returning LogValue (or
 PoleValue at poles).  Contour work integrates f'/f and z*f'/f over the
-boundary of an offset fundamental cell with composite Gauss-Legendre panels.
-`verify_spec` integrates the exact f'/f = A + sum zeta(z - n_k) - sum
-zeta(z - d_k) of the spec's evaluation form, one evaluation per node.  Only a
-black-box fval, as `count_zeros_poles` takes, gets f'/f from central
-differences of log f, with phase increments wrapped to (-pi, pi], which stays
-finite where |f| overflows and never loses 2*pi jumps at the step scale.
+boundary of the reduced cell, which gives the divisor sum mod L as any cell
+does, with composite Gauss-Legendre panels.  `verify_spec` integrates the exact
+f'/f = A + sum zeta(z - n_k) - sum zeta(z - d_k) of the spec's evaluation form,
+one evaluation per node.  Only a black-box fval, as `count_zeros_poles` takes,
+gets f'/f from central differences of log f, with phase increments wrapped to
+(-pi, pi], which stays finite where |f| overflows and never loses 2*pi jumps
+at the step scale.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .weierstrass import LOG_NORMAL_RANGE, TAU, wrap_angle
 if TYPE_CHECKING:
     import numpy as np
 
-#: required clearance between the contour and any known zero/pole, as a
-#: fraction of the shorter period.  Quadrature error decays like
-#: (1 + 2*clearance/panel)^(-2*nodes): small only while the panel length is not
-#: much larger than the clearance, which elongated cells break at 32 panels.
+#: least clearance between the contour and any known zero/pole, as a fraction
+#: of the shortest period |P1|.  Quadrature error decays like
+#: (1 + 2*clearance/panel)^(-2*nodes); the contour's cell is the reduced one,
+#: whose sides are the shortest pair of periods, so its panels are the shortest.
 CLEARANCE_FRACTION = 0.01
 
 #: central-difference step for a black box's f'/f along a contour side, as a fraction
@@ -74,8 +75,8 @@ class ContourCount:
 
     raw_winding = (1/2*pi*i) * integral of f'/f dz     -> zeros minus poles
     raw_moment  = (1/2*pi*i) * integral of z f'/f dz   -> zero sum minus pole sum
-    Both are over d(F + offset) and unreduced; for equal zero/pole counts the
-    moment is translation invariant mod L.
+    Both are over d(F + offset), F the reduced cell, and unreduced; for equal
+    zero/pole counts the moment mod L is the same for every cell and offset.
     """
 
     zeros_minus_poles: int
@@ -105,13 +106,13 @@ def _is_marker(value) -> bool:
     return isinstance(value, PoleValue) or value.is_zero() or not math.isfinite(value.log_mag)
 
 
-def _gap_midpoint(values) -> float:
-    """Midpoint, in [0, 1), of the largest circular gap among `values` mod 1; 1/2 if none."""
+def _largest_gap(values) -> tuple[float, float]:
+    """Midpoint, in [0, 1), and width of the widest gap of `values` mod 1; (1/2, 1) if none."""
     xs = sorted(v % 1.0 for v in values)
     if not xs:
-        return 0.5
+        return 0.5, 1.0
     gap, a = max((b - a, a) for a, b in zip(xs, xs[1:] + [xs[0] + 1.0]))
-    return (a + gap / 2) % 1.0
+    return (a + gap / 2) % 1.0, gap
 
 
 def phase_periodicity(fval, p: complex, grid: GridSpec, known_points=()) -> tuple[float, complex]:
@@ -128,8 +129,8 @@ def phase_periodicity(fval, p: complex, grid: GridSpec, known_points=()) -> tupl
     """
     lat = grid.lattice
     coords = [coordinates(w, lat) for w in known_points]
-    a = _gap_midpoint(grid.nx * s for s, _ in coords)
-    b = _gap_midpoint(grid.ny * t for _, t in coords)
+    a = _largest_gap(grid.nx * s for s, _ in coords)[0]
+    b = _largest_gap(grid.ny * t for _, t in coords)[0]
     diffs: list[complex] = []
     for i in range(grid.nx):
         for k in range(grid.ny):
@@ -166,64 +167,49 @@ def _log_derivative(fval, z: complex, direction: complex, h: float) -> complex:
     return diff / (2.0 * h * direction)
 
 
-def _contour_clear(lat: Lattice, offset: complex, known_points, clearance: float) -> bool:
-    """Whether every known point keeps `clearance` from d(F + offset) and its translates.
+def _place_contour(lat: Lattice, known_points) -> tuple[Lattice, complex, float]:
+    """The reduced basis (P1, P2), the contour's offset and its clearance from the known points.
 
-    Those are the lines s = s0 and t = t0 (mod 1) through the offset's
-    coordinates (s0, t0), spaced area/|p2| and area/|p1| apart.
+    The offset's coordinates (s0, t0) on (P1, P2) are the largest-gap midpoints
+    of the known points' coordinates, in [-1/2, 1/2].  The contour's sides and
+    their translates are the lines s = s0 and t = t0 (mod 1), area/|P2| and
+    area/|P1| apart, so each known point keeps half the gap width times that.
     """
-    s0, t0 = coordinates(offset, lat)
-    area = abs((lat.p1.conjugate() * lat.p2).imag)
-    for p in known_points:
-        s, t = coordinates(p, lat)
-        gap_s = abs(math.remainder(s - s0, 1.0)) * area / abs(lat.p2)
-        gap_t = abs(math.remainder(t - t0, 1.0)) * area / abs(lat.p1)
-        if min(gap_s, gap_t) < clearance:
-            return False
-    return True
+    red = reduce_basis(lat)
+    coords = [coordinates(w, red) for w in known_points]
+    s0, width_s = _largest_gap(s for s, _ in coords)
+    t0, width_t = _largest_gap(t for _, t in coords)
+    area = abs((red.p1.conjugate() * red.p2).imag)
+    clearance = min(width_s * area / abs(red.p2), width_t * area / abs(red.p1)) / 2
+    offset = math.remainder(s0, 1.0) * red.p1 + math.remainder(t0, 1.0) * red.p2
+    return red, offset, clearance
 
 
-def _contour_pass(dlog, lat: Lattice, offset: complex, quad: QuadratureSpec, known_points) -> ContourCount:
-    """One argument-principle pass over d(F + offset) with f'/f = dlog(z, direction).
+def _contour_pass(dlog, lat: Lattice, quad: QuadratureSpec, known_points) -> ContourCount:
+    """One argument-principle pass over `_place_contour`'s cell with f'/f = dlog(z, direction).
 
-    direction is the unit tangent of the side through z.  The offset must clear
-    the known zeros/poles geometrically; an integrand that hits one
-    (PoleOrZeroHit) rejects it too.  A rejected offset is replaced once, by the
-    one whose coordinates are the largest-gap midpoints of the known points'
-    coordinates, taken in [-1/2, 1/2].
+    direction is the unit tangent of the side through z.  A clearance below
+    CLEARANCE_FRACTION * |P1| raises ContourTooClose.
     """
+    red, offset, clearance = _place_contour(lat, known_points)
+    least = CLEARANCE_FRACTION * abs(red.p1)
+    if clearance < least:
+        raise ContourTooClose(f"contour clearance {clearance:.3g} is below {least:.3g}")
     t, weights = _gauss_nodes(quad)
-    clearance = CLEARANCE_FRACTION * min(abs(lat.p1), abs(lat.p2))
-    last_error = None
-    coords = [coordinates(w, lat) for w in known_points]
-    s0 = math.remainder(_gap_midpoint(s for s, _ in coords), 1.0)
-    t0 = math.remainder(_gap_midpoint(t for _, t in coords), 1.0)
-    for cand in (complex(offset), s0 * lat.p1 + t0 * lat.p2):
-        if not _contour_clear(lat, cand, known_points, clearance):
-            continue
-        corners = [cand, cand + lat.p1, cand + lat.p1 + lat.p2, cand + lat.p2]
-        edges = [lat.p1, lat.p2, -lat.p1, -lat.p2]
-        winding = 0j
-        moment = 0j
-        try:
-            for corner, edge in zip(corners, edges):
-                direction = edge / abs(edge)
-                for tk, wk in zip(t, weights):
-                    z = corner + tk * edge
-                    psi = dlog(z, direction)
-                    winding += wk * psi * edge
-                    moment += wk * z * psi * edge
-        except PoleOrZeroHit as exc:
-            last_error = exc
-            continue
-        winding = complex(winding) / (TAU * 1j)
-        nearest = int(round(winding.real))
-        distance = float(abs(winding - nearest))
-        return ContourCount(nearest, winding, distance, complex(moment) / (TAU * 1j), cand)
-    raise ContourTooClose(
-        f"neither the requested nor the largest-gap offset cleared the zeros/poles by {clearance:.3g}"
-        + (f"; last integrand error: {last_error}" if last_error else "")
-    )
+    corners = [offset, offset + red.p1, offset + red.p1 + red.p2, offset + red.p2]
+    edges = [red.p1, red.p2, -red.p1, -red.p2]
+    winding = moment = 0j
+    for corner, edge in zip(corners, edges):
+        direction = edge / abs(edge)
+        for tk, wk in zip(t, weights):
+            z = corner + tk * edge
+            psi = dlog(z, direction)
+            winding += wk * psi * edge
+            moment += wk * z * psi * edge
+    winding = complex(winding) / (TAU * 1j)
+    nearest = int(round(winding.real))
+    distance = float(abs(winding - nearest))
+    return ContourCount(nearest, winding, distance, complex(moment) / (TAU * 1j), offset)
 
 
 def count_zeros_poles(
@@ -236,11 +222,12 @@ def count_zeros_poles(
     """`_contour_pass` for a black-box fval: winding and moment of f'/f.
 
     f'/f comes from central differences of log f, two evaluations per node.
-    The winding is 0 for a doubly periodic phase.
+    The winding is 0 for a doubly periodic phase.  `offset` is accepted and
+    ignored: the contour places its own.
     """
     step = FD_STEP * abs(reduce_basis(lat).p1)
     dlog = lambda z, direction: _log_derivative(fval, z, direction, step)
-    return _contour_pass(dlog, lat, offset, quad, known_points)
+    return _contour_pass(dlog, lat, quad, known_points)
 
 
 def _multiplier(j: int, alpha: float) -> float:
@@ -271,7 +258,7 @@ def verify_spec(
     res1, mult1 = phase_periodicity(fval, lat.p1, grid, known)
     res2, mult2 = phase_periodicity(fval, lat.p2, grid, known)
     dlog = lambda z, _: log_derivative(spec.quotient, spec.ev, z)
-    count = _contour_pass(dlog, lat, 0j, quad, known)
+    count = _contour_pass(dlog, lat, quad, known)
 
     zero_count = spec.divisor.zero_count()
     return VerificationReport(

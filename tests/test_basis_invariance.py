@@ -1,15 +1,12 @@
-"""Basis invariance of sigma, eta and xi0, and a 30-digit theta oracle for sigma, eta and zeta.
+"""Basis invariance of sigma, eta, xi0 and verify, and a 30-digit theta oracle for sigma, eta and zeta.
 
 sigma, the quasi-period of a lattice vector and the divisor class depend only
 on the lattice, so every basis of one lattice must give the same values up to
 rounding.  The property tests present lattices of the conftest family by
 sheared (P1, P2 + k*P1), swapped (P2, -P1), negated (-P1, -P2) and reversed
 (P2, P1) bases; the rounding of the sheared basis grows with |k|, hence the
-bound 1e-12 * (1 + |k|).
-
-`verify` is left out of the properties: its contour quadrature runs over the
-presented cell, which is long and thin for a large |k|, and misses the divisor
-sum there whatever sigma does.
+bound 1e-12 * (1 + |k|).  `verify_spec` must pass on every sheared basis with
+|k| <= 3, however long and thin the presented cell.
 """
 
 import cmath
@@ -23,9 +20,11 @@ from ellipse_phase import (
     make_divisor,
     make_lattice,
     reduce_basis,
+    report_passes,
     sigma,
     synthesize,
     torus_distance,
+    verify_spec,
     wrap_angle,
 )
 
@@ -91,6 +90,21 @@ def test_xi0_agrees_mod_lattice(rng, presentation):
     xi0 = synthesize(make_divisor(zeros, poles, lat), 0, 0, lat).xi0
     xi0_other = synthesize(make_divisor(zeros, poles, other), 0, 0, other).xi0
     assert torus_distance(xi0_other, xi0, lat) <= 1e-12 * (1 + abs(k)) * (1 + abs(xi0))
+
+
+@PROPERTY
+@given(LATTICES, st.integers(-3, 3))
+def test_verify_passes_on_sheared_bases(rng, k):
+    # a zero at the origin in about a third of the draws
+    lat = random_lattice(rng)
+    sheared = make_lattice(lat.p1, lat.p2 + k * lat.p1)
+    pairs = rng.randint(1, 3)
+    points = [(random_cell_point(rng, lat), 1) for _ in range(2 * pairs)]
+    if rng.random() < 1 / 3:
+        points[0] = (0j, 1)
+    d = make_divisor(points[:pairs], points[pairs:], sheared)
+    spec = synthesize(d, rng.randint(-1, 1), rng.randint(-1, 1), sheared)
+    assert report_passes(verify_spec(spec), spec)
 
 
 def theta_oracle(p1: complex, p2: complex, points) -> tuple[complex, list[complex], list[complex]]:

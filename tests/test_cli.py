@@ -228,7 +228,7 @@ class TestSynthVerifyRoundtrip:
         assert report["phase_residual_p1"] <= 1e-8
 
     def test_zero_at_origin_verifies(self):
-        # offset 0 puts the contour through the zero; the fallback must clear it
+        # the contour places its offset clear of the zero at the origin
         divisor = '{"zeros": [[0, 0, 1]], "poles": [[0.3, 0.4, 1]]}'
         synth = run_cli("synth", "--lattice", LATTICE, "--divisor", divisor)
         r = run_cli("verify", "--spec", synth.stdout)
@@ -272,20 +272,31 @@ class TestSynthVerifyRoundtrip:
         assert r.stderr.startswith("ValueError:") and "MAX_DEGREE" in r.stderr
 
     @pytest.mark.parametrize(
-        "args",
+        "args, names",
         [
-            ("sigma", "--lattice", '{"p1": [1], "p2": [0, 1]}', "--z=0.3,0.2"),
-            ("synth", "--lattice", LATTICE, "--divisor", '{"zeros": [[0.3]], '
-             '"poles": [[0.6, 0.1]]}'),
-            ("synth", "--lattice", LATTICE, "--divisor", "[]"),
+            (("sigma", "--lattice", '{"p1": [1], "p2": [0, 1]}', "--z=0.3,0.2"), "complex number"),
+            (("synth", "--lattice", LATTICE, "--divisor", '{"zeros": [[0.3]], '
+              '"poles": [[0.6, 0.1]]}'), "divisor entries"),
+            (("synth", "--lattice", LATTICE, "--divisor", "[]"), "a divisor"),
+            (("synth", "--lattice", LATTICE, "--divisor", '{"zeros": 5}'), "'zeros'"),
+            (("synth", "--lattice", LATTICE, "--divisor", '{"zeros": [[0.3, 0.4]], "poles": "ab"}'),
+             "'poles'"),
+            (("sigma", "--lattice", "[1, 2]", "--z=0.3,0.2"), "a lattice"),
+            (("synth", "--lattice", '[{"p1": [1, 0], "p2": [0, 1]}]', "--divisor", DIVISOR),
+             "a lattice"),
+            (("verify", "--spec", "[1, 2]"), "a spec"),
+            (("plot", "--spec", '{"lattice": 5}', "--out", "f.ppm"), "a lattice"),
         ],
-        ids=["short-period", "short-divisor-entry", "divisor-not-object"],
+        ids=[
+            "short-period", "short-divisor-entry", "divisor-not-object", "zeros-not-list",
+            "poles-string", "lattice-list", "lattice-in-list", "spec-list", "spec-lattice-number",
+        ],
     )
-    def test_malformed_json_shape_exit_code(self, args):
+    def test_malformed_json_shape_exit_code(self, args, names):
         r = run_cli(*args)
         assert r.returncode == 1, r.stderr
         assert r.stdout == ""
-        assert r.stderr.startswith("ValueError: "), r.stderr
+        assert r.stderr.startswith("ValueError: ") and names in r.stderr, r.stderr
 
     def test_misspelled_divisor_key_exits_1(self):
         divisor = '{"zero": [[0.1, 0.2]], "pole": [[0.3, 0.1]]}'
@@ -871,18 +882,21 @@ class TestJsonNumbers:
 
 
 def test_fingerprint_script():
+    # 30 specs include sheared presentations and zeros at the origin; every
+    # verify passes, and xi0 is recovered to rounding
     script = Path(__file__).resolve().parent / "fingerprint.py"
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
     r = subprocess.run(
-        [sys.executable, str(script), "3"], capture_output=True, text=True, env=env
+        [sys.executable, str(script), "30"], capture_output=True, text=True, env=env
     )
     assert r.returncode == 0, r.stderr
     names = ("eta", "synth", "verify", "values", "plot", "sigma", "vj", "divisor", "zeta")
     families = ",".join(f"{family}:[0-9a-f]{{12}}" for family in names)
     pattern = (
-        rf"sha256=[0-9a-f]{{64}} specs=3 verify_exits=((\d+:\d+,?)+) "
-        rf"verify_worst_miss=\d\.\d{{3}}e[+-]\d\d parts={families}\n"
+        rf"sha256=[0-9a-f]{{64}} specs=30 verify_exits=((\d+:\d+,?)+) "
+        rf"verify_worst_miss=(\d\.\d{{3}}e[+-]\d\d) parts={families}\n"
     )
     found = re.fullmatch(pattern, r.stdout)
     assert found, r.stdout
-    assert sum(int(c.split(":")[1]) for c in found[1].split(",")) == 3
+    assert found[1] == "0:30"
+    assert float(found[3]) < 1e-12
