@@ -3,117 +3,78 @@
 Construct f(z) = exp(a*z) * g(z) * sigma(z)/sigma(z - xi0) from a balanced
 zero/pole divisor, evaluate it in overflow-safe log form, verify the phase
 periodicity numerically, and render domain-coloring portraits.
+
+The public names load lazily (PEP 562): the first use of a name imports its
+defining module, so a CLI command loads only the modules it runs.
 """
 
-from .divisor import (
-    Divisor,
-    PoleValue,
-    SigmaQuotient,
-    build_elliptic,
-    eval_elliptic,
-    make_divisor,
-    validate_abel,
-)
-from .errors import (
-    AbelViolation,
-    AccuracyNotMet,
-    ContourTooClose,
-    DegenerateLattice,
-    EllipsePhaseError,
-    IllConditioned,
-    IoFailure,
-    PoleOrZeroHit,
-    UnbalancedDivisor,
-)
-from .lattice import (
-    Lattice,
-    coordinates,
-    make_lattice,
-    reduce_basis,
-    reduce_to_cell,
-    torus_distance,
-)
-from .render import Coloring, RenderSpec, render_phase_portrait, render_pixels
-from .synthesis import (
-    PhaseFunctionSpec,
-    eval_f,
-    solve_exponent,
-    synthesize,
-    xi0_from_divisor,
-    xi0_from_multipliers,
-)
-from .verify import (
-    ContourCount,
-    GridSpec,
-    QuadratureSpec,
-    VerificationReport,
-    count_zeros_poles,
-    phase_periodicity,
-    report_passes,
-    verify_spec,
-)
-from .weierstrass import (
-    Backend,
-    LogValue,
-    RatioConstant,
-    SigmaEvaluator,
-    VMethod,
-    eta,
-    sigma,
-    v_constant,
-    wrap_angle,
-)
+import importlib
 
-__all__ = [
-    "AbelViolation",
-    "AccuracyNotMet",
-    "Backend",
-    "Coloring",
-    "ContourCount",
-    "ContourTooClose",
-    "DegenerateLattice",
-    "Divisor",
-    "EllipsePhaseError",
-    "GridSpec",
-    "IllConditioned",
-    "IoFailure",
-    "Lattice",
-    "LogValue",
-    "PhaseFunctionSpec",
-    "PoleOrZeroHit",
-    "PoleValue",
-    "QuadratureSpec",
-    "RatioConstant",
-    "RenderSpec",
-    "SigmaEvaluator",
-    "SigmaQuotient",
-    "UnbalancedDivisor",
-    "VMethod",
-    "VerificationReport",
-    "build_elliptic",
-    "coordinates",
-    "count_zeros_poles",
-    "eta",
-    "eval_elliptic",
-    "eval_f",
-    "make_divisor",
-    "make_lattice",
-    "phase_periodicity",
-    "reduce_basis",
-    "reduce_to_cell",
-    "render_phase_portrait",
-    "render_pixels",
-    "report_passes",
-    "sigma",
-    "solve_exponent",
-    "synthesize",
-    "torus_distance",
-    "v_constant",
-    "validate_abel",
-    "verify_spec",
-    "wrap_angle",
-    "xi0_from_divisor",
-    "xi0_from_multipliers",
-]
+#: Each public name and the submodule that defines it.
+_SOURCES = {
+    "Divisor": "divisor",
+    "PoleValue": "divisor",
+    "SigmaQuotient": "divisor",
+    "build_elliptic": "divisor",
+    "eval_elliptic": "divisor",
+    "make_divisor": "divisor",
+    "validate_abel": "divisor",
+    "AbelViolation": "errors",
+    "AccuracyNotMet": "errors",
+    "ContourTooClose": "errors",
+    "DegenerateLattice": "errors",
+    "EllipsePhaseError": "errors",
+    "IllConditioned": "errors",
+    "IoFailure": "errors",
+    "PoleOrZeroHit": "errors",
+    "UnbalancedDivisor": "errors",
+    "Lattice": "lattice",
+    "coordinates": "lattice",
+    "make_lattice": "lattice",
+    "reduce_basis": "lattice",
+    "reduce_to_cell": "lattice",
+    "torus_distance": "lattice",
+    "Coloring": "render",
+    "RenderSpec": "render",
+    "render_phase_portrait": "render",
+    "render_pixels": "render",
+    "PhaseFunctionSpec": "synthesis",
+    "eval_f": "synthesis",
+    "solve_exponent": "synthesis",
+    "synthesize": "synthesis",
+    "xi0_from_divisor": "synthesis",
+    "xi0_from_multipliers": "synthesis",
+    "ContourCount": "verify",
+    "GridSpec": "verify",
+    "QuadratureSpec": "verify",
+    "VerificationReport": "verify",
+    "count_zeros_poles": "verify",
+    "phase_periodicity": "verify",
+    "report_passes": "verify",
+    "verify_spec": "verify",
+    "Backend": "weierstrass",
+    "LogValue": "weierstrass",
+    "RatioConstant": "weierstrass",
+    "SigmaEvaluator": "weierstrass",
+    "VMethod": "weierstrass",
+    "eta": "weierstrass",
+    "sigma": "weierstrass",
+    "v_constant": "weierstrass",
+    "wrap_angle": "weierstrass",
+}
+
+__all__ = sorted(_SOURCES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

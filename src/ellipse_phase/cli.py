@@ -18,9 +18,6 @@ import sys
 
 from . import jsonio
 from .errors import AccuracyNotMet, EllipsePhaseError
-from .render import Coloring, RenderSpec, render_phase_portrait
-from .synthesis import eval_f, synthesize
-from .verify import GridSpec, report_passes, verify_spec
 from .weierstrass import Backend, SigmaEvaluator, eta, sigma, v_constant
 
 CONFIG_PATH = "ellipse-phase.json"
@@ -54,6 +51,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .render import Coloring
+
     parser = argparse.ArgumentParser(
         prog="ellipse-phase",
         description="Construct, evaluate, and verify functions with doubly periodic phase.",
@@ -146,6 +145,8 @@ def _cmd_vj(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synthesis import synthesize
+
     lat = jsonio.lattice_from_obj(_read_json_arg(args.lattice))
     d = jsonio.divisor_from_obj(_read_json_arg(args.divisor), lat)
     spec = synthesize(d, args.m1, args.m2, lat)
@@ -154,6 +155,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import GridSpec, report_passes, verify_spec
+
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     spec = jsonio.spec_from_obj(_read_json_arg(args.spec))
@@ -164,6 +167,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .render import Coloring, RenderSpec, render_phase_portrait
+    from .synthesis import eval_f
+
     spec = jsonio.spec_from_obj(_read_json_arg(args.spec))
     lat = spec.lattice
     center = _parse_complex(args.center) if args.center else (lat.p1 + lat.p2) / 2

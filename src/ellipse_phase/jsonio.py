@@ -14,11 +14,14 @@ import cmath
 import dataclasses
 import json
 import math
+from typing import TYPE_CHECKING
 
-from .divisor import Divisor, SigmaQuotient, make_divisor
 from .lattice import Lattice, make_lattice
-from .synthesis import PhaseFunctionSpec, synthesize
-from .verify import VerificationReport
+
+if TYPE_CHECKING:
+    from .divisor import Divisor, SigmaQuotient
+    from .synthesis import PhaseFunctionSpec
+    from .verify import VerificationReport
 
 
 def _format_float(x: float) -> str:
@@ -68,6 +71,13 @@ def _expect(obj, kind: type, what: str):
     return obj
 
 
+def _field(obj: dict, key: str, what: str):
+    """obj[key]; else a ValueError naming the missing field of `what`."""
+    if key not in obj:
+        raise ValueError(f"{what} field {key!r} is missing")
+    return obj[key]
+
+
 def complex_from_obj(obj) -> complex:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ValueError(f"expected a complex number as [re, im], got {obj!r}")
@@ -80,7 +90,8 @@ def lattice_to_obj(lat: Lattice) -> dict:
 
 def lattice_from_obj(obj) -> Lattice:
     obj = _expect(obj, dict, "a lattice object")
-    return make_lattice(complex_from_obj(obj["p1"]), complex_from_obj(obj["p2"]))
+    p1, p2 = (complex_from_obj(_field(obj, key, "lattice")) for key in ("p1", "p2"))
+    return make_lattice(p1, p2)
 
 
 def divisor_to_obj(d: Divisor) -> dict:
@@ -91,6 +102,8 @@ def divisor_to_obj(d: Divisor) -> dict:
 
 
 def divisor_from_obj(obj, lat: Lattice) -> Divisor:
+    from .divisor import make_divisor
+
     obj = _expect(obj, dict, "a divisor object with zeros and poles")
     for key in obj:
         if key not in ("zeros", "poles"):
@@ -131,18 +144,21 @@ def spec_from_obj(obj) -> PhaseFunctionSpec:
     17-digit round trip; the first that differs raises ValueError, as does a
     non-integral m.
     """
+    from .synthesis import synthesize
+
     obj = _expect(obj, dict, "a spec object")
-    lat = lattice_from_obj(obj["lattice"])
-    d = divisor_from_obj(obj["divisor"], lat)
-    if not (isinstance(obj["m"], list) and len(obj["m"]) == 2):
-        raise ValueError(f"spec field 'm' must be [m1, m2], got {obj['m']!r}")
-    m1, m2 = (number_from_obj(v) for v in obj["m"])
+    lat = lattice_from_obj(_field(obj, "lattice", "spec"))
+    d = divisor_from_obj(_field(obj, "divisor", "spec"), lat)
+    m = _field(obj, "m", "spec")
+    if not (isinstance(m, list) and len(m) == 2):
+        raise ValueError(f"spec field 'm' must be [m1, m2], got {m!r}")
+    m1, m2 = (number_from_obj(v) for v in m)
     if not (m1.is_integer() and m2.is_integer()):
-        raise ValueError(f"spec field 'm' must hold integers, got {obj['m']}")
+        raise ValueError(f"spec field 'm' must hold integers, got {m}")
     spec = synthesize(d, int(m1), int(m2), lat)
     derived = json.loads(dumps(spec_to_obj(spec)))
     for key in ("xi0", "a", "alpha", "g"):
-        if obj[key] != derived[key]:
+        if _field(obj, key, "spec") != derived[key]:
             raise ValueError(
                 f"spec field {key!r} is {obj[key]} but lattice, divisor and m give {derived[key]}"
             )

@@ -14,8 +14,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .divisor import PoleValue
 from .errors import IoFailure
+from .weierstrass import LogValue
 
 
 #: Most pixels a portrait may have; the bytes are built in memory.
@@ -52,7 +52,7 @@ class RenderSpec:
 
 
 def _pixel_rgb(value, coloring: Coloring) -> tuple[int, int, int]:
-    if isinstance(value, PoleValue):
+    if not isinstance(value, LogValue):  # a divisor.PoleValue
         return (255, 255, 255)
     if value.is_zero():
         return (0, 0, 0)

@@ -286,10 +286,16 @@ class TestSynthVerifyRoundtrip:
              "a lattice"),
             (("verify", "--spec", "[1, 2]"), "a spec"),
             (("plot", "--spec", '{"lattice": 5}', "--out", "f.ppm"), "a lattice"),
+            (("sigma", "--lattice", '{"p2": [0, 1]}', "--z=0.1,0.1"), "lattice field 'p1' is missing"),
+            (("verify", "--spec", f'{{"lattice": {LATTICE}, "divisor": {DIVISOR}}}'),
+             "spec field 'm' is missing"),
+            (("verify", "--spec", f'{{"lattice": {LATTICE}, "divisor": {DIVISOR}, "m": [0, 0]}}'),
+             "spec field 'xi0' is missing"),
         ],
         ids=[
             "short-period", "short-divisor-entry", "divisor-not-object", "zeros-not-list",
             "poles-string", "lattice-list", "lattice-in-list", "spec-list", "spec-lattice-number",
+            "lattice-no-p1", "spec-no-m", "spec-no-xi0",
         ],
     )
     def test_malformed_json_shape_exit_code(self, args, names):
@@ -712,43 +718,46 @@ class TestOneEvaluatorPerCommand:
         assert len(evaluator_inits) == 1
 
 
-LAZY_NUMPY_CHILD = """
-import contextlib, io, sys
+LOADED_MODULES_CHILD = """
+import contextlib, io, json, sys
 from ellipse_phase import cli
 
-def run(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(list(argv)) == 0, argv
-    return out.getvalue()
-
-lattice, divisor = sys.argv[1:3]
-with open("spec.json", "w") as fh:
-    fh.write(run("synth", "--lattice", lattice, "--divisor", divisor))
-assert "numpy" not in sys.modules, "synth"
-for argv in [
-    ("plot", "--spec", "spec.json", "--out", "p.ppm", "--resolution", "8x8"),
-    ("sigma", "--lattice", lattice, "--z=0.3,0.2"),
-    ("eta", "--lattice", lattice, "--j", "2"),
-    ("vj", "--lattice", lattice, "--xi0=0.3,0.1", "--j", "1", "--method", "eta"),
-]:
-    run(*argv)
-    assert "numpy" not in sys.modules, argv[0]
-run("sigma", "--lattice", lattice, "--z=0.3,0.2", "--backend", "direct")
-assert "numpy" in sys.modules
-run("verify", "--spec", "spec.json", "--grid", "3x3")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0, sys.argv[1:]
+package = {m.partition(".")[2] for m in sys.modules if m.startswith("ellipse_phase.")}
+print(json.dumps([sorted(package), "numpy" in sys.modules]))
 """
 
+# the parser's --coloring choices come from render, so every command loads it
+CORE = {"cli", "errors", "jsonio", "lattice", "render", "weierstrass"}
+SPEC_COMMANDS = CORE | {"divisor", "synthesis"}
 
-def test_scalar_commands_do_not_import_numpy(tmp_path):
-    # numpy is most of the import time of a CLI call; only the lattice sums and
-    # the Gauss nodes need it
+#: argv of a CLI call -> (the package modules it loads, whether it loads numpy)
+LOADED_MODULES = {
+    ("synth", "--lattice", LATTICE, "--divisor", DIVISOR): (SPEC_COMMANDS, False),
+    ("plot", "--spec", "spec.json", "--out", "p.ppm", "--resolution", "8x8"): (SPEC_COMMANDS, False),
+    ("sigma", "--lattice", LATTICE, "--z=0.3,0.2"): (CORE, False),
+    ("eta", "--lattice", LATTICE, "--j", "2"): (CORE, False),
+    ("vj", "--lattice", LATTICE, "--xi0=0.3,0.1", "--j", "1", "--method", "eta"): (CORE, False),
+    ("sigma", "--lattice", LATTICE, "--z=0.3,0.2", "--backend", "direct"): (CORE, True),
+    ("eta", "--lattice", LATTICE, "--j", "2", "--backend", "direct"): (CORE, True),
+    ("vj", "--lattice", LATTICE, "--xi0=0.3,0.1", "--j", "1", "--method", "direct"): (CORE, True),
+    ("verify", "--spec", "spec.json", "--grid", "3x3"): (SPEC_COMMANDS | {"verify"}, True),
+}
+
+
+def test_commands_load_only_their_modules(tmp_path, spec_m12):
+    # each call is a fresh process, so what it imports is start-up time: numpy
+    # is most of it, and only the lattice sums and the Gauss nodes need it
+    (tmp_path / "spec.json").write_text(spec_m12)
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
-    r = subprocess.run(
-        [sys.executable, "-c", LAZY_NUMPY_CHILD, LATTICE, DIVISOR],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
-    assert r.returncode == 0, r.stderr
+    for argv, (modules, numpy) in LOADED_MODULES.items():
+        r = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES_CHILD, *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == [sorted(modules), numpy], argv
 
 
 class TestSpecReload:

@@ -96,6 +96,25 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from ellipse_phase import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == ellipse_phase.__all__
+
+
+def test_dir_lists_all():
+    listed = dir(ellipse_phase)
+    assert [n for n in ellipse_phase.__all__ if n not in listed] == []
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ellipse_phase.no_such_name
+    with pytest.raises(ImportError):
+        exec("from ellipse_phase import no_such_name", {})
+
+
 @pytest.mark.parametrize("module", BENCH_MODULES)
 def test_bench_imports_resolve(module):
     names = imported_names(BENCH_DIR / module)
