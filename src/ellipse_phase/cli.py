@@ -45,8 +45,12 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"expected 're,im', got {text!r}")
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    nx, _, ny = text.partition("x")
+def _parse_grid(text: str, flag: str) -> tuple[int, int]:
+    """(W, H) from a flag's value `WxH`, or (N, N) from `N`; anything else is a ValueError."""
+    match = re.fullmatch(r"([0-9]+)(?:x([0-9]+))?", text)
+    if match is None:
+        raise ValueError(f"{flag} must be N or WxH, got {text!r}")
+    nx, ny = match.groups()
     return int(nx), int(ny or nx)
 
 
@@ -160,7 +164,7 @@ def _cmd_verify(args) -> int:
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     spec = jsonio.spec_from_obj(_read_json_arg(args.spec))
-    nx, ny = _parse_grid(args.grid)
+    nx, ny = _parse_grid(args.grid, "--grid")
     report = verify_spec(spec, grid=GridSpec(spec.lattice, nx, ny))
     print(jsonio.dumps(jsonio.report_to_obj(report)))
     return 0 if report_passes(report, spec, tol=args.tol) else 2  # a tolerance failure
@@ -176,7 +180,7 @@ def _cmd_plot(args) -> int:
     span = abs(lat.p1) + abs(lat.p2)
     width = args.width if args.width is not None else span
     height = args.height if args.height is not None else span
-    wpx, hpx = _parse_grid(args.resolution)
+    wpx, hpx = _parse_grid(args.resolution, "--resolution")
     rspec = RenderSpec(
         center=center,
         width=width,

@@ -12,9 +12,8 @@ its exact q'/q from `weierstrass.zeta`.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
-from .errors import AbelViolation, PoleOrZeroHit
+from .errors import AbelViolation, PoleOrZeroHit, Value, set_field
 from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
 from .weierstrass import LogValue, SigmaEvaluator, _log_quotient, zeta
 
@@ -26,16 +25,18 @@ ABEL_TOL = 1e-9
 MAX_DEGREE = 10_000
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Value):
     """Multisets of zeros and poles (point, multiplicity) inside the cell.
 
     Construct through `make_divisor`, which reduces points into the half-open
     cell, merges points that coincide mod L, and cancels common zero/pole factors.
     """
 
-    zeros: tuple[tuple[complex, int], ...]
-    poles: tuple[tuple[complex, int], ...]
+    __slots__ = ("zeros", "poles")
+
+    def __init__(self, zeros: tuple[tuple[complex, int], ...], poles: tuple[tuple[complex, int], ...]):
+        set_field(self, "zeros", zeros)
+        set_field(self, "poles", poles)
 
     def zero_count(self) -> int:
         return sum(m for _, m in self.zeros)
@@ -50,25 +51,31 @@ class Divisor:
         return sum((p * m for p, m in self.poles), 0j)
 
 
-@dataclass(frozen=True)
-class PoleValue:
+class PoleValue(Value):
     """Marker for a pole hit, carrying the multiplicity."""
 
-    multiplicity: int
+    __slots__ = ("multiplicity",)
+
+    def __init__(self, multiplicity: int):
+        set_field(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class SigmaQuotient:
+class SigmaQuotient(Value):
     """exp(exponent*z + log_scale) * prod sigma(z - zero) / prod sigma(z - pole).
 
     Built by `build_elliptic` (g) and `synthesis._fold_ratio` (f's evaluation
     form), so no zero is congruent to a pole.
     """
 
-    exponent: complex
-    log_scale: complex
-    zeros: tuple[complex, ...]
-    poles: tuple[complex, ...]
+    __slots__ = ("exponent", "log_scale", "zeros", "poles")
+
+    def __init__(
+        self, exponent: complex, log_scale: complex, zeros: tuple[complex, ...], poles: tuple[complex, ...]
+    ):
+        set_field(self, "exponent", exponent)
+        set_field(self, "log_scale", log_scale)
+        set_field(self, "zeros", zeros)
+        set_field(self, "poles", poles)
 
 
 def _extend(d: Divisor, zeros, poles, lat: Lattice) -> Divisor:

@@ -1,4 +1,55 @@
-"""Exception types shared across the package, each with its CLI exit code."""
+"""Exception types shared across the package, each with its CLI exit code, and
+the base of its immutable value classes.
+
+The value classes (`Lattice`, `LogValue`, the specs, the reports) derive from
+`Value`, which every command loads, and not from `dataclasses`: importing that
+pulls `inspect`, `ast`, `dis` and `tokenize` into each CLI process's start-up.
+"""
+
+#: Sets a field of a `Value` in its `__init__`.  Bound once here: looking up
+#: object.__setattr__ in each call makes a LogValue ~1.6x as dear to build.
+set_field = object.__setattr__
+
+
+class Value:
+    """Immutable value semantics from `__slots__`.
+
+    A subclass names its fields, in order, in `__slots__`, and sets each in
+    its `__init__` with `set_field`.  Equality (same class, equal fields),
+    hash and repr read the fields in `_compared`, which is all of `__slots__`
+    unless the class body names fewer; assigning or deleting a field raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
 
 
 class EllipsePhaseError(Exception):

@@ -11,7 +11,6 @@ fields must match the re-derived ones exactly.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
 from typing import TYPE_CHECKING
@@ -166,5 +165,6 @@ def spec_from_obj(obj) -> PhaseFunctionSpec:
 
 
 def report_to_obj(report: VerificationReport) -> dict:
-    obj = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    """The report's fields, in their `__slots__` order, with complex values as [re, im]."""
+    obj = {name: getattr(report, name) for name in report.__slots__}
     return {k: complex_to_obj(v) if isinstance(v, complex) else v for k, v in obj.items()}

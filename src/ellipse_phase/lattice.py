@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateLattice
+from .errors import DegenerateLattice, Value, set_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,13 +37,15 @@ SNAP_TOL = 1e-12
 SHELL_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Value):
     """Periods p1, p2 with Im(p2/p1) != 0, plus the cached ratio omega = p2/p1."""
 
-    p1: complex
-    p2: complex
-    omega: complex
+    __slots__ = ("p1", "p2", "omega")
+
+    def __init__(self, p1: complex, p2: complex, omega: complex):
+        set_field(self, "p1", p1)
+        set_field(self, "p2", p2)
+        set_field(self, "omega", omega)
 
 
 def make_lattice(p1: complex, p2: complex) -> Lattice:

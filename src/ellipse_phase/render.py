@@ -12,9 +12,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 
-from .errors import IoFailure
+from .errors import IoFailure, Value, set_field
 from .weierstrass import LogValue
 
 
@@ -27,28 +26,37 @@ class Coloring(str, enum.Enum):
     PHASE_HUE_MODULUS = "phase-mod"
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(Value):
     """Rectangular region, pixel resolution, coloring mode, and output path."""
 
-    center: complex
-    width: float
-    height: float
-    width_px: int
-    height_px: int
-    coloring: Coloring = Coloring.PHASE_HUE
-    output_path: str = "portrait.ppm"
+    __slots__ = ("center", "width", "height", "width_px", "height_px", "coloring", "output_path")
 
-    def __post_init__(self):
-        if self.width_px < 1 or self.height_px < 1:
+    def __init__(
+        self,
+        center: complex,
+        width: float,
+        height: float,
+        width_px: int,
+        height_px: int,
+        coloring: Coloring = Coloring.PHASE_HUE,
+        output_path: str = "portrait.ppm",
+    ):
+        if width_px < 1 or height_px < 1:
             raise ValueError("resolution must be >= 1 pixel in each dimension")
-        if self.width_px * self.height_px > MAX_PIXELS:
+        if width_px * height_px > MAX_PIXELS:
             raise ValueError(f"resolution must have at most MAX_PIXELS = {MAX_PIXELS} pixels")
-        if not cmath.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center!r}")
-        for name, value in (("width", self.width), ("height", self.height)):
+        if not cmath.isfinite(center):
+            raise ValueError(f"center must be finite, got {center!r}")
+        for name, value in (("width", width), ("height", height)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        set_field(self, "center", center)
+        set_field(self, "width", width)
+        set_field(self, "height", height)
+        set_field(self, "width_px", width_px)
+        set_field(self, "height_px", height_px)
+        set_field(self, "coloring", coloring)
+        set_field(self, "output_path", output_path)
 
 
 def _pixel_rgb(value, coloring: Coloring) -> tuple[int, int, int]:

@@ -15,34 +15,50 @@ so |f| picks up a positive constant and the phase is fully periodic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .divisor import Divisor, PoleValue, SigmaQuotient, _extend, build_elliptic, eval_elliptic
-from .errors import IllConditioned, UnbalancedDivisor
+from .errors import IllConditioned, UnbalancedDivisor, Value, set_field
 from .lattice import SNAP_TOL, Lattice, nearest_lattice_point, reduce_to_cell, torus_distance
 from .weierstrass import TAU, LogValue, SigmaEvaluator
 
 
-@dataclass(frozen=True)
-class PhaseFunctionSpec:
+class PhaseFunctionSpec(Value):
     """Complete description of a synthesized f, plus its evaluation form.
 
     Built only by `synthesize`.  `quotient` is f's evaluation form from
     `_fold_ratio`, so evaluation is total away from the intended divisor;
-    `ev` is the fast evaluator whose eta1, eta2 that fold used.
+    `ev` is the fast evaluator whose eta1, eta2 that fold used, and is left
+    out of equality, hash and repr.
     """
 
-    lattice: Lattice
-    xi0: complex
-    a: complex
-    m1: int
-    m2: int
-    alpha1: float
-    alpha2: float
-    g: SigmaQuotient
-    divisor: Divisor
-    quotient: SigmaQuotient
-    ev: SigmaEvaluator = field(compare=False, repr=False)
+    __slots__ = ("lattice", "xi0", "a", "m1", "m2", "alpha1", "alpha2", "g", "divisor", "quotient", "ev")
+    _compared = __slots__[:-1]
+
+    def __init__(
+        self,
+        lattice: Lattice,
+        xi0: complex,
+        a: complex,
+        m1: int,
+        m2: int,
+        alpha1: float,
+        alpha2: float,
+        g: SigmaQuotient,
+        divisor: Divisor,
+        quotient: SigmaQuotient,
+        ev: SigmaEvaluator,
+    ):
+        set_field(self, "lattice", lattice)
+        set_field(self, "xi0", xi0)
+        set_field(self, "a", a)
+        set_field(self, "m1", m1)
+        set_field(self, "m2", m2)
+        set_field(self, "alpha1", alpha1)
+        set_field(self, "alpha2", alpha2)
+        set_field(self, "g", g)
+        set_field(self, "divisor", divisor)
+        set_field(self, "quotient", quotient)
+        set_field(self, "ev", ev)
 
     # read by the sigma replay of bench/layers.py, which counts the factors
     @property

@@ -14,17 +14,12 @@ at the step scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .divisor import PoleValue, log_derivative
-from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit
+from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit, Value, set_field
 from .lattice import Lattice, coordinates, reduce_basis, reduce_to_cell, torus_distance
 from .synthesis import PhaseFunctionSpec, eval_f
 from .weierstrass import LOG_NORMAL_RANGE, TAU, wrap_angle
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: least clearance between the contour and any known zero/pole, as a fraction
 #: of the shortest period |P1|.  Quadrature error decays like
@@ -40,37 +35,36 @@ FD_STEP = 1e-5
 MAX_GRID = 1000 * 1000
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Value):
     """Sampling grid over the fundamental cell; `seed` is accepted and ignored."""
 
-    lattice: Lattice
-    nx: int = 10
-    ny: int = 10
-    seed: int = 42
+    __slots__ = ("lattice", "nx", "ny", "seed")
 
-    def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
+    def __init__(self, lattice: Lattice, nx: int = 10, ny: int = 10, seed: int = 42):
+        if nx < 1 or ny < 1:
             raise ValueError("grid must have at least one point per direction")
-        if self.nx * self.ny > MAX_GRID:
+        if nx * ny > MAX_GRID:
             raise ValueError(f"grid must have at most MAX_GRID = {MAX_GRID} points")
+        set_field(self, "lattice", lattice)
+        set_field(self, "nx", nx)
+        set_field(self, "ny", ny)
+        set_field(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Value):
     """Gauss-Legendre panels along each cell side; `seed` is accepted and ignored."""
 
-    panels_per_side: int = 32
-    nodes_per_panel: int = 8
-    seed: int = 1337
+    __slots__ = ("panels_per_side", "nodes_per_panel", "seed")
 
-    def __post_init__(self):
-        if self.panels_per_side < 1 or self.nodes_per_panel < 2:
+    def __init__(self, panels_per_side: int = 32, nodes_per_panel: int = 8, seed: int = 1337):
+        if panels_per_side < 1 or nodes_per_panel < 2:
             raise ValueError("need >= 1 panel per side and >= 2 nodes per panel")
+        set_field(self, "panels_per_side", panels_per_side)
+        set_field(self, "nodes_per_panel", nodes_per_panel)
+        set_field(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class ContourCount:
+class ContourCount(Value):
     """One contour pass: zeros minus poles, the raw integrals, diagnostics.
 
     raw_winding = (1/2*pi*i) * integral of f'/f dz     -> zeros minus poles
@@ -79,27 +73,68 @@ class ContourCount:
     zero/pole counts the moment mod L is the same for every cell and offset.
     """
 
-    zeros_minus_poles: int
-    raw_winding: complex
-    integer_distance: float
-    raw_moment: complex
-    offset: complex
+    __slots__ = ("zeros_minus_poles", "raw_winding", "integer_distance", "raw_moment", "offset")
+
+    def __init__(
+        self,
+        zeros_minus_poles: int,
+        raw_winding: complex,
+        integer_distance: float,
+        raw_moment: complex,
+        offset: complex,
+    ):
+        set_field(self, "zeros_minus_poles", zeros_minus_poles)
+        set_field(self, "raw_winding", raw_winding)
+        set_field(self, "integer_distance", integer_distance)
+        set_field(self, "raw_moment", raw_moment)
+        set_field(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    phase_residual_p1: float
-    phase_residual_p2: float
-    multiplier1: float
-    multiplier2: float
-    zero_count: int
-    pole_count: int
-    divisor_sum_mod_L: complex
-    xi0_recovered: complex
-    samples_used: int
-    contour_offset: complex
-    winding_distance: float
-    reliable: bool
+class VerificationReport(Value):
+    """What `verify_spec` measured; `jsonio.report_to_obj` writes the fields in this order."""
+
+    __slots__ = (
+        "phase_residual_p1",
+        "phase_residual_p2",
+        "multiplier1",
+        "multiplier2",
+        "zero_count",
+        "pole_count",
+        "divisor_sum_mod_L",
+        "xi0_recovered",
+        "samples_used",
+        "contour_offset",
+        "winding_distance",
+        "reliable",
+    )
+
+    def __init__(
+        self,
+        phase_residual_p1: float,
+        phase_residual_p2: float,
+        multiplier1: float,
+        multiplier2: float,
+        zero_count: int,
+        pole_count: int,
+        divisor_sum_mod_L: complex,
+        xi0_recovered: complex,
+        samples_used: int,
+        contour_offset: complex,
+        winding_distance: float,
+        reliable: bool,
+    ):
+        set_field(self, "phase_residual_p1", phase_residual_p1)
+        set_field(self, "phase_residual_p2", phase_residual_p2)
+        set_field(self, "multiplier1", multiplier1)
+        set_field(self, "multiplier2", multiplier2)
+        set_field(self, "zero_count", zero_count)
+        set_field(self, "pole_count", pole_count)
+        set_field(self, "divisor_sum_mod_L", divisor_sum_mod_L)
+        set_field(self, "xi0_recovered", xi0_recovered)
+        set_field(self, "samples_used", samples_used)
+        set_field(self, "contour_offset", contour_offset)
+        set_field(self, "winding_distance", winding_distance)
+        set_field(self, "reliable", reliable)
 
 
 def _is_marker(value) -> bool:
@@ -147,13 +182,41 @@ def phase_periodicity(fval, p: complex, grid: GridSpec, known_points=()) -> tupl
     return residual, mean
 
 
-def _gauss_nodes(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
+def _legendre_rule(n: int) -> tuple[list[float], list[float]]:
+    """The n-point Gauss-Legendre rule on [-1, 1]: nodes in ascending order, and weights.
 
-    x, w = np.polynomial.legendre.leggauss(quad.nodes_per_panel)
+    Newton on P_n from cos(pi*(k + 3/4)/(n + 1/2)) gives the k-th largest root
+    x; its mirror -x is the root of the same rank from below, and both take the
+    weight 2/((1 - x^2) P_n'(x)^2).  The weights are then scaled to sum to 2.
+    """
+    x = [0.0] * n
+    w = [0.0] * n
+    for k in range((n + 1) // 2):
+        r = math.cos(math.pi * (k + 0.75) / (n + 0.5))
+        for _ in range(100):
+            # P_n(r) and P_{n-1}(r) by the three-term recurrence, then P_n'(r)
+            p0, p1 = 1.0, r
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * r * p1 - (j - 1) * p0) / j
+            dp = n * (r * p1 - p0) / (r * r - 1.0)
+            step = p1 / dp
+            r -= step
+            if abs(step) <= 1e-15:
+                break
+        x[k], x[n - 1 - k] = -r, r
+        w[k] = w[n - 1 - k] = 2.0 / ((1.0 - r * r) * dp * dp)
+    if n % 2:
+        x[n // 2] = 0.0
+    total = sum(w)
+    return x, [2.0 * wk / total for wk in w]
+
+
+def _gauss_nodes(quad: QuadratureSpec) -> tuple[list[float], list[float]]:
+    """Nodes t in (0, 1) along a side, and their weights: the Gauss-Legendre rule on each panel."""
+    x, w = _legendre_rule(quad.nodes_per_panel)
     P = quad.panels_per_side
-    t = ((np.arange(P)[:, None] + (x[None, :] + 1.0) / 2.0) / P).ravel()
-    weights = np.tile(w / (2.0 * P), P)
+    t = [(p + (xk + 1.0) / 2.0) / P for p in range(P) for xk in x]
+    weights = [wk / (2.0 * P) for _ in range(P) for wk in w]
     return t, weights
 
 
@@ -206,10 +269,9 @@ def _contour_pass(dlog, lat: Lattice, quad: QuadratureSpec, known_points) -> Con
             psi = dlog(z, direction)
             winding += wk * psi * edge
             moment += wk * z * psi * edge
-    winding = complex(winding) / (TAU * 1j)
-    nearest = int(round(winding.real))
-    distance = float(abs(winding - nearest))
-    return ContourCount(nearest, winding, distance, complex(moment) / (TAU * 1j), offset)
+    winding /= TAU * 1j
+    nearest = round(winding.real)
+    return ContourCount(nearest, winding, abs(winding - nearest), moment / (TAU * 1j), offset)
 
 
 def count_zeros_poles(

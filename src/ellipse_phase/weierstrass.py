@@ -71,7 +71,9 @@ magnitude leaves `_WINDOW`, chosen so that one more factor keeps it a normal
 double, and once at the end; the constant log(P1/pi) - log(theta1'(0)/2) is
 added once, times the number of zeros less poles.  `zeta(ev, z)` (FastSeries
 only) reduces by `_theta_cell`, which calls `nearest_lattice_point`, and
-`divisor.log_derivative` sums it into the exact f'/f.
+`divisor.log_derivative` sums it into the exact f'/f.  In both, a factor
+counts as on the lattice only once `_certify_hit` passes: far from the cell
+the reduced z0 has lost its bits, and |z0| <= SNAP_TOL proves nothing.
 """
 
 from __future__ import annotations
@@ -81,9 +83,8 @@ import enum
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import AccuracyNotMet
+from .errors import AccuracyNotMet, Value, set_field
 from .lattice import (
     MAX_PERIOD,
     SNAP_TOL,
@@ -128,16 +129,18 @@ def wrap_angle(x: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(Value):
     """A complex value stored as (log magnitude, phase).
 
     log_mag = -inf encodes the value 0 (with the conventional phase 0);
     phase always lies in (-pi, pi].
     """
 
-    log_mag: float
-    phase: float
+    __slots__ = ("log_mag", "phase")
+
+    def __init__(self, log_mag: float, phase: float):
+        set_field(self, "log_mag", log_mag)
+        set_field(self, "phase", phase)
 
     @staticmethod
     def from_log(log_w: complex) -> "LogValue":
@@ -312,15 +315,30 @@ def _theta_cell(ev: SigmaEvaluator, z: complex) -> tuple[int, int, complex, comp
     [-1/2, 1/2).  z0 = z - lam is formed in the z-plane, where it is exact next
     to a period; rounding v before subtracting pi*(m + n*omega) loses
     eps*|v|/|v0| there.  `_log_quotient` repeats the same operations inline.
+    A hit that `_certify_hit` cannot certify raises AccuracyNotMet.
     """
     red = ev._reduced
     m, n, lam = nearest_lattice_point(z, red)
     z0 = z - lam
     # z0 sits in the centered cell, so the only lattice point in range is 0
     if abs(z0) <= SNAP_TOL:
+        _certify_hit(ev._quad, z, n, math.pi * red.omega, ev.target_rel_error)
         return None
     v0 = math.pi * z0 / red.p1
     return m, n, v0, cmath.sin(v0)
+
+
+def _certify_hit(quad_coef: complex, u: complex, n: int, pi_omega: complex, target: float) -> None:
+    """AccuracyNotMet unless a reduction of u onto a lattice point certifies a hit.
+
+    Far from the cell, z0 = u - lam has lost every bit, so |z0| <= SNAP_TOL
+    says nothing; the hit must pass the roundoff certificate of a factor off
+    the lattice, with v0 = 0 in its amplitude |quad| + |Im v0| + |corr|; an
+    amplitude that overflows to nan fails it too.
+    """
+    certified = _EPS * (10.0 + abs(quad_coef * u * u) + abs(n * (n * pi_omega)))
+    if not certified <= target:
+        raise AccuracyNotMet(f"roundoff estimate {certified:.3e} exceeds target {target:.3e}")
 
 
 def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
@@ -392,6 +410,7 @@ def _log_quotient(ev: SigmaEvaluator, z: complex, zeros, poles) -> tuple[complex
             z0 = u - (m * p1 + n * p2)
             # z0 sits in the centered cell, so the only lattice point in range is 0
             if abs(z0) <= SNAP_TOL:
+                _certify_hit(quad_coef, u, n, pi_omega, target)
                 hits += 1
                 continue
             v0 = math.pi * z0 / p1
@@ -478,14 +497,16 @@ class VMethod(str, enum.Enum):
     VIA_ETA = "eta"
 
 
-@dataclass(frozen=True)
-class RatioConstant:
+class RatioConstant(Value):
     """v_j for one (xi0, j), with the method and its a-priori error bound."""
 
-    v: complex
-    method: VMethod
-    shells_used: int
-    error_bound: float
+    __slots__ = ("v", "method", "shells_used", "error_bound")
+
+    def __init__(self, v: complex, method: VMethod, shells_used: int, error_bound: float):
+        set_field(self, "v", v)
+        set_field(self, "method", method)
+        set_field(self, "shells_used", shells_used)
+        set_field(self, "error_bound", error_bound)
 
 
 def v_constant(

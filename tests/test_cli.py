@@ -20,6 +20,7 @@ from ellipse_phase import (
 from ellipse_phase.jsonio import dumps, spec_from_obj
 
 LATTICE = '{"p1": [1, 0], "p2": [0, 1]}'
+SKEW = '{"p1": [1.1, 0], "p2": [0.3, 1.1]}'
 DIVISOR = '{"zeros": [[0.3, 0.4, 1]], "poles": [[0.6, 0.1, 1]]}'
 
 
@@ -107,6 +108,14 @@ class TestSigmaCommand:
         r = run_cli("sigma", "--lattice", LATTICE, "--z=1e20,0.5", "--backend", backend)
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr.startswith("AccuracyNotMet:"), r.stderr
+
+    @pytest.mark.parametrize("z", ["1e15,0", "1e16,0", "1e17,0", "1e20,0"])
+    def test_far_point_is_not_an_exact_zero(self, monkeypatch, tmp_path, capsys, z):
+        # no lattice point, but z - lam had lost every bit: log_mag=-inf phase=0, exit 0
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _main(capsys, "sigma", "--lattice", SKEW, f"--z={z}")
+        assert (code, out) == (2, "")
+        assert err.startswith("AccuracyNotMet:"), err
 
     @pytest.mark.parametrize("im", [240, 300, 413])
     @pytest.mark.parametrize("command", ["sigma", "synth"])
@@ -465,6 +474,44 @@ class TestPlot:
         assert err.startswith(f"ValueError: {field} must be"), err
         assert not (tmp_path / "p.ppm").exists()
 
+    def test_far_center_exits_2(self, monkeypatch, tmp_path, capsys):
+        # every factor read as a lattice hit, so a zero met a pole: ArithmeticError
+        # "congruent zero/pole factors were not cancelled"
+        monkeypatch.chdir(tmp_path)
+        spec = _main(capsys, "synth", "--lattice", SKEW, "--divisor", DIVISOR)[1]
+        (tmp_path / "spec.json").write_text(spec)
+        argv = ["--spec", "spec.json", "--out", "p.ppm", "--center", "1e300,1e300", "--resolution", "4x4"]
+        code, out, err = _main(capsys, "plot", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("AccuracyNotMet:"), err
+        assert not (tmp_path / "p.ppm").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag", [("plot", "--resolution"), ("verify", "--grid")], ids=["plot", "verify"]
+    )
+    @pytest.mark.parametrize("value", ["4x", "x4", "abc", "4x4x4", "4X4", " 4", "+4", "4.0"])
+    def test_malformed_grid_names_flag(self, monkeypatch, tmp_path, capsys, command, flag, value):
+        # "4x" was read as 4x4, "abc" failed with int()'s message, naming neither
+        monkeypatch.chdir(tmp_path)
+        spec = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)[1]
+        (tmp_path / "spec.json").write_text(spec)
+        argv = ["--out", "p.ppm"] if command == "plot" else []
+        code, out, err = _main(capsys, command, "--spec", "spec.json", *argv, f"{flag}={value}")
+        assert (code, out) == (1, "")
+        assert err == f"ValueError: {flag} must be N or WxH, got {value!r}\n"
+
+    @pytest.mark.parametrize("value, size", [("3", (3, 3)), ("2x3", (2, 3))])
+    def test_grid_forms(self, monkeypatch, tmp_path, capsys, value, size):
+        monkeypatch.chdir(tmp_path)
+        spec = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)[1]
+        (tmp_path / "spec.json").write_text(spec)
+        code, _, err = _main(capsys, "plot", "--spec", "spec.json", "--out", "p.ppm", "--resolution", value)
+        assert code == 0, err
+        assert (tmp_path / "p.ppm").read_bytes().startswith(b"P6\n%d %d\n" % size)
+        code, out, err = _main(capsys, "verify", "--spec", "spec.json", "--grid", value)
+        assert code == 0, err
+        assert json.loads(out)["samples_used"] == size[0] * size[1]
+
     def test_unwritable_path_raises_io_failure(self, tmp_path):
         from ellipse_phase import IoFailure, render_phase_portrait
 
@@ -725,7 +772,7 @@ from ellipse_phase import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(sys.argv[1:]) == 0, sys.argv[1:]
 package = {m.partition(".")[2] for m in sys.modules if m.startswith("ellipse_phase.")}
-print(json.dumps([sorted(package), "numpy" in sys.modules]))
+print(json.dumps([sorted(package), *(m in sys.modules for m in ("numpy", "dataclasses", "inspect"))]))
 """
 
 # the parser's --coloring choices come from render, so every command loads it
@@ -742,13 +789,15 @@ LOADED_MODULES = {
     ("sigma", "--lattice", LATTICE, "--z=0.3,0.2", "--backend", "direct"): (CORE, True),
     ("eta", "--lattice", LATTICE, "--j", "2", "--backend", "direct"): (CORE, True),
     ("vj", "--lattice", LATTICE, "--xi0=0.3,0.1", "--j", "1", "--method", "direct"): (CORE, True),
-    ("verify", "--spec", "spec.json", "--grid", "3x3"): (SPEC_COMMANDS | {"verify"}, True),
+    ("verify", "--spec", "spec.json", "--grid", "3x3"): (SPEC_COMMANDS | {"verify"}, False),
 }
 
 
 def test_commands_load_only_their_modules(tmp_path, spec_m12):
     # each call is a fresh process, so what it imports is start-up time: numpy
-    # is most of it, and only the lattice sums and the Gauss nodes need it
+    # is most of it, and only the direct lattice sums need it.  No command loads
+    # dataclasses, which pulls in inspect, ast and dis; inspect comes only with
+    # numpy, whose numpy._core.overrides imports it
     (tmp_path / "spec.json").write_text(spec_m12)
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
     for argv, (modules, numpy) in LOADED_MODULES.items():
@@ -757,7 +806,7 @@ def test_commands_load_only_their_modules(tmp_path, spec_m12):
             capture_output=True, text=True, cwd=tmp_path, env=env,
         )
         assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout) == [sorted(modules), numpy], argv
+        assert json.loads(r.stdout) == [sorted(modules), numpy, False, numpy], argv
 
 
 class TestSpecReload:

@@ -68,7 +68,8 @@ def spec5():
 
 
 def test_cold_start():
-    # measured median ~25 ms without a bytecode cache: a fresh interpreter
+    # measured median ~26 ms without a bytecode cache (~38 ms while the value
+    # classes were dataclasses, 21 alternating runs): a fresh interpreter
     # imports the CLI and builds one fast evaluator, as each CLI call does
     package_root = str(Path(ellipse_phase.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=package_root)

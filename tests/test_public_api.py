@@ -7,6 +7,7 @@ only read bench/; they do not run it.
 """
 
 import ast
+import copy
 import functools
 import importlib
 import inspect
@@ -25,6 +26,7 @@ from ellipse_phase import (
     synthesize,
     wrap_angle,
 )
+from ellipse_phase.jsonio import report_to_obj
 
 from conftest import random_cell_point
 
@@ -167,3 +169,82 @@ def test_spec_g_satisfies_literal_formula(lat, rng):
             literal = spec.a * z + g.log() + sigma(ev, z).log() - sigma(ev, z - spec.xi0).log()
             gap = eval_f(spec, ev, z).log() - literal
             assert abs(complex(gap.real, wrap_angle(gap.imag))) <= 1e-9
+
+
+LAT = make_lattice(1.1, 0.3 + 1.1j)
+SPEC = synthesize(make_divisor([(0.3 + 0.4j, 1)], [(0.6 + 0.1j, 1)], LAT), 1, 0, LAT)
+REPORT = ellipse_phase.verify_spec(SPEC, ellipse_phase.GridSpec(LAT, 2, 2))
+
+#: each value class, and the fields of one instance, in __init__ order
+VALUE_FIELDS = {
+    "Lattice": (LAT.p1, LAT.p2, LAT.omega),
+    "LogValue": (0.5, -1.0),
+    "RatioConstant": (0.1 + 0.2j, ellipse_phase.VMethod.VIA_ETA, 0, 1e-13),
+    "RenderSpec": (0j, 1.0, 2.0, 3, 4, ellipse_phase.Coloring.PHASE_HUE_MODULUS, "x.ppm"),
+    "Divisor": (SPEC.divisor.zeros, SPEC.divisor.poles),
+    "PoleValue": (2,),
+    "SigmaQuotient": (0.5j, 0j, (0.3 + 0.4j,), (0.6 + 0.1j,)),
+    "PhaseFunctionSpec": tuple(getattr(SPEC, name) for name in SPEC.__slots__),
+    "GridSpec": (LAT, 3, 4, 7),
+    "QuadratureSpec": (4, 5, 6),
+    "ContourCount": (0, 1e-9 + 0j, 1e-9, 0.1 + 0.2j, 0.05 + 0.05j),
+    "VerificationReport": tuple(getattr(REPORT, name) for name in REPORT.__slots__),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_FIELDS)
+def test_value_class_contract(name):
+    # the value classes are plain __slots__ classes, so nothing else pins what
+    # @dataclass(frozen=True) gave them
+    cls = getattr(ellipse_phase, name)
+    fields = VALUE_FIELDS[name]
+    a, b = cls(*fields), cls(*fields)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not a != b and a != object()
+    assert copy.copy(a) == a
+    names = [n for n in cls.__slots__ if n != "ev"]
+    shown = ", ".join(f"{n}={getattr(a, n)!r}" for n in names)
+    # tests/fingerprint.py hashes these reprs
+    assert repr(a) == f"{name}({shown})"
+    for field in (*cls.__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, cls.__slots__[0])
+    assert a == b, "a refused assignment changed a field"
+
+
+def test_spec_equality_ignores_evaluator():
+    other = ellipse_phase.PhaseFunctionSpec(
+        *(getattr(SPEC, name) for name in SPEC.__slots__[:-1]), SigmaEvaluator(LAT)
+    )
+    assert other.ev is not SPEC.ev
+    assert other == SPEC and hash(other) == hash(SPEC)
+
+
+@pytest.mark.parametrize(
+    "name, parameters",
+    [
+        ("RenderSpec", [
+            ("center", None), ("width", None), ("height", None), ("width_px", None), ("height_px", None),
+            ("coloring", ellipse_phase.Coloring.PHASE_HUE), ("output_path", "portrait.ppm"),
+        ]),
+        ("GridSpec", [("lattice", None), ("nx", 10), ("ny", 10), ("seed", 42)]),
+        ("QuadratureSpec", [("panels_per_side", 32), ("nodes_per_panel", 8), ("seed", 1337)]),
+    ],
+)
+def test_spec_signatures(name, parameters):
+    # the benchmark calls these positionally and by keyword
+    signature = inspect.signature(getattr(ellipse_phase, name))
+    assert [
+        (p.name, None if p.default is p.empty else p.default) for p in signature.parameters.values()
+    ] == parameters
+
+
+def test_report_keys_keep_their_order():
+    # verify's JSON lists the fields in this order
+    assert list(report_to_obj(REPORT)) == [
+        "phase_residual_p1", "phase_residual_p2", "multiplier1", "multiplier2",
+        "zero_count", "pole_count", "divisor_sum_mod_L", "xi0_recovered",
+        "samples_used", "contour_offset", "winding_distance", "reliable",
+    ]

@@ -165,6 +165,25 @@ class TestCountZerosPoles:
         )
         assert abs(coarse.raw_winding - fine.raw_winding) < 1e-3
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_legendre_rule_matches_numpy(self, n):
+        # the rule is computed without numpy, so verify runs without loading it
+        import numpy as np
+
+        x, w = verify._legendre_rule(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert x == sorted(x) and x == [-v for v in reversed(x)]
+        assert max(abs(x - x_ref)) <= 2e-16
+        assert max(abs(w - w_ref) / w_ref) <= 1e-12
+        assert abs(sum(w) - 2.0) <= 1e-15
+
+    def test_gauss_nodes_tile_the_panels(self):
+        t, weights = verify._gauss_nodes(QuadratureSpec(panels_per_side=3, nodes_per_panel=4))
+        assert len(t) == len(weights) == 12
+        assert all(k / 3 < tk < (k + 1) / 3 for k in range(3) for tk in t[4 * k : 4 * k + 4])
+        assert sum(weights) == pytest.approx(1.0, abs=1e-15)
+        assert all(type(v) is float for v in t + weights)
+
     def test_offset_is_largest_gap(self, square):
         # the requested offset 0 runs through the zero at the origin and is
         # ignored; the lines s = -0.35 and t = -0.3 halve the largest gaps

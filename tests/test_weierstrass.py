@@ -110,6 +110,25 @@ class TestSigmaBasics:
         with pytest.raises(AccuracyNotMet):
             sigma(square_fast, 123456.25 + 98765.5j)
 
+    @pytest.mark.parametrize("z", [1e15, 1e16, 1e17, 1e20, complex(1e300, 1e300)])
+    def test_far_point_is_no_lattice_hit(self, z):
+        # z - lam had lost every bit there and read as a lattice point: sigma was
+        # an exact zero and zeta None, although no such z lies on the lattice
+        ev = SigmaEvaluator(make_lattice(1.1, 0.3 + 1.1j))
+        with pytest.raises(AccuracyNotMet):
+            sigma(ev, z)
+        with pytest.raises(AccuracyNotMet):
+            weierstrass.zeta(ev, z)
+
+    def test_hits_within_three_periods_stay_exact(self):
+        lat = make_lattice(1.1, 0.3 + 1.1j)
+        ev = SigmaEvaluator(lat)
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                lam = m * lat.p1 + n * lat.p2
+                assert sigma(ev, lam).is_zero()
+                assert weierstrass.zeta(ev, lam) is None
+
     @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(math.inf, 0), complex(0, -math.inf)])
     def test_non_finite_point_rejected(self, square_fast, square_direct, z):
         for ev in (square_fast, square_direct):
