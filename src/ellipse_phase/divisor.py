@@ -5,8 +5,8 @@ condition) is realized as g(z) = prod sigma(z - zero) / prod sigma(z - pole),
 made genuinely periodic by shifting one zero by the lattice part of the sum
 defect so the sums match exactly.  Both g and the synthesized f are a
 `SigmaQuotient`, evaluated by the same `eval_elliptic`, which takes all of its
-sigma factors in one `weierstrass._log_quotient` pass; `log_derivative` gives
-its exact q'/q from `weierstrass.zeta`.
+sigma factors in one `weierstrass._log_quotient` pass; `log_derivative` takes
+its exact q'/q, a sum of zeta values, in one `weierstrass._dlog_quotient` pass.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import cmath
 
 from .errors import AbelViolation, PoleOrZeroHit, Value, set_field
 from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
-from .weierstrass import LogValue, SigmaEvaluator, _log_quotient, zeta
+from .weierstrass import LogValue, SigmaEvaluator, _dlog_quotient, _log_quotient
 
 #: Allowed distance of the zero/pole sum defect from the lattice.
 ABEL_TOL = 1e-9
@@ -182,13 +182,7 @@ def log_derivative(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> complex:
     ValueError, also for a quotient without sigma factors.
     """
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"point {z} is not finite")
-    total = q.exponent
-    for sign, points in ((1, q.zeros), (-1, q.poles)):
-        for w in points:
-            value = zeta(ev, z - w)
-            if value is None:
-                raise PoleOrZeroHit(f"{z} lies on a zero or pole")
-            total += sign * value
+    total = _dlog_quotient(ev, z, q.exponent, q.zeros, q.poles)
+    if total is None:
+        raise PoleOrZeroHit(f"{z} lies on a zero or pole")
     return total

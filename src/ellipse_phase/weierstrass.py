@@ -35,7 +35,7 @@ gives
 
 (DLMF 20.2, 23.6).  The series is summed as theta1(v) = 2 sin(v) S(cos 2v),
 S a polynomial of degree 4 at most on a reduced basis, by Horner; the factor
-sin(v) keeps theta1 accurate next to 0, and `zeta` sums S and S' in one pass.
+sin(v) keeps theta1 accurate next to 0.
 The nome underflows to 0 in double precision once the reduced Im(omega')
 exceeds about 237, and the evaluator refuses such a lattice with AccuracyNotMet.
 
@@ -69,11 +69,13 @@ into one running product for the zeros and one for the poles, and adds the
 terms in eta1' and n to one sum.  A product takes a complex log only when its
 magnitude leaves `_WINDOW`, chosen so that one more factor keeps it a normal
 double, and once at the end; the constant log(P1/pi) - log(theta1'(0)/2) is
-added once, times the number of zeros less poles.  `zeta(ev, z)` (FastSeries
-only) reduces by `_theta_cell`, which calls `nearest_lattice_point`, and
-`divisor.log_derivative` sums it into the exact f'/f.  In both, a factor
-counts as on the lattice only once `_certify_hit` passes: far from the cell
-the reduced z0 has lost its bits, and |z0| <= SNAP_TOL proves nothing.
+added once, times the number of zeros less poles.  Its derivative,
+`_dlog_quotient` (FastSeries only), adds the zeta of each factor in order to
+one sum, S and S' in one Horner pass, after the rounding of
+`nearest_lattice_point`; `zeta` is its one-factor case and
+`divisor.log_derivative` the exact f'/f.  In both kernels a factor counts as
+on the lattice only once `_certify_hit` passes: far from the cell the reduced
+z0 has lost its bits, and |z0| <= SNAP_TOL proves nothing.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class SigmaEvaluator:
         if not 1 <= self.truncation_shells <= MAX_SHELLS:
             raise ValueError(f"truncation_shells must be in [1, {MAX_SHELLS}]")
 
-        # the reduced basis; None marks DirectProduct, which is what _log_quotient tests
+        # the reduced basis; None marks DirectProduct, which is what both kernels test
         self._reduced = None
         if self.backend is Backend.FAST_SERIES:
             self._reduced = red = reduce_basis(lattice)
@@ -278,14 +280,12 @@ class SigmaEvaluator:
             eta2_red = (eta1_red * red.p2 - TAU * 1j) / red.p1
             # theta1(v) = 2 sin(v) S(cos 2v), S a polynomial of degree K-1; see _cosine_polynomial
             top, *rest = _cosine_polynomial(coeffs)
-            self._cos_poly = top, tuple(rest)
-            self._quad = eta1_red / (2 * red.p1)
-            self._pi_p1 = math.pi / red.p1
-            # _log_quotient's constants, in the order it unpacks them; the last is the
+            # the kernels' constants, in the order they unpack them; the last is the
             # log of (P1/pi) * 2/theta1'(0), the constant of sigma(z) = ... * theta1(v0)/2
             log_const = cmath.log(red.p1 / math.pi) - cmath.log(t1p / 2)
             self._theta = (red.p1, red.p2, red.omega.real, red.omega.imag, top, tuple(rest),
-                           self._quad, math.pi * red.omega, self.target_rel_error, log_const)
+                           eta1_red / (2 * red.p1), math.pi * red.omega, self.target_rel_error,
+                           log_const)
             # [p1; p2] = det * [[d, -b], [-c, a]] [P1; P2] with integer entries
             (a, b, _), (c, d, _) = (nearest_lattice_point(P, lattice) for P in (red.p1, red.p2))
             det = a * d - b * c
@@ -305,27 +305,6 @@ class SigmaEvaluator:
         if c * N < 2 * abs(z):
             return math.inf
         return (16.0 / 3.0) * abs(z) ** 3 / (c**3 * N)
-
-
-def _theta_cell(ev: SigmaEvaluator, z: complex) -> tuple[int, int, complex, complex] | None:
-    """(m, n, v0, sin v0) with z = z0 + m*P1 + n*P2 and v0 = pi*z0/P1, or None on the lattice.
-
-    The range reduction of `zeta`, by `nearest_lattice_point` on the reduced
-    basis: v = pi*z/P1 = v0 + pi*(m + n*omega) with the coordinates of v0 in
-    [-1/2, 1/2).  z0 = z - lam is formed in the z-plane, where it is exact next
-    to a period; rounding v before subtracting pi*(m + n*omega) loses
-    eps*|v|/|v0| there.  `_log_quotient` repeats the same operations inline.
-    A hit that `_certify_hit` cannot certify raises AccuracyNotMet.
-    """
-    red = ev._reduced
-    m, n, lam = nearest_lattice_point(z, red)
-    z0 = z - lam
-    # z0 sits in the centered cell, so the only lattice point in range is 0
-    if abs(z0) <= SNAP_TOL:
-        _certify_hit(ev._quad, z, n, math.pi * red.omega, ev.target_rel_error)
-        return None
-    v0 = math.pi * z0 / red.p1
-    return m, n, v0, cmath.sin(v0)
 
 
 def _certify_hit(quad_coef: complex, u: complex, n: int, pi_omega: complex, target: float) -> None:
@@ -458,29 +437,46 @@ def sigma(ev: SigmaEvaluator, z: complex) -> LogValue:
     return LogValue.zero() if hits else LogValue.from_log(log_sigma)
 
 
-def zeta(ev: SigmaEvaluator, z: complex) -> complex | None:
-    """Weierstrass zeta(z) = sigma'(z)/sigma(z) on the FastSeries backend, or None on the lattice.
+def _dlog_quotient(ev: SigmaEvaluator, z: complex, exponent: complex, zeros, poles) -> complex | None:
+    """exponent + sum zeta(z - w) over zeros - the same over poles; None on a factor's lattice point.
 
-    zeta(z) = eta1' z/P1 + (pi/P1) (theta1'(v0)/theta1(v0) - 2i*n) with v0 and n
-    from `_theta_cell`; theta1'/theta1 = cot(v0) - 4 sin(v0) cos(v0) S'(c)/S(c) at
-    c = cos 2v0, with S and S' summed in one Horner pass (DLMF 20.2.9, 23.6).
+    zeta(u) = eta1' u/P1 + (pi/P1) (theta1'(v0)/theta1(v0) - 2i*n), with
+    theta1'/theta1 = cot(v0) - 4 sin(v0) cos(v0) S'(c)/S(c) at c = cos 2v0
+    (DLMF 20.2.9, 23.6).  A non-finite z is a ValueError.
     """
-    if ev._reduced is None:
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
+    red = ev._reduced
+    if red is None:
         raise ValueError("zeta needs the FastSeries backend")
-    z = complex(z)
-    cell = _theta_cell(ev, z)
-    if cell is None:
-        return None
-    _, n, v0, sin_v = cell
-    cos_v = cmath.cos(v0)
-    c = 1 - 2 * sin_v * sin_v
-    s, rest = ev._cos_poly
-    ds = 0j
-    for a in rest:
-        ds = ds * c + s
-        s = s * c + a
-    ratio = cos_v / sin_v - 4 * sin_v * cos_v * ds / s
-    return 2 * ev._quad * z + ev._pi_p1 * (ratio - 2j * n)
+    p1, _, _, _, top, rest, quad_coef, pi_omega, target, _ = ev._theta
+    total = exponent
+    for sign, points in ((1, zeros), (-1, poles)):
+        for w in points:
+            u = z - w
+            _, n, lam = nearest_lattice_point(u, red)
+            z0 = u - lam
+            # z0 sits in the centered cell, so the only lattice point in range is 0
+            if abs(z0) <= SNAP_TOL:
+                _certify_hit(quad_coef, u, n, pi_omega, target)
+                return None
+            v0 = math.pi * z0 / p1
+            sin_v = cmath.sin(v0)
+            cos_v = cmath.cos(v0)
+            c = 1 - 2 * sin_v * sin_v
+            s = top
+            ds = 0j
+            for a in rest:
+                ds = ds * c + s
+                s = s * c + a
+            ratio = cos_v / sin_v - 4 * sin_v * cos_v * ds / s
+            total += sign * (2 * quad_coef * u + math.pi / p1 * (ratio - 2j * n))
+    return total
+
+
+def zeta(ev: SigmaEvaluator, z: complex) -> complex | None:
+    """Weierstrass zeta(z) = sigma'(z)/sigma(z) on the FastSeries backend, or None on the lattice."""
+    return _dlog_quotient(ev, complex(z), 0j, (0j,), ())
 
 
 def eta(ev: SigmaEvaluator, j: int) -> complex:

@@ -772,7 +772,7 @@ from ellipse_phase import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(sys.argv[1:]) == 0, sys.argv[1:]
 package = {m.partition(".")[2] for m in sys.modules if m.startswith("ellipse_phase.")}
-print(json.dumps([sorted(package), *(m in sys.modules for m in ("numpy", "dataclasses", "inspect"))]))
+print(json.dumps([sorted(package), *(m in sys.modules for m in ("numpy", "dataclasses", "inspect", "typing"))]))
 """
 
 # the parser's --coloring choices come from render, so every command loads it
@@ -797,16 +797,21 @@ def test_commands_load_only_their_modules(tmp_path, spec_m12):
     # each call is a fresh process, so what it imports is start-up time: numpy
     # is most of it, and only the direct lattice sums need it.  No command loads
     # dataclasses, which pulls in inspect, ast and dis; inspect comes only with
-    # numpy, whose numpy._core.overrides imports it
+    # numpy, whose numpy._core.overrides imports it.  Nor does any numpy-free
+    # command load typing; a .pth file may import it at start-up, so that is
+    # checked again without the site module (python -S)
     (tmp_path / "spec.json").write_text(spec_m12)
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
     for argv, (modules, numpy) in LOADED_MODULES.items():
-        r = subprocess.run(
-            [sys.executable, "-c", LOADED_MODULES_CHILD, *argv],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
-        )
-        assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout) == [sorted(modules), numpy, False, numpy], argv
+        for flags in [()] if numpy else [(), ("-S",)]:
+            r = subprocess.run(
+                [sys.executable, *flags, "-c", LOADED_MODULES_CHILD, *argv],
+                capture_output=True, text=True, cwd=tmp_path, env=env,
+            )
+            assert r.returncode == 0, r.stderr
+            *loaded, typing = json.loads(r.stdout)
+            assert loaded == [sorted(modules), numpy, False, numpy], argv
+            assert not (flags and typing), argv
 
 
 class TestSpecReload:

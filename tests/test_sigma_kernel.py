@@ -1,4 +1,4 @@
-"""One sigma-quotient kernel behind sigma and eval_f, and zeta behind the exact f'/f.
+"""One sigma-quotient kernel behind sigma and eval_f, and one derivative kernel behind zeta and f'/f.
 
 `eval_f` evaluates its whole quotient in one kernel pass, `sigma` is the
 quotient with the single zero 0, and the phase is wrapped once, at the end.
@@ -10,8 +10,9 @@ differently: there the two agree within the sum of the per-factor roundoff
 certificates and eps times the exponential's log.  Both hold at points whose range reduction takes odd and even
 lattice coordinates, and the zero and pole hits agree exactly.  The kernel
 repeats `nearest_lattice_point`'s rounding inline, pinned here factor by
-factor.  `zeta` keeps its own range reduction; `log_derivative` sums it into
-the f'/f that `verify_spec` integrates.
+factor.  The exact f'/f that `verify_spec` integrates has a kernel of its
+own, `_dlog_quotient`: `zeta` is its one-factor case, and `log_derivative`
+equals, to the bit, the exponent plus the signed `zeta` of each factor.
 """
 
 import cmath
@@ -80,12 +81,13 @@ def certificate(q, ev, z):
     u on the reduced basis; eps*|exponent*z + log_scale| covers the exponential.
     """
     red = ev._reduced
+    quad_coef = ev._theta[6]  # eta1' / (2 P1)
     total = _EPS * abs(q.exponent * z + q.log_scale)
     for w in (*q.zeros, *q.poles):
         u = z - w
         _, n, lam = nearest_lattice_point(u, red)
         v0 = math.pi * (u - lam) / red.p1
-        amplitude = abs(ev._quad * u * u) + abs(v0.imag)
+        amplitude = abs(quad_coef * u * u) + abs(v0.imag)
         if n:
             amplitude += abs(n * (n * math.pi * red.omega + 2 * v0))
         total += _EPS * (10.0 + amplitude)
@@ -275,3 +277,31 @@ def test_log_derivative_is_the_derivative_of_eval_f(basis):
         for hit in (spec.quotient.zeros[0] + lat.p1, spec.quotient.poles[0] - lat.p2):
             with pytest.raises(PoleOrZeroHit):
                 log_derivative(spec.quotient, ev, hit)
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_log_derivative_equals_sum_of_zetas(basis):
+    # one derivative pass adds the factors' zeta values in factor order,
+    # starting at the exponent, so it matches the per-factor sum to the bit
+    lat = make_lattice(*BASES[basis])
+    ev = SigmaEvaluator(lat)
+    direct = SigmaEvaluator(lat, **BACKENDS["direct-20"])
+    rng = random.Random(f"zetas-{basis}")
+    for _ in range(4):
+        q = seeded_spec(rng, lat).quotient
+        for z in outside_points(rng, lat):
+            total = q.exponent
+            for w in q.zeros:
+                total += zeta(ev, z - w)
+            for w in q.poles:
+                total -= zeta(ev, z - w)
+            assert log_derivative(q, ev, z) == total
+        with pytest.raises(ValueError, match="FastSeries"):
+            log_derivative(q, direct, 0.3 + 0.2j)
+    with pytest.raises(ValueError, match="FastSeries"):
+        zeta(direct, 0.3 + 0.2j)
+    for z in (complex(math.nan, 0), complex(math.inf, 0), -math.inf * 1j):
+        with pytest.raises(ValueError, match=r"^point .* is not finite$"):
+            log_derivative(q, ev, z)
+        with pytest.raises(ValueError, match=r"^point .* is not finite$"):
+            zeta(ev, z)

@@ -336,15 +336,15 @@ class TestVerifySpec:
     def test_one_kernel_pass_per_node_and_factor(self, monkeypatch, nx, ny, panels, nodes):
         # the grid takes f at each point and its translate, for both periods,
         # one quotient kernel pass per f; the contour takes the exact f'/f once
-        # per node, one zeta range reduction per sigma factor (a central
-        # difference took f twice per node)
+        # per node in one derivative kernel pass, one range reduction per sigma
+        # factor (a central difference took f twice per node)
         lat = make_lattice(1, 0.3 + 1.1j)
         d = make_divisor(
             [(0.2 + 0.3j, 1), (0.6 + 0.1j, 1)], [(0.5 + 0.5j, 1), (0.3 + 0.2j, 1)], lat
         )
         spec = synthesize(d, 1, -1, lat)
         factors = len(spec.quotient.zeros) + len(spec.quotient.poles)
-        calls = {"eval_f": 0, "quotient": 0, "zeta": 0}
+        calls = {"eval_f": 0, "quotient": 0, "dlog": 0, "reduce": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -355,12 +355,16 @@ class TestVerifySpec:
 
         monkeypatch.setattr(verify, "eval_f", counted("eval_f", verify.eval_f))
         monkeypatch.setattr(divisor, "_log_quotient", counted("quotient", divisor._log_quotient))
-        monkeypatch.setattr(weierstrass, "_theta_cell", counted("zeta", weierstrass._theta_cell))
+        monkeypatch.setattr(divisor, "_dlog_quotient", counted("dlog", divisor._dlog_quotient))
+        monkeypatch.setattr(
+            weierstrass, "nearest_lattice_point", counted("reduce", weierstrass.nearest_lattice_point)
+        )
         report = verify_spec(spec, GridSpec(lat, nx, ny), QuadratureSpec(panels, nodes))
         known = [p for p, _ in d.zeros] + [p for p, _ in d.poles]
         assert report.contour_offset == _place_contour(lat, known)[1]
         assert calls["eval_f"] == calls["quotient"] == 4 * nx * ny
-        assert calls["zeta"] == 4 * panels * nodes * factors
+        assert calls["dlog"] == 4 * panels * nodes
+        assert calls["reduce"] == 4 * panels * nodes * factors
 
     @pytest.mark.parametrize("p2", [1j, 1 + 1j], ids=["square", "sheared"])
     def test_report_reads_one_contour_pass(self, p2):
