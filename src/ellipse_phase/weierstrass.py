@@ -13,10 +13,13 @@ product above.  It takes one complex log per product of 64 factors 1 - z^2/lam^2
 (the phase is wrapped at the end, so the sum of their logs is exact mod 2*pi*i)
 and sums z^2/lam^2 apart; a block of points with a product outside the normal
 double range, which only |z| far outside the cell reaches, takes one log per
-factor.  The points come from the cached float64 shell coordinates of
-`lattice._shell_arrays`.  FastSeries is the production path: after
-Gauss-reducing the basis the nome q = exp(i*pi*omega') satisfies
-|q| <= exp(-pi*sqrt(3)/2), and sigma is assembled
+factor.  Its `a_priori_bound` is the truncation tail (16/3)|z|^3/(c^3 N) plus
+a roundoff term, ~258 eps per product of 64 factors over 2N(N+1)/64 products,
+that dominates below |z| ~ 1e-3 |P1| (~7e-11 at 200 shells).  The points come
+from the cached float64 shell coordinates of `lattice._shell_arrays`.
+
+FastSeries is the production path: after Gauss-reducing the basis the nome
+q = exp(i*pi*omega') satisfies |q| <= exp(-pi*sqrt(3)/2), and sigma is assembled
 from the exponentially convergent odd theta series
 
     theta1(u | tau) = 2 * sum_n (-1)^n q^{(n+1/2)^2} sin((2n+1) u)
@@ -44,7 +47,8 @@ reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
 pair for the original basis combines them with the integer coordinates of P1, P2
 from `nearest_lattice_point`.  DirectProduct sums eta_j by `eta_from_sum` when
-`eta` asks for it.
+`eta` asks for it, once per process for each exact period pair, j and N: the
+sum is memoised for the last 16 of them (8 lattices with both periods).
 
 Translation constant: for any xi0 and either period p_j the four-factor ratio
 
@@ -53,7 +57,8 @@ Translation constant: for any xi0 and either period p_j the four-factor ratio
 is independent of z and equals exp(v_j) with v_j = -eta_j * xi0.  `v_constant`
 computes it that way for both methods: DirectSum is -xi0 times the eta_j of a
 DirectProduct evaluator over the shells (the paired lattice sum of
-`eta_from_sum`, with an O(1/N^2) truncation tail); ViaEta reuses the
+`eta_from_sum`, with an O(1/N^2) truncation tail, so v_j for another xi0 on
+the same lattice, or after `eta`, reuses the memoised sum); ViaEta reuses the
 theta-series quasi-period and is the accurate default.
 
 All values are in log form because |sigma| grows like exp(quadratic) across
@@ -85,10 +90,12 @@ import enum
 import itertools
 import math
 import sys
+from functools import lru_cache
 
 from .errors import AccuracyNotMet, Value, set_field
 from .lattice import (
     MAX_PERIOD,
+    SHELL_BLOCK,
     SNAP_TOL,
     Lattice,
     _point_blocks,
@@ -111,6 +118,9 @@ LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 #: factors per complex log in the direct log sigma.
 _PRODUCT = 64
+
+#: eps-roundings of one such product and its log, as `a_priori_bound` counts them.
+_PRODUCT_ROUNDINGS = 4 * _PRODUCT + 2
 
 #: A running FastSeries product takes a complex log once its magnitude leaves
 #: this window, so one more factor keeps it a normal double.  A factor
@@ -211,12 +221,24 @@ def eta_from_sum(lat: Lattice, j: int, N: int) -> complex:
     summed over one point of every pair {lam, -lam}; the pair {p_j, -p_j} adds
     only the paired term of p_j, -1/(4 p_j^3), since -p_j is excluded.  In the
     scale-free u = lam/p_j that is eta_j = (25/8 + sum (u^2+1)/(u^2 (u^2-1)^2)) / p_j.
+
+    The sum does not depend on any xi0, so it is memoised for the life of the
+    process on the exact periods, j and N, for the last 16 of them: `eta` of a
+    DirectProduct evaluator and `v_constant(..., "direct")` on the same lattice
+    run it once between them.
     """
-    pj = lat.p1 if j == 1 else lat.p2
+    # Lattice equality merges +0.0 and -0.0; the repr of the periods keeps the sign
+    return _eta_sum(repr((lat.p1, lat.p2)), lat.p1, lat.p2, j, N)
+
+
+@lru_cache(maxsize=16)  # both periods of 8 lattices
+def _eta_sum(periods: str, p1: complex, p2: complex, j: int, N: int) -> complex:
+    """The paired sum of `eta_from_sum`, cached on the exact periods (their repr), j and N."""
+    pj = p1 if j == 1 else p2
     total = 3 + 1 / 8
     # 1/8 is the pair {p_j, -p_j}, so skip p_j = (1, 0) or (0, 1) by its coordinates:
     # at the 1e-6 period floor lam^2 - p_j^2 is ~1e-12 for its neighbours too
-    for u in _point_blocks(N, lat.p1 / pj, lat.p2 / pj, skip=(2 - j, j - 1)):
+    for u in _point_blocks(N, p1 / pj, p2 / pj, skip=(2 - j, j - 1)):
         u *= u
         d = u - 1
         d *= d
@@ -248,7 +270,8 @@ class SigmaEvaluator:
     """Configured sigma evaluator; immutable after construction.
 
     Only the FastSeries backend holds state (eta1, eta2, the theta series);
-    `eta(ev, j)` serves both, running the DirectProduct lattice sum per call.
+    `eta(ev, j)` serves both, reading the DirectProduct lattice sum from the
+    process-wide memo of `eta_from_sum`, which runs it on the first request.
     """
 
     def __init__(
@@ -293,18 +316,46 @@ class SigmaEvaluator:
             self.eta2 = det * (-c * eta1_red + a * eta2_red)
 
     def a_priori_bound(self, z: complex) -> float:
-        """Bound on the truncation error of log sigma at z.
+        """Bound on the error of log sigma at z: the configured target for FastSeries.
 
-        DirectProduct: per-point tail |log(1-w)+w+w^2/2| <= (2/3)|w|^3 for
-        |w| <= 1/2 summed over shells beyond N gives (16/3)|z|^3/(c^3 N),
-        valid once c*N >= 2|z|.  FastSeries: the configured target.
+        DirectProduct: truncation plus roundoff, with c = `_unit_frame_distance`,
+        so |lam| >= c*k on shell k, and w = z/lam.  Truncation: the per-point
+        tail |log(1-w)+w+w^2/2| <= (2/3)|w|^3 for |w| <= 1/2 summed over shells
+        beyond N gives (16/3)|z|^3/(c^3 N), valid once c*N >= 2|z|; elsewhere
+        the bound is infinite.  Roundoff, to first order in eps = _EPS >= 2u:
+
+        - A factor (1 - w)(1 + w) is off by (2 + sqrt 5)u relative (two sums and
+          a complex product, Brent-Percival-Zimmermann 2007), and each of the 63
+          products that make a product of 64 factors adds sqrt(5)u: under 4 eps
+          per factor, and the log adds 2 eps, so _PRODUCT_ROUNDINGS eps per
+          product.  B blocks of SHELL_BLOCK points make at most 2N(N+1)/64 + B
+          products.
+        - w is off by at most (kappa + 3) eps relative, kappa = (|p1| + |p2|)/c,
+          from rounding lam = m*p1 + n*p2 (|m|, |n| <= k) and the division.  That
+          moves 1 - w^2 by (8/3)|w|^2 and w^2 by 2|w|^2 times it; with the sums
+          of the logs (|log(1 - w^2)| <= (4/3)|w|^2) and of w^2 it stays under
+          (5 kappa + 50) eps sum |w|^2, and sum |w|^2 <= sum_k 4k |z|^2/(c k)^2
+          <= 4 (ln N + 1) |z|^2/c^2.
+        - log z and the 2B additions to it: (B + 1) eps (|ln |z|| + pi).
+
+        Next to the origin the products dominate: ~1,300 of them at 200 shells.
         """
         if self.backend is Backend.FAST_SERIES:
             return self.target_rel_error
-        c, N = _unit_frame_distance(self.lattice), self.truncation_shells
-        if c * N < 2 * abs(z):
+        lat, N = self.lattice, self.truncation_shells
+        c, r = _unit_frame_distance(lat), abs(z)
+        if c * N < 2 * r:
             return math.inf
-        return (16.0 / 3.0) * abs(z) ** 3 / (c**3 * N)
+        blocks = -(-2 * N * (N + 1) // SHELL_BLOCK)
+        products = 2 * N * (N + 1) / _PRODUCT + blocks
+        kappa = (abs(lat.p1) + abs(lat.p2)) / c
+        log_z = abs(math.log(r)) + math.pi if r else 0.0
+        roundoff = _EPS * (
+            _PRODUCT_ROUNDINGS * products
+            + (5 * kappa + 50) * 4 * (math.log(N) + 1) * (r / c) ** 2
+            + (blocks + 1) * log_z
+        )
+        return (16.0 / 3.0) * r**3 / (c**3 * N) + roundoff
 
 
 def _certify_hit(quad_coef: complex, u: complex, n: int, pi_omega: complex, target: float) -> None:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import ellipse_phase
+from ellipse_phase import weierstrass
 from ellipse_phase import (
     RenderSpec,
     SigmaEvaluator,
@@ -97,11 +98,14 @@ def test_fast_sigma_calls():
 
 def test_direct_oracle_calls():
     # measured median ~7 ms: sigma, eta and vj --method direct at 200 shells,
-    # each call with its own evaluator as the CLI builds them
+    # each call with its own evaluator as the CLI builds them; the eta memo is
+    # cleared before each eta and vj, so that all five lattice sums run
     def direct_calls():
         sigma(SigmaEvaluator(LAT, backend="direct", truncation_shells=200), 0.31 + 0.27j)
         for j in (1, 2):
+            weierstrass._eta_sum.cache_clear()
             eta(SigmaEvaluator(LAT, backend="direct", truncation_shells=200), j)
+            weierstrass._eta_sum.cache_clear()
             v_constant(LAT, 0.3 + 0.2j, j, method="direct", shells=200)
 
     assert median_ms(direct_calls) < 400.0

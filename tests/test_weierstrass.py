@@ -16,7 +16,7 @@ from ellipse_phase import (
     wrap_angle,
 )
 from ellipse_phase import weierstrass
-from ellipse_phase.lattice import SHELL_BLOCK, _point_blocks
+from ellipse_phase.lattice import SHELL_BLOCK, _point_blocks, _unit_frame_distance
 from ellipse_phase.weierstrass import MAX_SHELLS, VMethod, v_constant
 
 from conftest import random_cell_point, random_lattice
@@ -177,18 +177,15 @@ class TestDirectLatticeSum:
     """The DirectProduct evaluator runs the eta lattice sum only when asked."""
 
     @pytest.fixture
-    def sums(self, monkeypatch):
-        calls = []
-        real = weierstrass.eta_from_sum
-        monkeypatch.setattr(
-            weierstrass, "eta_from_sum", lambda *a: calls.append(1) or real(*a)
-        )
-        return calls
+    def sums(self):
+        # an empty memo, so the count is of sums that run, whatever ran before
+        weierstrass._eta_sum.cache_clear()
+        return lambda: weierstrass._eta_sum.cache_info().misses
 
     def test_sigma_runs_no_sum(self, sums):
         ev = SigmaEvaluator(make_lattice(1, 0.3 + 1.1j), backend="direct", truncation_shells=50)
         sigma(ev, 0.3 + 0.2j)
-        assert len(sums) == 0
+        assert sums() == 0
 
     def test_direct_evaluator_stores_no_array(self):
         # each direct sum builds its lattice points from the shell coordinates
@@ -200,11 +197,11 @@ class TestDirectLatticeSum:
     def test_eta_runs_one_sum(self, sums):
         ev = SigmaEvaluator(make_lattice(1, 0.3 + 1.1j), backend="direct", truncation_shells=50)
         eta(ev, 2)
-        assert len(sums) == 1
+        assert sums() == 1
 
     def test_direct_v_runs_one_sum(self, sums):
         v_constant(make_lattice(1, 0.3 + 1.1j), 0.2 - 0.1j, 1, method="direct", shells=50)
-        assert len(sums) == 1
+        assert sums() == 1
 
     @pytest.mark.parametrize(
         "p1, p2",
@@ -217,6 +214,63 @@ class TestDirectLatticeSum:
         for j in (1, 2):
             ev = SigmaEvaluator(lat, Backend.DIRECT_PRODUCT, 60)
             assert v_constant(lat, xi0, j, "direct", 60).v == -xi0 * eta(ev, j)
+
+
+class TestEtaMemo:
+    """`eta_from_sum` runs each lattice sum once per process, keyed on the exact periods, j and N."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        # one _point_blocks call per sum that runs
+        weierstrass._eta_sum.cache_clear()
+        calls = []
+        real = weierstrass._point_blocks
+        monkeypatch.setattr(
+            weierstrass, "_point_blocks", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        return calls
+
+    def test_eta_then_direct_v_run_one_sum(self, blocks):
+        # two equal lattices built apart, as two CLI calls build them
+        lat_eta, lat_v = make_lattice(1, 0.3 + 1.1j), make_lattice(1, 0.3 + 1.1j)
+        assert lat_eta is not lat_v
+        xi0 = 0.37 - 0.21j
+        for j in (1, 2):
+            value = eta(SigmaEvaluator(lat_eta, "direct", 60), j)
+            assert v_constant(lat_v, xi0, j, "direct", 60).v == -xi0 * value
+        assert len(blocks) == 2
+
+    def test_other_j_shells_or_lattice_run_a_new_sum(self, blocks):
+        lat = make_lattice(1, 0.3 + 1.1j)
+        weierstrass.eta_from_sum(lat, 1, 40)
+        weierstrass.eta_from_sum(lat, 2, 40)
+        weierstrass.eta_from_sum(lat, 1, 41)
+        weierstrass.eta_from_sum(make_lattice(1, 0.3 + 1.2j), 1, 40)
+        assert len(blocks) == 4
+        weierstrass.eta_from_sum(lat, 1, 40)
+        assert len(blocks) == 4
+
+    @pytest.mark.parametrize(
+        "periods",
+        [
+            [(1, 0.3 + 1.1j)],
+            # Lattice equality merges the sign of a zero; the memo keeps them apart
+            [(complex(1, 0), complex(0, 1)), (complex(1, -0.0), complex(-0.0, 1))],
+            [(complex(-1, 0), complex(0.5, -1)), (complex(-1, -0.0), complex(0.5, -1))],
+        ],
+        ids=["generic", "signed-zero", "signed-zero-negative"],
+    )
+    def test_cached_value_is_the_fresh_sum(self, blocks, periods):
+        lats = [make_lattice(*p) for p in periods]
+        assert all(lat == lats[0] for lat in lats)
+        for j in (1, 2):
+            cached = [weierstrass.eta_from_sum(lat, j, 30) for lat in lats for _ in range(2)]
+            fresh = []
+            for lat in lats:
+                weierstrass._eta_sum.cache_clear()
+                fresh.append(weierstrass.eta_from_sum(lat, j, 30))
+            assert [repr(v) for v in cached] == [repr(v) for v in fresh for _ in range(2)]
+        assert len(blocks) == 4 * len(lats)
 
 
 REF_SHELLS = 20
@@ -298,6 +352,30 @@ class TestDirectReferenceSums:
         ref = LogValue.from_log(reference_log_sigma(lat, z, 200))
         assert log_distance(direct, ref) <= 1e-12 * (1 + abs(ref.log_mag))
 
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [(1, 1j), (1, 0.2 + 1.1j), (1.3 + 0.2j, 0.4 + 1.5j)],
+        ids=["square", "sheared", "generic"],
+    )
+    def test_bound_counts_roundoff_next_to_the_origin(self, p1, p2):
+        # below |z| ~ 1e-3|P1| the truncation term (~|z|^3) falls under the
+        # roundoff of the ~1,300 products of 64 factors, ~1e-12 measured
+        lat = make_lattice(p1, p2)
+        ev = SigmaEvaluator(lat, "direct", 200)
+        size = abs(reduce_basis(lat).p1)
+        for scale in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            for angle in (0.3, 1.7, -2.2):
+                z = scale * size * cmath.exp(1j * angle)
+                ref = LogValue.from_log(reference_log_sigma(lat, z, 200))
+                assert log_distance(sigma(ev, z), ref) <= ev.a_priori_bound(z)
+        # from |z| = 0.1|P1| on, where the benchmark's oracle checks sigma, the
+        # roundoff adds under 1e-5 of the truncation term
+        c = _unit_frame_distance(lat)
+        for scale in (0.1, 0.3, 1.0):
+            z = scale * size * cmath.exp(0.7j)
+            truncation = (16 / 3) * abs(z) ** 3 / (c**3 * 200)
+            assert truncation < ev.a_priori_bound(z) <= truncation * (1 + 1e-5)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-6])
     def test_eta(self, lat, scale):
         # at the 1e-6 period floor lam^2 - p_j^2 is ~1e-12 for the neighbours of +-p_j
@@ -364,6 +442,8 @@ class TestBackends:
             (16 / 3) * 0.5**3 / 200
         )
         assert math.isinf(square_direct.a_priori_bound(150.0))
+        # sigma(0) is exactly zero; its bound is finite, so CLI sigma prints it
+        assert math.isfinite(square_direct.a_priori_bound(0j))
 
     def test_direct_skips_theta_setup(self):
         # Im(P2/P1) = 500 is beyond the theta backend but fine for the lattice sum
