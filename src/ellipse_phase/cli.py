@@ -17,7 +17,7 @@ import re
 import sys
 
 from . import jsonio
-from .errors import AccuracyNotMet, EllipsePhaseError
+from .errors import AccuracyNotMet, EllipsePhaseError, IoFailure
 from .weierstrass import Backend, SigmaEvaluator, eta, sigma, v_constant
 
 CONFIG_PATH = "ellipse-phase.json"
@@ -259,8 +259,8 @@ def main(argv=None) -> int:
 
         return _COMMANDS[args.command](args)
     except OSError as exc:
-        print(f"IoFailure: {exc}", file=sys.stderr)
-        return 3
+        print(f"{IoFailure.__name__}: {exc}", file=sys.stderr)
+        return IoFailure.exit_code
     except (EllipsePhaseError, ArithmeticError, ValueError, KeyError, TypeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2 if isinstance(exc, ArithmeticError) else 1)

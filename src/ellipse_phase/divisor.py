@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 
-from .errors import AbelViolation, PoleOrZeroHit, Value, set_field
+from .errors import AbelViolation, PoleOrZeroHit, Value
 from .lattice import SNAP_TOL, Lattice, reduce_to_cell, torus_distance
 from .weierstrass import LogValue, SigmaEvaluator, _dlog_quotient, _log_quotient
 
@@ -34,10 +34,6 @@ class Divisor(Value):
 
     __slots__ = ("zeros", "poles")
 
-    def __init__(self, zeros: tuple[tuple[complex, int], ...], poles: tuple[tuple[complex, int], ...]):
-        set_field(self, "zeros", zeros)
-        set_field(self, "poles", poles)
-
     def zero_count(self) -> int:
         return sum(m for _, m in self.zeros)
 
@@ -56,9 +52,6 @@ class PoleValue(Value):
 
     __slots__ = ("multiplicity",)
 
-    def __init__(self, multiplicity: int):
-        set_field(self, "multiplicity", multiplicity)
-
 
 class SigmaQuotient(Value):
     """exp(exponent*z + log_scale) * prod sigma(z - zero) / prod sigma(z - pole).
@@ -68,14 +61,6 @@ class SigmaQuotient(Value):
     """
 
     __slots__ = ("exponent", "log_scale", "zeros", "poles")
-
-    def __init__(
-        self, exponent: complex, log_scale: complex, zeros: tuple[complex, ...], poles: tuple[complex, ...]
-    ):
-        set_field(self, "exponent", exponent)
-        set_field(self, "log_scale", log_scale)
-        set_field(self, "zeros", zeros)
-        set_field(self, "poles", poles)
 
 
 def _extend(d: Divisor, zeros, poles, lat: Lattice) -> Divisor:

@@ -14,14 +14,36 @@ set_field = object.__setattr__
 class Value:
     """Immutable value semantics from `__slots__`.
 
-    A subclass names its fields, in order, in `__slots__`, and sets each in
-    its `__init__` with `set_field`.  Equality (same class, equal fields),
-    hash and repr read the fields in `_compared`, which is all of `__slots__`
-    unless the class body names fewer; assigning or deleting a field raises
-    AttributeError.
+    A subclass names its fields, in order, in `__slots__`, and `__init__`
+    binds its arguments to them as the signature `(field1, field2, ...)`
+    would: positional arguments first, then keywords, with a TypeError naming
+    the class for one too many, a missing, an unknown or a repeated field.
+    `RenderSpec`, `GridSpec` and `QuadratureSpec` keep explicit signatures for
+    their defaults and validation, and end in `super().__init__`.  `LogValue`
+    sets its two fields itself: one is built per `sigma` and `eval_f` call,
+    and through the generic loop it takes ~2.3x as long to build.
+
+    Equality (same class, equal fields), hash and repr read the fields in
+    `_compared`, which is all of `__slots__` unless the class body names
+    fewer; assigning or deleting a field raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = self.__class__.__name__, self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} fields but {len(args)} were given")
+        for name in kwargs:
+            if name not in fields[len(args):]:
+                problem = "multiple values for" if name in fields else "an unexpected"
+                raise TypeError(f"{cls}() got {problem} field {name!r}")
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        for name in fields[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{cls}() missing field {name!r}")
+            set_field(self, name, kwargs[name])
 
     def __init_subclass__(cls):
         cls._compared = cls.__dict__.get("_compared", cls.__slots__)

@@ -14,7 +14,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .errors import DegenerateLattice, Value, set_field
+from .errors import DegenerateLattice, Value
 
 # type checkers honour this as typing.TYPE_CHECKING, whose import costs ~4 ms of start-up
 TYPE_CHECKING = False
@@ -42,11 +42,6 @@ class Lattice(Value):
     """Periods p1, p2 with Im(p2/p1) != 0, plus the cached ratio omega = p2/p1."""
 
     __slots__ = ("p1", "p2", "omega")
-
-    def __init__(self, p1: complex, p2: complex, omega: complex):
-        set_field(self, "p1", p1)
-        set_field(self, "p2", p2)
-        set_field(self, "omega", omega)
 
 
 def make_lattice(p1: complex, p2: complex) -> Lattice:

@@ -13,7 +13,7 @@ import cmath
 import enum
 import math
 
-from .errors import IoFailure, Value, set_field
+from .errors import IoFailure, Value
 from .weierstrass import LogValue
 
 
@@ -50,13 +50,7 @@ class RenderSpec(Value):
         for name, value in (("width", width), ("height", height)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        set_field(self, "center", center)
-        set_field(self, "width", width)
-        set_field(self, "height", height)
-        set_field(self, "width_px", width_px)
-        set_field(self, "height_px", height_px)
-        set_field(self, "coloring", coloring)
-        set_field(self, "output_path", output_path)
+        super().__init__(center, width, height, width_px, height_px, coloring, output_path)
 
 
 def _pixel_rgb(value, coloring: Coloring) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .divisor import Divisor, PoleValue, SigmaQuotient, _extend, build_elliptic, eval_elliptic
-from .errors import IllConditioned, UnbalancedDivisor, Value, set_field
+from .errors import IllConditioned, UnbalancedDivisor, Value
 from .lattice import SNAP_TOL, Lattice, nearest_lattice_point, reduce_to_cell, torus_distance
 from .weierstrass import TAU, LogValue, SigmaEvaluator
 
@@ -33,32 +33,6 @@ class PhaseFunctionSpec(Value):
 
     __slots__ = ("lattice", "xi0", "a", "m1", "m2", "alpha1", "alpha2", "g", "divisor", "quotient", "ev")
     _compared = __slots__[:-1]
-
-    def __init__(
-        self,
-        lattice: Lattice,
-        xi0: complex,
-        a: complex,
-        m1: int,
-        m2: int,
-        alpha1: float,
-        alpha2: float,
-        g: SigmaQuotient,
-        divisor: Divisor,
-        quotient: SigmaQuotient,
-        ev: SigmaEvaluator,
-    ):
-        set_field(self, "lattice", lattice)
-        set_field(self, "xi0", xi0)
-        set_field(self, "a", a)
-        set_field(self, "m1", m1)
-        set_field(self, "m2", m2)
-        set_field(self, "alpha1", alpha1)
-        set_field(self, "alpha2", alpha2)
-        set_field(self, "g", g)
-        set_field(self, "divisor", divisor)
-        set_field(self, "quotient", quotient)
-        set_field(self, "ev", ev)
 
     # read by the sigma replay of bench/layers.py, which counts the factors
     @property

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .divisor import PoleValue, log_derivative
-from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit, Value, set_field
+from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit, Value
 from .lattice import Lattice, coordinates, reduce_basis, reduce_to_cell, torus_distance
 from .synthesis import PhaseFunctionSpec, eval_f
 from .weierstrass import LOG_NORMAL_RANGE, TAU, wrap_angle
@@ -45,10 +45,7 @@ class GridSpec(Value):
             raise ValueError("grid must have at least one point per direction")
         if nx * ny > MAX_GRID:
             raise ValueError(f"grid must have at most MAX_GRID = {MAX_GRID} points")
-        set_field(self, "lattice", lattice)
-        set_field(self, "nx", nx)
-        set_field(self, "ny", ny)
-        set_field(self, "seed", seed)
+        super().__init__(lattice, nx, ny, seed)
 
 
 class QuadratureSpec(Value):
@@ -59,9 +56,7 @@ class QuadratureSpec(Value):
     def __init__(self, panels_per_side: int = 32, nodes_per_panel: int = 8, seed: int = 1337):
         if panels_per_side < 1 or nodes_per_panel < 2:
             raise ValueError("need >= 1 panel per side and >= 2 nodes per panel")
-        set_field(self, "panels_per_side", panels_per_side)
-        set_field(self, "nodes_per_panel", nodes_per_panel)
-        set_field(self, "seed", seed)
+        super().__init__(panels_per_side, nodes_per_panel, seed)
 
 
 class ContourCount(Value):
@@ -74,20 +69,6 @@ class ContourCount(Value):
     """
 
     __slots__ = ("zeros_minus_poles", "raw_winding", "integer_distance", "raw_moment", "offset")
-
-    def __init__(
-        self,
-        zeros_minus_poles: int,
-        raw_winding: complex,
-        integer_distance: float,
-        raw_moment: complex,
-        offset: complex,
-    ):
-        set_field(self, "zeros_minus_poles", zeros_minus_poles)
-        set_field(self, "raw_winding", raw_winding)
-        set_field(self, "integer_distance", integer_distance)
-        set_field(self, "raw_moment", raw_moment)
-        set_field(self, "offset", offset)
 
 
 class VerificationReport(Value):
@@ -107,34 +88,6 @@ class VerificationReport(Value):
         "winding_distance",
         "reliable",
     )
-
-    def __init__(
-        self,
-        phase_residual_p1: float,
-        phase_residual_p2: float,
-        multiplier1: float,
-        multiplier2: float,
-        zero_count: int,
-        pole_count: int,
-        divisor_sum_mod_L: complex,
-        xi0_recovered: complex,
-        samples_used: int,
-        contour_offset: complex,
-        winding_distance: float,
-        reliable: bool,
-    ):
-        set_field(self, "phase_residual_p1", phase_residual_p1)
-        set_field(self, "phase_residual_p2", phase_residual_p2)
-        set_field(self, "multiplier1", multiplier1)
-        set_field(self, "multiplier2", multiplier2)
-        set_field(self, "zero_count", zero_count)
-        set_field(self, "pole_count", pole_count)
-        set_field(self, "divisor_sum_mod_L", divisor_sum_mod_L)
-        set_field(self, "xi0_recovered", xi0_recovered)
-        set_field(self, "samples_used", samples_used)
-        set_field(self, "contour_offset", contour_offset)
-        set_field(self, "winding_distance", winding_distance)
-        set_field(self, "reliable", reliable)
 
 
 def _is_marker(value) -> bool:

@@ -150,6 +150,7 @@ class LogValue(Value):
 
     __slots__ = ("log_mag", "phase")
 
+    # not Value's generic __init__: one LogValue is built per sigma and eval_f call
     def __init__(self, log_mag: float, phase: float):
         set_field(self, "log_mag", log_mag)
         set_field(self, "phase", phase)
@@ -548,12 +549,6 @@ class RatioConstant(Value):
     """v_j for one (xi0, j), with the method and its a-priori error bound."""
 
     __slots__ = ("v", "method", "shells_used", "error_bound")
-
-    def __init__(self, v: complex, method: VMethod, shells_used: int, error_bound: float):
-        set_field(self, "v", v)
-        set_field(self, "method", method)
-        set_field(self, "shells_used", shells_used)
-        set_field(self, "error_bound", error_bound)
 
 
 def v_constant(

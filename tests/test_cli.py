@@ -349,6 +349,14 @@ class TestSynthVerifyRoundtrip:
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr.startswith("AccuracyNotMet:") and "alpha1" in r.stderr, r.stderr
 
+    def test_multiplier_outside_double_range_in_process(self, capsys):
+        # the refusal above, in this process, with its whole message
+        code, spec, err = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR, "--m2", "120")
+        assert code == 0, err
+        code, out, err = _main(capsys, "verify", "--spec", spec)
+        assert (code, out) == (2, "")
+        assert err == "AccuracyNotMet: exp(alpha1) leaves the normal double range: alpha1 = 755.867\n"
+
     @pytest.mark.parametrize(
         "flags, config",
         [(("--tol=nan",), None), (("--tol=-1",), None), (("--tol=0",), None),
@@ -511,6 +519,12 @@ class TestPlot:
         code, out, err = _main(capsys, "verify", "--spec", "spec.json", "--grid", value)
         assert code == 0, err
         assert json.loads(out)["samples_used"] == size[0] * size[1]
+
+    def test_empty_grid_exits_1(self, capsys):
+        spec = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)[1]
+        code, out, err = _main(capsys, "verify", "--spec", spec, "--grid", "0x5")
+        assert (code, out) == (1, "")
+        assert err == "ValueError: grid must have at least one point per direction\n"
 
     def test_unwritable_path_raises_io_failure(self, tmp_path):
         from ellipse_phase import IoFailure, render_phase_portrait

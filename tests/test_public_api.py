@@ -11,6 +11,7 @@ import copy
 import functools
 import importlib
 import inspect
+import pickle
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,29 @@ def test_value_class_contract(name):
     with pytest.raises(AttributeError):
         delattr(a, cls.__slots__[0])
     assert a == b, "a refused assignment changed a field"
+
+
+@pytest.mark.parametrize("name", VALUE_FIELDS)
+def test_value_class_binds_like_a_signature(name):
+    # most value classes take Value's generic __init__, which must bind and
+    # refuse arguments as the explicit signatures of the others do
+    cls = getattr(ellipse_phase, name)
+    fields = VALUE_FIELDS[name]
+    a = cls(*fields)
+    by_name = dict(zip(cls.__slots__, fields))
+    assert cls(**by_name) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+    first = cls.__slots__[0]
+    refused = [
+        lambda: cls(*fields, None),
+        lambda: cls(*fields, extra=None),
+        lambda: cls(*fields, **{first: fields[0]}),
+    ]
+    if name != "QuadratureSpec":  # every QuadratureSpec field has a default
+        refused.append(lambda: cls(**{n: v for n, v in by_name.items() if n != first}))
+    for build in refused:
+        with pytest.raises(TypeError, match=rf"^{name}\b"):
+            build()
 
 
 def test_spec_equality_ignores_evaluator():

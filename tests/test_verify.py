@@ -123,9 +123,16 @@ class TestPhasePeriodicity:
         assert _largest_gap(values)[1] == pytest.approx(width, abs=1e-15)
 
     def test_grid_point_count_capped(self, square):
+        # and the lower bounds of both specs
         GridSpec(square, 1000, 1000)
-        with pytest.raises(ValueError, match="MAX_GRID"):
-            GridSpec(square, 1001, 1000)
+        QuadratureSpec(1, 2)
+        for build, message in [
+            (lambda: GridSpec(square, 1001, 1000), "MAX_GRID"),
+            (lambda: QuadratureSpec(0), ">= 1 panel"),
+            (lambda: QuadratureSpec(nodes_per_panel=1), ">= 2 nodes"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestCountZerosPoles:

@@ -42,6 +42,11 @@ class TestWrapAngle:
         assert wrap_angle(TAU) == 0.0
         assert wrap_angle(0.3) == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("x", [math.pi, -math.pi, 3 * math.pi, TAU, 0.3])
+    def test_from_log_inlines_wrap_angle(self, x):
+        # LogValue.from_log repeats wrap_angle inline; -pi takes its phase <= -pi branch
+        assert LogValue.from_log(complex(0, x)).phase.hex() == wrap_angle(x).hex()
+
 
 class TestLogValue:
     def test_zero_conventions(self):
