@@ -12,13 +12,6 @@ import importlib
 
 #: Each public name and the submodule that defines it.
 _SOURCES = {
-    "Divisor": "divisor",
-    "PoleValue": "divisor",
-    "SigmaQuotient": "divisor",
-    "build_elliptic": "divisor",
-    "eval_elliptic": "divisor",
-    "make_divisor": "divisor",
-    "validate_abel": "divisor",
     "AbelViolation": "errors",
     "AccuracyNotMet": "errors",
     "ContourTooClose": "errors",
@@ -38,10 +31,14 @@ _SOURCES = {
     "RenderSpec": "render",
     "render_phase_portrait": "render",
     "render_pixels": "render",
+    "Divisor": "synthesis",
     "PhaseFunctionSpec": "synthesis",
+    "build_elliptic": "synthesis",
     "eval_f": "synthesis",
+    "make_divisor": "synthesis",
     "solve_exponent": "synthesis",
     "synthesize": "synthesis",
+    "validate_abel": "synthesis",
     "xi0_from_divisor": "synthesis",
     "xi0_from_multipliers": "synthesis",
     "ContourCount": "verify",
@@ -54,10 +51,13 @@ _SOURCES = {
     "verify_spec": "verify",
     "Backend": "weierstrass",
     "LogValue": "weierstrass",
+    "PoleValue": "weierstrass",
     "RatioConstant": "weierstrass",
     "SigmaEvaluator": "weierstrass",
+    "SigmaQuotient": "weierstrass",
     "VMethod": "weierstrass",
     "eta": "weierstrass",
+    "eval_elliptic": "weierstrass",
     "sigma": "weierstrass",
     "v_constant": "weierstrass",
     "wrap_angle": "weierstrass",

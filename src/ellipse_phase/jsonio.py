@@ -19,9 +19,9 @@ from .lattice import Lattice, make_lattice
 # type checkers honour this as typing.TYPE_CHECKING, whose import costs ~4 ms of start-up
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .divisor import Divisor, SigmaQuotient
-    from .synthesis import PhaseFunctionSpec
+    from .synthesis import Divisor, PhaseFunctionSpec
     from .verify import VerificationReport
+    from .weierstrass import SigmaQuotient
 
 
 def _format_float(x: float) -> str:
@@ -102,7 +102,7 @@ def divisor_to_obj(d: Divisor) -> dict:
 
 
 def divisor_from_obj(obj, lat: Lattice) -> Divisor:
-    from .divisor import make_divisor
+    from .synthesis import make_divisor
 
     obj = _expect(obj, dict, "a divisor object with zeros and poles")
     for key in obj:

@@ -54,7 +54,7 @@ class RenderSpec(Value):
 
 
 def _pixel_rgb(value, coloring: Coloring) -> tuple[int, int, int]:
-    if not isinstance(value, LogValue):  # a divisor.PoleValue
+    if not isinstance(value, LogValue):  # a PoleValue
         return (255, 255, 255)
     if value.is_zero():
         return (0, 0, 0)

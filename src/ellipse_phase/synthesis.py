@@ -10,16 +10,136 @@ function with zeros {xi0} + Xi and poles {0} + Gamma, and the exponent a the
 unique solution of Im(a*p_j) = Im(v_j) + 2*pi*m_j for j in {1, 2}.  Then
 f(z + p_j) = exp(alpha_j) f(z) with the real number alpha_j = Re(a*p_j - v_j),
 so |f| picks up a positive constant and the phase is fully periodic.
+
+A divisor is a pair of zero and pole multisets in the fundamental cell.  One
+whose zero and pole sums are lattice-congruent (Abel's condition) is realized
+as g(z) = prod sigma(z - zero) / prod sigma(z - pole), made genuinely periodic
+by shifting one zero by the lattice part of the sum defect so the sums match
+exactly.  Both g and f are a `weierstrass.SigmaQuotient`, evaluated by the
+same `eval_elliptic`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
-from .divisor import Divisor, PoleValue, SigmaQuotient, _extend, build_elliptic, eval_elliptic
-from .errors import IllConditioned, UnbalancedDivisor, Value
+from .errors import AbelViolation, AccuracyNotMet, IllConditioned, UnbalancedDivisor, Value
 from .lattice import SNAP_TOL, Lattice, nearest_lattice_point, reduce_to_cell, torus_distance
-from .weierstrass import TAU, LogValue, SigmaEvaluator
+from .weierstrass import TAU, LogValue, PoleValue, SigmaEvaluator, SigmaQuotient, eval_elliptic
+
+#: Allowed distance of the zero/pole sum defect from the lattice.
+ABEL_TOL = 1e-9
+
+#: Most zeros or poles, counted with multiplicity, that make_divisor accepts;
+#: build_elliptic expands each unit of multiplicity into its own sigma factor.
+MAX_DEGREE = 10_000
+
+
+class Divisor(Value):
+    """Multisets of zeros and poles (point, multiplicity) inside the cell.
+
+    Construct through `make_divisor`, which reduces points into the half-open
+    cell, merges points that coincide mod L, and cancels common zero/pole factors.
+    """
+
+    __slots__ = ("zeros", "poles")
+
+    def zero_count(self) -> int:
+        return sum(m for _, m in self.zeros)
+
+    def pole_count(self) -> int:
+        return sum(m for _, m in self.poles)
+
+    def zero_sum(self) -> complex:
+        return sum((p * m for p, m in self.zeros), 0j)
+
+    def pole_sum(self) -> complex:
+        return sum((p * m for p, m in self.poles), 0j)
+
+
+def _extend(d: Divisor, zeros, poles, lat: Lattice) -> Divisor:
+    """d plus zeros and poles, given as (cell point, multiplicity), each added once.
+
+    A point joins the first entry of its kind within SNAP_TOL mod L, or is
+    appended; that entry then cancels against every entry of the other kind
+    within SNAP_TOL.  Entries at multiplicity 0 keep their place until the
+    Divisor is built, so later points still merge into them.
+    """
+    zs, ps = list(d.zeros), list(d.poles)
+    for own, other, points in ((zs, ps, zeros), (ps, zs, poles)):
+        for point, mult in points:
+            for i, (q, m) in enumerate(own):
+                if torus_distance(point, q, lat) <= SNAP_TOL:
+                    point, mult = q, m + mult
+                    break
+            else:
+                i = len(own)
+                own.append((point, mult))
+            for k, (q, m) in enumerate(other):
+                if mult and m and torus_distance(point, q, lat) <= SNAP_TOL:
+                    common = min(mult, m)
+                    mult -= common
+                    other[k] = (q, m - common)
+            own[i] = (point, mult)
+    return Divisor(tuple(e for e in zs if e[1]), tuple(e for e in ps if e[1]))
+
+
+def make_divisor(zeros, poles, lat: Lattice) -> Divisor:
+    """Build a reduced divisor: points in the cell, merged and cancelled mod L.
+
+    No two zeros (or poles) and no zero and pole of the result lie within
+    SNAP_TOL mod L, so `make_divisor(d.zeros, d.poles, lat) == d`.  More than
+    MAX_DEGREE zeros or poles, counted with multiplicity, is a ValueError.
+    """
+    parts: tuple[list, list] = ([], [])
+    for points, part in zip((zeros, poles), parts):
+        for point, mult in points:
+            mult = float(mult)
+            if not mult.is_integer() or mult < 1:
+                raise ValueError("multiplicities must be positive integers")
+            part.append((reduce_to_cell(complex(point), lat), int(mult)))
+        if sum(m for _, m in part) > MAX_DEGREE:
+            raise ValueError(f"more than MAX_DEGREE = {MAX_DEGREE} zeros or poles")
+    return _extend(Divisor((), ()), *parts, lat)
+
+
+def validate_abel(d: Divisor, lat: Lattice) -> tuple[bool, complex]:
+    """Check equal counts and lattice-congruent sums; defect = reduced sum difference."""
+    diff = d.zero_sum() - d.pole_sum()
+    defect = reduce_to_cell(diff, lat)
+    balanced = d.zero_count() == d.pole_count()
+    congruent = torus_distance(diff, 0.0, lat) <= ABEL_TOL
+    return balanced and congruent, defect
+
+
+def build_elliptic(d: Divisor, lat: Lattice) -> SigmaQuotient:
+    """Realize a divisor that passes `validate_abel` as a periodic sigma quotient with unit scale."""
+    ok, defect = validate_abel(d, lat)
+    if not ok:
+        raise AbelViolation(f"divisor violates Abel's condition (defect {defect})")
+    return _realize(d, lat)
+
+
+def _realize(d: Divisor, lat: Lattice) -> SigmaQuotient:
+    """`build_elliptic` without the Abel check, which `synthesize`'s g meets by construction.
+
+    Multiplicities are expanded, then the lexicographically largest zero (by
+    real, then imaginary part) absorbs the full sum defect: a lattice vector,
+    up to a rounding residue that grows with the lattice scale.  The sums then
+    agree exactly, so no stray exponential factor appears; AbelViolation if
+    that zero hits a pole.
+    """
+    zero_pts = [p for p, m in d.zeros for _ in range(m)]
+    pole_pts = [p for p, m in d.poles for _ in range(m)]
+    if zero_pts:
+        delta = sum(zero_pts) - sum(pole_pts)
+        idx = max(range(len(zero_pts)), key=lambda i: (zero_pts[i].real, zero_pts[i].imag))
+        zero_pts[idx] -= delta
+        for p in pole_pts:
+            if torus_distance(zero_pts[idx], p, lat) <= SNAP_TOL:
+                raise AbelViolation(f"the defect shift moves zero {zero_pts[idx]} onto pole {p}")
+    return SigmaQuotient(0j, 0j, tuple(zero_pts), tuple(pole_pts))
 
 
 class PhaseFunctionSpec(Value):
@@ -81,33 +201,34 @@ def solve_exponent(lat: Lattice, v1: complex, v2: complex, m1: int, m2: int) -> 
 def _fold_ratio(g: SigmaQuotient, xi0: complex, a: complex, ev: SigmaEvaluator) -> SigmaQuotient:
     """f's evaluation form exp(a*z) * g(z) * sigma(z) / sigma(z - xi0) as one quotient.
 
-    No zero of g is congruent to a pole of g, so only the ratio factors can
-    fold: sigma(z) into the first of [xi0, *g.poles] it meets, then
-    sigma(z - xi0) into the first zero left, exact matches before congruent
-    ones.  A zero w1 and a pole w2 = w1 + lam fold into the exponent and scale
-    by sigma(z - w1) / sigma(z - w2) = eps(lam) * exp(eta(lam) (z - w2 + lam/2)).
+    `synthesize` snaps an xi0 that is 0 mod L to 0, where the ratio is 1.  Else
+    no zero of g is congruent to a pole of g, nor the ratio's zero 0 to its
+    pole xi0, so sigma(z) folds into the first pole of g that is 0 mod L, then
+    sigma(z - xi0) into the first zero of g that is xi0 mod L, an exact match
+    before a congruent one; a ratio factor without a match stays in front.  A
+    zero w1 and a pole w2 = w1 + lam fold into the exponent and scale by
+    sigma(z - w1) / sigma(z - w2) = eps(lam) * exp(eta(lam) (z - w2 + lam/2)).
     """
+    if xi0 == 0:
+        return SigmaQuotient(a + 0j, 0j, g.zeros, g.poles)
     zeros, poles = [0j, *g.zeros], [xi0, *g.poles]
     extra_a = extra_logc = 0j
-    zero_open = pole_open = True  # sigma(z), sigma(z - xi0) not yet folded
-    for exact_only in (True, False):
-        n_poles = len(poles)
-        for i, (w1, w2) in enumerate([(0j, w) for w in poles] + [(w, xi0) for w in zeros]):
-            if not (zero_open if i < n_poles else pole_open):
-                continue
+    for ratio_zero in (True, False):  # sigma(z) is zeros[0], sigma(z - xi0) poles[0]
+        pairs = [(0j, w) for w in poles] if ratio_zero else [(w, xi0) for w in zeros]
+        matches = []
+        for i, (w1, w2) in enumerate(pairs):
             m, n, lam = nearest_lattice_point(w2 - w1, ev.lattice)
-            if abs((w2 - w1) - lam) > SNAP_TOL or (exact_only and (m or n)):
-                continue
-            if m or n:
+            if abs((w2 - w1) - lam) <= SNAP_TOL:
+                matches.append((bool(m or n), i, m, n, lam, w2))
+        if matches:
+            congruent, i, m, n, lam, w2 = min(matches)  # exact first, then in order
+            del zeros[0 if ratio_zero else i], poles[i if ratio_zero else 0]
+            if congruent:
                 eta_lam = m * ev.eta1 + n * ev.eta2
                 extra_a += eta_lam
                 extra_logc += eta_lam * (lam / 2 - w2)
                 if (m % 2) or (n % 2):
                     extra_logc += 1j * math.pi
-            zeros.remove(w1)
-            poles.remove(w2)
-            # pair 0 is sigma(z) against sigma(z - xi0) while the latter is open
-            zero_open, pole_open = zero_open and i >= n_poles, pole_open and 0 < i < n_poles
     return SigmaQuotient(a + extra_a, extra_logc, tuple(zeros), tuple(poles))
 
 
@@ -126,7 +247,9 @@ def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
     a = solve_exponent(lat, v1, v2, m1, m2)
     alpha1 = (a * lat.p1 - v1).real
     alpha2 = (a * lat.p2 - v2).real
-    g = build_elliptic(_extend(d, [(xi0, 1)], [(0j, 1)], lat), lat)
+    if not (cmath.isfinite(a) and math.isfinite(alpha1) and math.isfinite(alpha2)):
+        raise AccuracyNotMet(f"a = {a} and alpha = ({alpha1}, {alpha2}) leave the double range")
+    g = _realize(_extend(d, [(xi0, 1)], [(0j, 1)], lat), lat)
     quotient = _fold_ratio(g, xi0, a, ev)
     return PhaseFunctionSpec(lat, xi0, a, int(m1), int(m2), alpha1, alpha2, g, d, quotient, ev)
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 
-from .divisor import PoleValue, log_derivative
 from .errors import AccuracyNotMet, ContourTooClose, PoleOrZeroHit, Value
 from .lattice import Lattice, coordinates, reduce_basis, reduce_to_cell, torus_distance
 from .synthesis import PhaseFunctionSpec, eval_f
-from .weierstrass import LOG_NORMAL_RANGE, TAU, wrap_angle
+from .weierstrass import LOG_NORMAL_RANGE, TAU, PoleValue, log_derivative, wrap_angle
 
 #: least clearance between the contour and any known zero/pole, as a fraction
 #: of the shortest period |P1|.  Quadrature error decays like

@@ -66,7 +66,7 @@ cells.  `_log_quotient(ev, z, zeros, poles)` is the one sigma kernel of both
 backends: it returns the unwrapped log of prod sigma(z - w) over the zeros
 over prod sigma(z - w) over the poles, with the counts of factors on the
 lattice.  `sigma` is the quotient with the single zero 0, and
-`divisor.eval_elliptic` (so `eval_f`) calls it once per point; each wraps the
+`eval_elliptic` (so `eval_f`) calls it once per point; each wraps the
 phase once, in `LogValue.from_log`.  DirectProduct adds and subtracts the log
 sigma of each factor.  FastSeries runs one loop over the factors: it repeats
 the rounding of `nearest_lattice_point` inline, multiplies sin(v0) S(cos 2v0)
@@ -78,7 +78,7 @@ added once, times the number of zeros less poles.  Its derivative,
 `_dlog_quotient` (FastSeries only), adds the zeta of each factor in order to
 one sum, S and S' in one Horner pass, after the rounding of
 `nearest_lattice_point`; `zeta` is its one-factor case and
-`divisor.log_derivative` the exact f'/f.  In both kernels a factor counts as
+`log_derivative` the exact f'/f.  In both kernels a factor counts as
 on the lattice only once `_certify_hit` passes: far from the cell the reduced
 z0 has lost its bits, and |z0| <= SNAP_TOL proves nothing.
 """
@@ -92,7 +92,7 @@ import math
 import sys
 from functools import lru_cache
 
-from .errors import AccuracyNotMet, Value, set_field
+from .errors import AccuracyNotMet, PoleOrZeroHit, Value, set_field
 from .lattice import (
     MAX_PERIOD,
     SHELL_BLOCK,
@@ -174,6 +174,22 @@ class LogValue(Value):
     def log(self) -> complex:
         """The principal complex logarithm (finite values only)."""
         return complex(self.log_mag, self.phase)
+
+
+class PoleValue(Value):
+    """Marker for a pole hit, carrying the multiplicity."""
+
+    __slots__ = ("multiplicity",)
+
+
+class SigmaQuotient(Value):
+    """exp(exponent*z + log_scale) * prod sigma(z - zero) / prod sigma(z - pole).
+
+    Built by `synthesis.build_elliptic` (g) and `synthesis._fold_ratio` (f's
+    evaluation form), so no zero is congruent to a pole.
+    """
+
+    __slots__ = ("exponent", "log_scale", "zeros", "poles")
 
 
 class Backend(str, enum.Enum):
@@ -489,6 +505,25 @@ def sigma(ev: SigmaEvaluator, z: complex) -> LogValue:
     return LogValue.zero() if hits else LogValue.from_log(log_sigma)
 
 
+def eval_elliptic(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:
+    """A sigma quotient (g, or f's evaluation form) at z in log form.
+
+    Returns LogValue.zero() at zeros and a PoleValue at poles; a non-finite z
+    is a ValueError, also for a quotient without sigma factors.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
+    log_sigma, zero_hits, pole_hits = _log_quotient(ev, z, q.zeros, q.poles)
+    if zero_hits and pole_hits:
+        raise ArithmeticError("congruent zero/pole factors were not cancelled")
+    if pole_hits:
+        return PoleValue(pole_hits)
+    if zero_hits:
+        return LogValue.zero()
+    return LogValue.from_log(q.exponent * z + q.log_scale + log_sigma)
+
+
 def _dlog_quotient(ev: SigmaEvaluator, z: complex, exponent: complex, zeros, poles) -> complex | None:
     """exponent + sum zeta(z - w) over zeros - the same over poles; None on a factor's lattice point.
 
@@ -529,6 +564,19 @@ def _dlog_quotient(ev: SigmaEvaluator, z: complex, exponent: complex, zeros, pol
 def zeta(ev: SigmaEvaluator, z: complex) -> complex | None:
     """Weierstrass zeta(z) = sigma'(z)/sigma(z) on the FastSeries backend, or None on the lattice."""
     return _dlog_quotient(ev, complex(z), 0j, (0j,), ())
+
+
+def log_derivative(q: SigmaQuotient, ev: SigmaEvaluator, z: complex) -> complex:
+    """q'/q at z: exponent + sum zeta(z - zero) - sum zeta(z - pole), on a FastSeries ev.
+
+    PoleOrZeroHit where z lies on a zero or pole of q (mod L); a non-finite z is a
+    ValueError, also for a quotient without sigma factors.
+    """
+    z = complex(z)
+    total = _dlog_quotient(ev, z, q.exponent, q.zeros, q.poles)
+    if total is None:
+        raise PoleOrZeroHit(f"{z} lies on a zero or pole")
+    return total
 
 
 def eta(ev: SigmaEvaluator, j: int) -> complex:

@@ -70,8 +70,7 @@ from ellipse_phase import (
     sigma,
     torus_distance,
 )
-from ellipse_phase.divisor import log_derivative
-from ellipse_phase.weierstrass import zeta
+from ellipse_phase.weierstrass import log_derivative, zeta
 
 #: Direct-backend shells: enough to exercise the sums, cheap enough for Tier-1.
 DIRECT_SHELLS = 20

@@ -357,6 +357,28 @@ class TestSynthVerifyRoundtrip:
         assert (code, out) == (2, "")
         assert err == "AccuracyNotMet: exp(alpha1) leaves the normal double range: alpha1 = 755.867\n"
 
+    def test_exponent_outside_double_range_exits_2(self, capsys):
+        # m1 is a finite float, but a and alpha leave the double range: no spec holds inf or nan
+        argv = ["synth", "--lattice", SKEW, "--divisor", DIVISOR, "--m1", str(10**308)]
+        code, out, err = _main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("AccuracyNotMet: a = "), err
+
+    def test_valid_divisor_at_scale_1e8_synthesizes(self, capsys):
+        # g meets Abel's condition by construction; at this scale the rounding
+        # residue of its sums (~3e-8) exceeds ABEL_TOL and is no violation
+        lattice = '{"p1": [1e8, 0], "p2": [3e7, 1.1e8]}'
+        divisor = (
+            '{"zeros": [[19687072.698, 72725633.14], [13834774.204, 64084082.124], '
+            '[12417782.789, 42234050.49]], "poles": [[21860835.955, 27439907.765], '
+            '[96151047.509, 79734327.302], [30806224.687, 87716781.049]]}'
+        )
+        code, spec, err = _main(capsys, "synth", "--lattice", lattice, "--divisor", divisor)
+        assert code == 0, err
+        code, out, err = _main(capsys, "verify", "--spec", spec)
+        assert code == 0, err
+        assert json.loads(out)["reliable"] is True
+
     @pytest.mark.parametrize(
         "flags, config",
         [(("--tol=nan",), None), (("--tol=-1",), None), (("--tol=0",), None),
@@ -483,8 +505,8 @@ class TestPlot:
         assert not (tmp_path / "p.ppm").exists()
 
     def test_far_center_exits_2(self, monkeypatch, tmp_path, capsys):
-        # every factor read as a lattice hit, so a zero met a pole: ArithmeticError
-        # "congruent zero/pole factors were not cancelled"
+        # this far out every factor's reduced point has lost its bits, so each
+        # reads as a lattice hit and fails the roundoff certificate of a hit
         monkeypatch.chdir(tmp_path)
         spec = _main(capsys, "synth", "--lattice", SKEW, "--divisor", DIVISOR)[1]
         (tmp_path / "spec.json").write_text(spec)
@@ -791,7 +813,7 @@ print(json.dumps([sorted(package), *(m in sys.modules for m in ("numpy", "datacl
 
 # the parser's --coloring choices come from render, so every command loads it
 CORE = {"cli", "errors", "jsonio", "lattice", "render", "weierstrass"}
-SPEC_COMMANDS = CORE | {"divisor", "synthesis"}
+SPEC_COMMANDS = CORE | {"synthesis"}
 
 #: argv of a CLI call -> (the package modules it loads, whether it loads numpy)
 LOADED_MODULES = {

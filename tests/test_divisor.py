@@ -19,7 +19,7 @@ from ellipse_phase import (
     wrap_angle,
 )
 
-from ellipse_phase import divisor, synthesis
+from ellipse_phase import synthesis, weierstrass
 from ellipse_phase.lattice import SNAP_TOL
 
 from conftest import random_cell_point, random_lattice
@@ -76,7 +76,7 @@ class TestMakeDivisor:
         ],
     )
     def test_cancels_against_every_close_entry(self, square, zeros, poles):
-        assert make_divisor(zeros, poles, square) == divisor.Divisor((), ())
+        assert make_divisor(zeros, poles, square) == synthesis.Divisor((), ())
 
     def test_idempotent(self, rng):
         for case in range(30):
@@ -90,7 +90,7 @@ class TestMakeDivisor:
             assert make_divisor(d.zeros, d.poles, lat) == d
 
     def test_degree_bounded(self, square):
-        top = divisor.MAX_DEGREE
+        top = synthesis.MAX_DEGREE
         d = make_divisor([(0.25, top // 2), (0.5, top - top // 2)], [(0.75, top)], square)
         assert d.zero_count() == d.pole_count() == top
         with pytest.raises(ValueError, match="MAX_DEGREE"):
@@ -201,6 +201,12 @@ class TestEvalElliptic:
         assert eval_elliptic(g, square_ev, 0) == PoleValue(2)
         assert eval_elliptic(g, square_ev, 0 + 1j) == PoleValue(2)
 
+    def test_uncancelled_pair_refused(self, square_ev):
+        # a quotient built by hand, not by build_elliptic or _fold_ratio
+        q = weierstrass.SigmaQuotient(0j, 0j, (0.3 + 0.4j,), (1.3 + 0.4j,))
+        with pytest.raises(ArithmeticError, match="congruent zero/pole factors were not cancelled"):
+            eval_elliptic(q, square_ev, 0.3 + 0.4j)
+
     def test_periodicity(self, square_ev, rng):
         for _ in range(3):
             lat = random_lattice(rng)
@@ -238,7 +244,7 @@ class TestEvalElliptic:
     def test_congruent_factors_cancel(self, square, square_ev):
         # sigma(z - xi0) folds with the shifted zero xi0 + p1 of g into an exponential
         xi0, w = 0.2 + 0.3j, 1.2 + 0.3j
-        g = divisor.SigmaQuotient(0j, 0j, (w,), ())
+        g = weierstrass.SigmaQuotient(0j, 0j, (w,), ())
         q = synthesis._fold_ratio(g, xi0, 0.5j, square_ev)
         assert (q.zeros, q.poles) == ((0j,), ())
         assert q.exponent == 0.5j - square_ev.eta1
@@ -251,25 +257,25 @@ class TestEvalElliptic:
         # sigma(z - a) meets a + p1 (congruent) before a (exact): the exact pair folds,
         # and so does sigma(z) with the exact pole 0 rather than p1
         a, b = 0.2 + 0.3j, 0.6 + 0.7j
-        g = divisor.SigmaQuotient(0j, 0j, (a + 1, a), (b,))
+        g = weierstrass.SigmaQuotient(0j, 0j, (a + 1, a), (b,))
         q = synthesis._fold_ratio(g, a, 0.5j, square_ev)
-        assert q == divisor.SigmaQuotient(0.5j, 0j, (0j, a + 1), (b,))
-        g = divisor.SigmaQuotient(0j, 0j, (b,), (1 + 0j, 0j))
+        assert q == weierstrass.SigmaQuotient(0.5j, 0j, (0j, a + 1), (b,))
+        g = weierstrass.SigmaQuotient(0j, 0j, (b,), (1 + 0j, 0j))
         q = synthesis._fold_ratio(g, a, 0.5j, square_ev)
-        assert q == divisor.SigmaQuotient(0.5j, 0j, (b,), (a, 1 + 0j))
+        assert q == weierstrass.SigmaQuotient(0.5j, 0j, (b,), (a, 1 + 0j))
 
     def test_duplicate_points(self, square, square_ev):
         # of the double zero a + p1 of g, the first folds with sigma(z - a); c and b stay
         a, b, c = 0.2 + 0.3j, 0.6 + 0.7j, 0.1 + 0.9j
         e1 = square_ev.eta1
-        g = divisor.SigmaQuotient(0j, 0j, (c, a + 1, a + 1), (b,))
+        g = weierstrass.SigmaQuotient(0j, 0j, (c, a + 1, a + 1), (b,))
         q = synthesis._fold_ratio(g, a, 0j, square_ev)
         assert (q.zeros, q.poles) == ((0j, c, a + 1), (b,))
         assert q.exponent == -e1
         assert q.log_scale == -e1 * (-0.5 - a) + 1j * cmath.pi
 
     def test_quotient_cancelled_once(self, square, square_ev, monkeypatch):
-        g = divisor.SigmaQuotient(0j, 0j, (1.2 + 0.3j, 0.4), (0.6 + 0.1j,))
+        g = weierstrass.SigmaQuotient(0j, 0j, (1.2 + 0.3j, 0.4), (0.6 + 0.1j,))
         q = synthesis._fold_ratio(g, 0.2 + 0.3j, 0j, square_ev)
         before = eval_elliptic(q, square_ev, 0.7 + 0.8j)
 

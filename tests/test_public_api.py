@@ -111,6 +111,17 @@ def test_dir_lists_all():
     assert [n for n in ellipse_phase.__all__ if n not in listed] == []
 
 
+def test_each_name_maps_to_its_defining_module():
+    # a wrong entry still resolves where that module imports the name, and
+    # then loads a module the name does not need
+    wrong = {
+        name: module
+        for name, module in ellipse_phase._SOURCES.items()
+        if getattr(ellipse_phase, name).__module__ != f"ellipse_phase.{module}"
+    }
+    assert wrong == {}
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ellipse_phase.no_such_name

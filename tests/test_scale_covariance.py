@@ -42,11 +42,13 @@ def unit_xi0():
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(st.floats(min_value=-6.0, max_value=6.0))
+@given(st.floats(min_value=-6.0, max_value=9.0))
 @example(-6.0)
 @example(-5.0)
 @example(3.0)
 @example(6.0)
+@example(7.5)
+@example(9.0)
 def test_verify_is_scale_covariant(unit_xi0, u):
     c = 10.0**u
     spec = scaled_spec(c)

@@ -36,9 +36,8 @@ from ellipse_phase import (
     wrap_angle,
 )
 from ellipse_phase import weierstrass
-from ellipse_phase.divisor import log_derivative
 from ellipse_phase.lattice import coordinates, nearest_lattice_point
-from ellipse_phase.weierstrass import _EPS, zeta
+from ellipse_phase.weierstrass import _EPS, log_derivative, zeta
 
 from conftest import random_cell_point, random_lattice
 

@@ -27,9 +27,9 @@ from ellipse_phase import (
     wrap_angle,
 )
 
-from ellipse_phase import divisor, verify, weierstrass
-from ellipse_phase.divisor import log_derivative
+from ellipse_phase import verify, weierstrass
 from ellipse_phase.verify import _contour_pass, _largest_gap, _place_contour
+from ellipse_phase.weierstrass import log_derivative
 
 from conftest import log_ratio, log_spread, random_cell_point, random_lattice
 
@@ -361,8 +361,8 @@ class TestVerifySpec:
             return wrapper
 
         monkeypatch.setattr(verify, "eval_f", counted("eval_f", verify.eval_f))
-        monkeypatch.setattr(divisor, "_log_quotient", counted("quotient", divisor._log_quotient))
-        monkeypatch.setattr(divisor, "_dlog_quotient", counted("dlog", divisor._dlog_quotient))
+        monkeypatch.setattr(weierstrass, "_log_quotient", counted("quotient", weierstrass._log_quotient))
+        monkeypatch.setattr(weierstrass, "_dlog_quotient", counted("dlog", weierstrass._dlog_quotient))
         monkeypatch.setattr(
             weierstrass, "nearest_lattice_point", counted("reduce", weierstrass.nearest_lattice_point)
         )
