@@ -16,7 +16,9 @@ double range, which only |z| far outside the cell reaches, takes one log per
 factor.  Its `a_priori_bound` is the truncation tail (16/3)|z|^3/(c^3 N) plus
 a roundoff term, ~258 eps per product of 64 factors over 2N(N+1)/64 products,
 that dominates below |z| ~ 1e-3 |P1| (~7e-11 at 200 shells).  The points come
-from the cached float64 shell coordinates of `lattice._shell_arrays`.
+from the cached float64 shell coordinates of `_shell_arrays`, in blocks of
+SHELL_BLOCK points (`_point_blocks`); the shell list, its blocks and the bounds
+that count them (`a_priori_bound`, `_direct_sum_tail`) all live in this module.
 
 FastSeries is the production path: after Gauss-reducing the basis the nome
 q = exp(i*pi*omega') satisfies |q| <= exp(-pi*sqrt(3)/2), and sigma is assembled
@@ -93,17 +95,12 @@ import sys
 from functools import lru_cache
 
 from .errors import AccuracyNotMet, PoleOrZeroHit, Value, set_field
-from .lattice import (
-    MAX_PERIOD,
-    SHELL_BLOCK,
-    SNAP_TOL,
-    Lattice,
-    _point_blocks,
-    _unit_frame_distance,
-    nearest_lattice_point,
-    reduce_basis,
-    torus_distance,
-)
+from .lattice import MAX_PERIOD, SNAP_TOL, Lattice, nearest_lattice_point, reduce_basis, torus_distance
+
+# type checkers honour this as typing.TYPE_CHECKING, whose import costs ~4 ms of start-up
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -115,6 +112,12 @@ MAX_SHELLS = 1000
 
 #: logs of the smallest and largest normal doubles.
 LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+#: Points per block of a direct lattice sum.  The allocator reuses temporaries of
+#: this size from call to call; full-length ones were mapped and page-faulted in
+#: afresh (~2,400 faults and twice the time for a direct sigma and two etas at
+#: 200 shells, on a 2-vCPU Xeon).
+SHELL_BLOCK = 8192
 
 #: factors per complex log in the direct log sigma.
 _PRODUCT = 64
@@ -229,6 +232,57 @@ def _cosine_polynomial(coeffs: list[complex]) -> list[complex]:
     return poly[::-1]
 
 
+@lru_cache(maxsize=8)
+def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer coordinates (m, n) of one point of every pair {lam, -lam} with shell index <= N.
+
+    Shell k holds the points with max(|m|, |n|) = k; of each pair only the one
+    with m > 0, or m == 0 and n > 0, is kept, so shell k contributes 4k points,
+    starting at index 2k(k-1), and the list 2N(N+1).  Shells come in increasing
+    k and are sorted by (m, n) within a shell, so shell 1 is (0, 1), (1, -1),
+    (1, 0), (1, 1).  The shell set is symmetric under lam -> -lam, so a lattice
+    sum folds the mirror term into its summand.  The coordinates are stored as
+    float64, exact integers that multiply a complex period without a cast.
+    Cached and shared; treat the returned arrays as read-only.
+    """
+    import numpy as np
+
+    m, n = np.meshgrid(np.arange(N + 1.0), np.arange(-N, N + 1.0), indexing="ij")
+    m = m.ravel()
+    n = n.ravel()
+    keep = (m > 0) | (n > 0)
+    m, n = m[keep], n[keep]
+    order = np.lexsort((n, m, np.maximum(m, np.abs(n))))
+    return m[order], n[order]
+
+
+def _point_blocks(N: int, a: complex, b: complex):
+    """Yield m*a + n*b over `_shell_arrays(N)`, in blocks of at most SHELL_BLOCK points.
+
+    Each block is a fresh array the caller may overwrite.
+    """
+    m, n = _shell_arrays(N)
+    for i in range(0, len(m), SHELL_BLOCK):
+        points = m[i : i + SHELL_BLOCK] * a
+        points += n[i : i + SHELL_BLOCK] * b
+        yield points
+
+
+def _unit_frame_distance(lat: Lattice) -> float:
+    """min |s*p1 + t*p2| over the boundary of the unit sup-norm square.
+
+    Shell k then satisfies |m*p1 + n*p2| >= k * distance; used for tail bounds
+    of truncated lattice sums.
+    """
+
+    def seg_min(a: complex, b: complex) -> float:
+        t = -(b.conjugate() * a).real / abs(b) ** 2
+        t = min(1.0, max(-1.0, t))
+        return abs(a + t * b)
+
+    return min(seg_min(lat.p1, lat.p2), seg_min(lat.p2, lat.p1))
+
+
 def eta_from_sum(lat: Lattice, j: int, N: int) -> complex:
     """eta_j = 3/p_j - p_j^2 * sum 1/(lam (lam+p_j)^2) over the shells up to N, lam != 0, -p_j.
 
@@ -251,11 +305,14 @@ def eta_from_sum(lat: Lattice, j: int, N: int) -> complex:
 @lru_cache(maxsize=16)  # both periods of 8 lattices
 def _eta_sum(periods: str, p1: complex, p2: complex, j: int, N: int) -> complex:
     """The paired sum of `eta_from_sum`, cached on the exact periods (their repr), j and N."""
+    import numpy as np
+
     pj = p1 if j == 1 else p2
     total = 3 + 1 / 8
-    # 1/8 is the pair {p_j, -p_j}, so skip p_j = (1, 0) or (0, 1) by its coordinates:
-    # at the 1e-6 period floor lam^2 - p_j^2 is ~1e-12 for its neighbours too
-    for u in _point_blocks(N, p1 / pj, p2 / pj, skip=(2 - j, j - 1)):
+    blocks = _point_blocks(N, p1 / pj, p2 / pj)
+    # 1/8 is the pair {p_j, -p_j}, so drop p_j = (1, 0) or (0, 1), index 2 or 0 of shell 1,
+    # by its place: at the 1e-6 period floor lam^2 - p_j^2 is ~1e-12 for its neighbours too
+    for u in itertools.chain([np.delete(next(blocks), 2 * (2 - j))], blocks):
         u *= u
         d = u - 1
         d *= d

@@ -1,4 +1,6 @@
-"""Every name a package module imports is used in the scope that imports it."""
+"""Every name a package module imports is used in the scope that imports it, and
+no package module imports an underscore name from another: a private name is
+used only in the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,34 @@ def unused_imports(source: str) -> list[str]:
 def test_guard_flags_an_unused_import():
     source = "from .errors import Value, set_field\n\ndef f():\n    import math\n    return Value\n"
     assert unused_imports(source) == ["1: set_field", "4: math"]
+
+
+def private_imports(source: str) -> list[str]:
+    """"line: module.name" of each underscore name imported from another package module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level or module.startswith("ellipse_phase"):
+            found += [(node.lineno, f"{module}.{a.name}") for a in node.names if a.name[0] == "_"]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_guard_flags_a_private_import():
+    source = (
+        "from .lattice import SNAP_TOL, _shell_arrays\nimport numpy._core\n\n"
+        "def f():\n    from ellipse_phase.weierstrass import _point_blocks\n"
+        "    from . import _private\n"
+    )
+    assert private_imports(source) == [
+        "1: lattice._shell_arrays", "5: ellipse_phase.weierstrass._point_blocks", "6: ._private"
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_import_across_modules(module):
+    assert private_imports((PACKAGE_DIR / module).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -14,13 +14,8 @@ from ellipse_phase import (
     reduce_to_cell,
     torus_distance,
 )
-from ellipse_phase.lattice import (
-    SHELL_BLOCK,
-    _point_blocks,
-    _shell_arrays,
-    _unit_frame_distance,
-    nearest_lattice_point,
-)
+from ellipse_phase.lattice import nearest_lattice_point
+from ellipse_phase.weierstrass import SHELL_BLOCK, _point_blocks, _shell_arrays, _unit_frame_distance
 
 from conftest import random_lattice
 
@@ -176,10 +171,6 @@ class TestShells:
         blocks = list(_point_blocks(N, a, b))
         assert len(blocks) == -(-len(m) // SHELL_BLOCK) > 1
         assert np.array_equal(np.concatenate(blocks), m * a + n * b)
-        for skip in ((1, 0), (0, 1), (70, -3)):
-            kept = np.concatenate(list(_point_blocks(N, a, b, skip)))
-            keep = (m != skip[0]) | (n != skip[1])
-            assert len(kept) == len(m) - 1 and np.array_equal(kept, m[keep] * a + n[keep] * b)
 
 
 def _in_lattice(z, lat, tol=1e-9):

@@ -16,8 +16,15 @@ from ellipse_phase import (
     wrap_angle,
 )
 from ellipse_phase import weierstrass
-from ellipse_phase.lattice import SHELL_BLOCK, _point_blocks, _unit_frame_distance
-from ellipse_phase.weierstrass import MAX_SHELLS, VMethod, v_constant
+from ellipse_phase.weierstrass import (
+    MAX_SHELLS,
+    SHELL_BLOCK,
+    VMethod,
+    _point_blocks,
+    _shell_arrays,
+    _unit_frame_distance,
+    v_constant,
+)
 
 from conftest import random_cell_point, random_lattice
 
@@ -219,6 +226,23 @@ class TestDirectLatticeSum:
         for j in (1, 2):
             ev = SigmaEvaluator(lat, Backend.DIRECT_PRODUCT, 60)
             assert v_constant(lat, xi0, j, "direct", 60).v == -xi0 * eta(ev, j)
+
+
+@pytest.mark.parametrize("N", [4, 70])
+@pytest.mark.parametrize("j", [1, 2])
+def test_eta_sum_omits_exactly_p_j(j, N):
+    # _eta_sum drops p_j by its place in shell 1; a coordinate mask on the shell
+    # list picks the same points.  Each term is more than 1e-4 of the sum at
+    # N = 4 and 1e-9 at N = 70 (two blocks), and p_j's would divide by zero.
+    lat = make_lattice(1.3 - 0.2j, 0.4 + 1.1j)
+    pj = lat.p1 if j == 1 else lat.p2
+    m, n = _shell_arrays(N)
+    keep = (m != 2 - j) | (n != j - 1)
+    assert np.count_nonzero(~keep) == 1
+    u = (m[keep] * lat.p1 + n[keep] * lat.p2) / pj
+    expected = (25 / 8 + complex(np.sum((u**2 + 1) / (u**2 * (u**2 - 1) ** 2)))) / pj
+    weierstrass._eta_sum.cache_clear()
+    assert weierstrass.eta_from_sum(lat, j, N) == pytest.approx(expected, rel=1e-13)
 
 
 class TestEtaMemo:

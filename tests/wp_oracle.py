@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ellipse_phase import Lattice, coordinates, reduce_basis
-from ellipse_phase.lattice import _shell_arrays
+from ellipse_phase.weierstrass import _shell_arrays
 
 TAU = 2 * math.pi
 
