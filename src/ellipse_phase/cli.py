@@ -1,8 +1,9 @@
 """Command-line front end: JSON in/out for every operation plus PPM portraits.
 
 Exit codes: 0 success, 1 validation error, 2 numerical-tolerance failure,
-3 I/O error; each package error class declares its own as `exit_code`.  An
-optional ./ellipse-phase.json supplies flag defaults.  `verify --seed` is
+3 I/O error; each package error class declares its own as `exit_code`.  A
+`verify` that exits 2 names each failed check on stderr.  An optional
+./ellipse-phase.json supplies flag defaults.  `verify --seed` is
 accepted and ignored: `verify` draws no random numbers.
 """
 
@@ -159,7 +160,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import GridSpec, report_passes, verify_spec
+    from .verify import GridSpec, failed_checks, verify_spec
 
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
@@ -167,7 +168,10 @@ def _cmd_verify(args) -> int:
     nx, ny = _parse_grid(args.grid, "--grid")
     report = verify_spec(spec, grid=GridSpec(spec.lattice, nx, ny))
     print(jsonio.dumps(jsonio.report_to_obj(report)))
-    return 0 if report_passes(report, spec, tol=args.tol) else 2  # a tolerance failure
+    failed = failed_checks(report, spec, tol=args.tol)
+    for name, value, limit in failed:
+        print(f"verify: failed {name}: {value:.3g} (limit {limit:.3g})", file=sys.stderr)
+    return 2 if failed else 0  # a tolerance failure
 
 
 def _cmd_plot(args) -> int:

@@ -236,8 +236,12 @@ def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
     """Build the full doubly-periodic-phase function for a balanced divisor.
 
     d must come from `make_divisor` on lat.  xi0, a, alpha and g are derived
-    from the lattice, the divisor and (m1, m2).
+    from the lattice, the divisor and (m1, m2); a non-integral m1 or m2 would
+    leave the phase aperiodic and is a ValueError.
     """
+    if not all(isinstance(m, int) or float(m).is_integer() for m in (m1, m2)):
+        raise ValueError(f"m1 and m2 must be integers, got {m1!r} and {m2!r}")
+    m1, m2 = int(m1), int(m2)
     ev = SigmaEvaluator(lat)
     xi0 = xi0_from_divisor(d, lat)
     if torus_distance(xi0, 0.0, lat) <= SNAP_TOL:
@@ -251,7 +255,7 @@ def synthesize(d: Divisor, m1: int, m2: int, lat: Lattice) -> PhaseFunctionSpec:
         raise AccuracyNotMet(f"a = {a} and alpha = ({alpha1}, {alpha2}) leave the double range")
     g = _realize(_extend(d, [(xi0, 1)], [(0j, 1)], lat), lat)
     quotient = _fold_ratio(g, xi0, a, ev)
-    return PhaseFunctionSpec(lat, xi0, a, int(m1), int(m2), alpha1, alpha2, g, d, quotient, ev)
+    return PhaseFunctionSpec(lat, xi0, a, m1, m2, alpha1, alpha2, g, d, quotient, ev)
 
 
 def eval_f(spec: PhaseFunctionSpec, ev: SigmaEvaluator, z: complex) -> LogValue | PoleValue:

@@ -103,16 +103,18 @@ def _largest_gap(values) -> tuple[float, float]:
 
 
 def phase_periodicity(fval, p: complex, grid: GridSpec, known_points=()) -> tuple[float, complex]:
-    """Spread and mean of log f(z+p) - log f(z) over a cell grid.
+    """Residual and mean of log f(z+p) - log f(z) over a cell grid.
 
-    The mean is the log multiplier (real for a doubly periodic phase); the
-    residual is the largest deviation of an individual difference from the
-    mean, measured in the log domain with phase differences wrapped to
-    (-pi, pi].  The grid is (i + a)/nx * p1 + (k + b)/ny * p2, with a and b the
-    largest-gap midpoints of frac(nx*s) and frac(ny*t) over the known points'
-    coordinates (s, t), so no grid point or lattice translate of one lands on a
-    known point; without known points a = b = 1/2, the cell-centred grid.  A
-    grid point that still hits a zero or pole raises PoleOrZeroHit.
+    The mean is the log multiplier, real for a doubly periodic phase.  The
+    residual is the largest distance of an individual difference from the real
+    part of the mean, measured in the log domain with phase differences wrapped
+    to (-pi, pi], so a phase that turns by the same angle at every grid point
+    (f(z + p) = i*f(z), say) counts in it as that angle.  The grid is
+    (i + a)/nx * p1 + (k + b)/ny * p2, with a and b the largest-gap midpoints of
+    frac(nx*s) and frac(ny*t) over the known points' coordinates (s, t), so no
+    grid point or lattice translate of one lands on a known point; without
+    known points a = b = 1/2, the cell-centred grid.  A grid point that still
+    hits a zero or pole raises PoleOrZeroHit.
     """
     lat = grid.lattice
     coords = [coordinates(w, lat) for w in known_points]
@@ -130,7 +132,7 @@ def phase_periodicity(fval, p: complex, grid: GridSpec, known_points=()) -> tupl
                 complex(vb.log_mag - va.log_mag, wrap_angle(vb.phase - va.phase))
             )
     mean = sum(diffs) / len(diffs)
-    residual = max(abs(d - mean) for d in diffs)
+    residual = max(abs(d - mean.real) for d in diffs)
     return residual, mean
 
 
@@ -291,16 +293,33 @@ def verify_spec(
     )
 
 
-def report_passes(report: VerificationReport, spec: PhaseFunctionSpec, tol: float = 1e-6) -> bool:
-    """Tolerance gate used for the CLI exit code."""
-    lat = spec.lattice
+def failed_checks(
+    report: VerificationReport, spec: PhaseFunctionSpec, tol: float = 1e-6
+) -> list[tuple[str, float, float]]:
+    """(name, value, limit) of each check of `report` against `spec` that fails at tol.
+
+    The phase residuals, the misses |log multiplier_j - alpha_j| and the torus
+    distance from xi0_recovered to xi0 must be at most tol; the winding
+    distance must be below 0.1 (`reliable`); the zero and pole counts must
+    agree, so their gap must be at most 0.
+    """
+    res1, res2 = report.phase_residual_p1, report.phase_residual_p2
+    miss1 = abs(math.log(report.multiplier1) - spec.alpha1)
+    miss2 = abs(math.log(report.multiplier2) - spec.alpha2)
+    gap = abs(report.zero_count - report.pole_count)
+    xi0_miss = torus_distance(report.xi0_recovered, spec.xi0, spec.lattice)
     checks = [
-        report.phase_residual_p1 <= tol,
-        report.phase_residual_p2 <= tol,
-        abs(math.log(report.multiplier1) - spec.alpha1) <= tol,
-        abs(math.log(report.multiplier2) - spec.alpha2) <= tol,
-        report.reliable,
-        report.zero_count == report.pole_count,
-        torus_distance(report.xi0_recovered, spec.xi0, lat) <= tol,
+        ("phase_residual_p1", res1, tol, res1 <= tol),
+        ("phase_residual_p2", res2, tol, res2 <= tol),
+        ("alpha1_miss", miss1, tol, miss1 <= tol),
+        ("alpha2_miss", miss2, tol, miss2 <= tol),
+        ("winding_distance", report.winding_distance, 0.1, report.reliable),
+        ("zero_pole_gap", gap, 0, gap == 0),
+        ("xi0_miss", xi0_miss, tol, xi0_miss <= tol),
     ]
-    return all(checks)
+    return [(name, value, limit) for name, value, limit, passed in checks if not passed]
+
+
+def report_passes(report: VerificationReport, spec: PhaseFunctionSpec, tol: float = 1e-6) -> bool:
+    """Tolerance gate used for the CLI exit code: no check of `failed_checks` fails."""
+    return not failed_checks(report, spec, tol)

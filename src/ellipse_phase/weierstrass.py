@@ -361,6 +361,8 @@ class SigmaEvaluator:
         self.target_rel_error = float(target_rel_error)
         if not 1 <= self.truncation_shells <= MAX_SHELLS:
             raise ValueError(f"truncation_shells must be in [1, {MAX_SHELLS}]")
+        if not 0 < self.target_rel_error < math.inf:
+            raise ValueError(f"target_rel_error must be positive and finite, got {target_rel_error}")
 
         # the reduced basis; None marks DirectProduct, which is what both kernels test
         self._reduced = None
@@ -432,17 +434,28 @@ class SigmaEvaluator:
         return (16.0 / 3.0) * r**3 / (c**3 * N) + roundoff
 
 
-def _certify_hit(quad_coef: complex, u: complex, n: int, pi_omega: complex, target: float) -> None:
-    """AccuracyNotMet unless a reduction of u onto a lattice point certifies a hit.
+def _roundoff_refusal(certified: float, target: float, z: complex, w: complex) -> AccuracyNotMet:
+    """The kernels' refusal of the factor sigma(z - w), naming the point z and the shift w."""
+    return AccuracyNotMet(
+        f"roundoff estimate {certified:.3e} exceeds target {target:.3e}"
+        f" at z = {z} in the factor sigma(z - w), w = {w}"
+    )
+
+
+def _certify_hit(
+    quad_coef: complex, z: complex, w: complex, n: int, pi_omega: complex, target: float
+) -> None:
+    """AccuracyNotMet unless a reduction of u = z - w onto a lattice point certifies a hit.
 
     Far from the cell, z0 = u - lam has lost every bit, so |z0| <= SNAP_TOL
     says nothing; the hit must pass the roundoff certificate of a factor off
     the lattice, with v0 = 0 in its amplitude |quad| + |Im v0| + |corr|; an
     amplitude that overflows to nan fails it too.
     """
+    u = z - w
     certified = _EPS * (10.0 + abs(quad_coef * u * u) + abs(n * (n * pi_omega)))
     if not certified <= target:
-        raise AccuracyNotMet(f"roundoff estimate {certified:.3e} exceeds target {target:.3e}")
+        raise _roundoff_refusal(certified, target, z, w)
 
 
 def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
@@ -514,7 +527,7 @@ def _log_quotient(ev: SigmaEvaluator, z: complex, zeros, poles) -> tuple[complex
             z0 = u - (m * p1 + n * p2)
             # z0 sits in the centered cell, so the only lattice point in range is 0
             if abs(z0) <= SNAP_TOL:
-                _certify_hit(quad_coef, u, n, pi_omega, target)
+                _certify_hit(quad_coef, z, w, n, pi_omega, target)
                 hits += 1
                 continue
             v0 = math.pi * z0 / p1
@@ -532,7 +545,7 @@ def _log_quotient(ev: SigmaEvaluator, z: complex, zeros, poles) -> tuple[complex
                 amplitude += abs(corr)
             certified = _EPS * (10.0 + amplitude)
             if certified > target:
-                raise AccuracyNotMet(f"roundoff estimate {certified:.3e} exceeds target {target:.3e}")
+                raise _roundoff_refusal(certified, target, z, w)
             parity += m + n
             linear += quad
             prod *= sin_v * s
@@ -602,7 +615,7 @@ def _dlog_quotient(ev: SigmaEvaluator, z: complex, exponent: complex, zeros, pol
             z0 = u - lam
             # z0 sits in the centered cell, so the only lattice point in range is 0
             if abs(z0) <= SNAP_TOL:
-                _certify_hit(quad_coef, u, n, pi_omega, target)
+                _certify_hit(quad_coef, z, w, n, pi_omega, target)
                 return None
             v0 = math.pi * z0 / p1
             sin_v = cmath.sin(v0)

@@ -340,6 +340,45 @@ class TestSynthVerifyRoundtrip:
         assert r.returncode == 2
         assert json.loads(r.stdout)["reliable"] is True
 
+    @pytest.mark.parametrize(
+        "field, change, name",
+        [
+            ("phase_residual_p1", lambda r: 1e-3, "phase_residual_p1"),
+            ("phase_residual_p2", lambda r: 1e-3, "phase_residual_p2"),
+            ("multiplier1", lambda r: r.multiplier1 * 1.01, "alpha1_miss"),
+            ("multiplier2", lambda r: r.multiplier2 * 1.01, "alpha2_miss"),
+            ("reliable", lambda r: False, "winding_distance"),
+            ("pole_count", lambda r: r.pole_count + 1, "zero_pole_gap"),
+            ("xi0_recovered", lambda r: r.xi0_recovered + 0.01, "xi0_miss"),
+        ],
+    )
+    def test_each_failed_check_is_named_on_stderr(self, monkeypatch, capsys, field, change, name):
+        # exit 2 wrote nothing on stderr; stdout is the report, as before
+        from ellipse_phase import verify
+
+        real = verify.verify_spec
+
+        def doctored(*args, **kwargs):
+            report = real(*args, **kwargs)
+            fields = {k: getattr(report, k) for k in report.__slots__}
+            fields[field] = change(report)
+            return verify.VerificationReport(**fields)
+
+        spec = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)[1]
+        monkeypatch.setattr(verify, "verify_spec", doctored)
+        code, out, err = _main(capsys, "verify", "--spec", spec, "--grid", "4x4")
+        assert code == 2 and json.loads(out)["zero_count"] == 1
+        assert err.startswith(f"verify: failed {name}: ") and err.count("\n") == 1, err
+
+    def test_impossible_tol_names_every_failed_check(self, capsys):
+        # exit 2 with 0 bytes on stderr before
+        spec = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)[1]
+        code, _, err = _main(capsys, "verify", "--spec", spec, "--tol=1e-300")
+        assert code == 2
+        names = [line.split(":")[1].split()[-1] for line in err.splitlines()]
+        assert names == ["phase_residual_p1", "phase_residual_p2", "alpha1_miss", "alpha2_miss", "xi0_miss"]
+        assert err.splitlines()[0].endswith(" (limit 1e-300)"), err
+
     @pytest.mark.parametrize("m2", ["200", "-200"])
     def test_multiplier_outside_double_range_exits_2(self, m2):
         lattice = '{"p1": [1, 0], "p2": [0, 1.1]}'
@@ -515,6 +554,19 @@ class TestPlot:
         assert (code, out) == (2, "")
         assert err.startswith("AccuracyNotMet:"), err
         assert not (tmp_path / "p.ppm").exists()
+
+    def test_far_center_refusal_names_z_and_w(self, monkeypatch, tmp_path, capsys):
+        # the kernel said only "roundoff estimate X exceeds target Y"
+        monkeypatch.chdir(tmp_path)
+        spec = _main(capsys, "synth", "--lattice", LATTICE, "--divisor", DIVISOR)[1]
+        argv = ["--spec", spec, "--out", "p.ppm", "--center", "40,40", "--resolution", "4x4"]
+        code, out, err = _main(capsys, "plot", *argv)
+        assert (code, out) == (2, "")
+        pattern = (
+            r"AccuracyNotMet: roundoff estimate \S+ exceeds target 1\.000e-12"
+            r" at z = \(\S+\+\S+j\) in the factor sigma\(z - w\), w = \(0\.3\+0\.4j\)\n"
+        )
+        assert re.fullmatch(pattern, err), err
 
     @pytest.mark.parametrize(
         "command, flag", [("plot", "--resolution"), ("verify", "--grid")], ids=["plot", "verify"]

@@ -245,6 +245,17 @@ def test_far_point_misses_accuracy_target():
         eval_f(spec, SigmaEvaluator(lat), 40 + 40j)
 
 
+@pytest.mark.parametrize(
+    "kernel, z", [(sigma, 40 + 40j), (sigma, 1e8 + 0j), (zeta, 1e8 + 0j)], ids=["off", "hit", "zeta-hit"]
+)
+def test_refusal_names_the_point_and_the_shift(kernel, z):
+    # far off the lattice the kernel's certificate fails; on a far lattice point, the hit's
+    ev = SigmaEvaluator(make_lattice(*SQUARE))
+    with pytest.raises(AccuracyNotMet) as refusal:
+        kernel(ev, z)
+    assert str(refusal.value).endswith(f" at z = {z} in the factor sigma(z - w), w = 0j")
+
+
 @pytest.mark.parametrize("basis", BASES)
 def test_zeta_is_quasi_periodic_and_odd(basis):
     # zeta(z + p_j) = zeta(z) + eta_j, zeta(-z) = -zeta(z), and None on the lattice

@@ -97,6 +97,19 @@ class TestSynthesize:
         ev = SigmaEvaluator(square)
         assert eval_f(spec, ev, 0.37 + 0.11j) == LogValue(0.0, 0.0)
 
+    @pytest.mark.parametrize("m1, m2", [(0.25, 0), (0, -1.5), (math.nan, 0), (0, math.inf)])
+    def test_non_integral_m_refused(self, square, m1, m2):
+        # m1 = 0.25 was stored as 0 while a was solved with 0.25: a phase turn of pi/2 per p1
+        d = make_divisor([(0.3 + 0.4j, 1)], [(0.6 + 0.1j, 1)], square)
+        with pytest.raises(ValueError, match="m1 and m2 must be integers"):
+            synthesize(d, m1, m2, square)
+
+    def test_integral_float_m_is_an_int(self, square):
+        d = make_divisor([(0.3 + 0.4j, 1)], [(0.6 + 0.1j, 1)], square)
+        spec = synthesize(d, 1.0, -1.0, square)
+        assert (type(spec.m1), type(spec.m2)) == (int, int)
+        assert spec == synthesize(d, 1, -1, square)
+
     def test_exponent_condition(self, rng):
         for _ in range(5):
             lat = random_lattice(rng)

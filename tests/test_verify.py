@@ -28,8 +28,9 @@ from ellipse_phase import (
 )
 
 from ellipse_phase import verify, weierstrass
-from ellipse_phase.verify import _contour_pass, _largest_gap, _place_contour
-from ellipse_phase.weierstrass import log_derivative
+from ellipse_phase.synthesis import PhaseFunctionSpec
+from ellipse_phase.verify import _contour_pass, _largest_gap, _place_contour, failed_checks
+from ellipse_phase.weierstrass import SigmaQuotient, log_derivative
 
 from conftest import log_ratio, log_spread, random_cell_point, random_lattice
 
@@ -82,6 +83,13 @@ class TestPhasePeriodicity:
         assert residual <= 1e-8
         assert abs(mult.imag) <= 1e-8
         assert abs(mult.real - sample_spec.alpha2) <= 1e-8
+
+    def test_constant_phase_turn_counts(self, square):
+        # f(z + 1) = i*e^0.3 f(z): constant, so the spread about the complex mean was 0
+        turning = lambda z: LogValue.from_log((0.3 + 0.5j * math.pi) * z)
+        residual, mult = phase_periodicity(turning, square.p1, GridSpec(square, 5, 5))
+        assert mult == pytest.approx(0.3 + 0.5j * math.pi, abs=1e-14)
+        assert residual == pytest.approx(0.5 * math.pi, abs=1e-14)
 
     def test_composition_over_double_period(self, square, square_ev, sample_spec):
         fval = lambda z: eval_f(sample_spec, square_ev, z)
@@ -332,6 +340,21 @@ class TestVerifySpec:
         ) <= 1e-6
         assert report.samples_used == 100
         assert report_passes(report, sample_spec)
+
+    def test_quarter_turn_per_p1_fails(self, square, sample_spec):
+        # exp(i*pi/2 * z) times f turns the phase by pi/2 per p1 = 1 and scales
+        # |f| by e^(-pi/2) per p2 = i; both checks fail, the multiplier1 check does not
+        q = sample_spec.quotient
+        fields = {name: getattr(sample_spec, name) for name in sample_spec.__slots__}
+        fields["quotient"] = SigmaQuotient(q.exponent + 0.5j * math.pi, q.log_scale, q.zeros, q.poles)
+        turned = PhaseFunctionSpec(**fields)
+        report = verify_spec(turned)
+        assert report.phase_residual_p1 == pytest.approx(0.5 * math.pi, abs=1e-8)
+        assert report.phase_residual_p2 <= 1e-8
+        assert [name for name, _, _ in failed_checks(report, turned)] == [
+            "phase_residual_p1", "alpha2_miss"
+        ]
+        assert not report_passes(report, turned)
 
     def test_builds_no_evaluator(self, sample_spec, evaluator_inits):
         # f is evaluated with the spec's own evaluator, spec.ev

@@ -506,6 +506,14 @@ class TestBackends:
                 with pytest.raises(ValueError, match="truncation_shells"):
                     SigmaEvaluator(make_lattice(1, 1j), backend=backend, truncation_shells=shells)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1e-12])
+    def test_target_rel_error_validated(self, target):
+        # nan passed every roundoff certificate, inf read far points as exact
+        # zeros, and 0 or a negative target refused every point
+        for backend in Backend:
+            with pytest.raises(ValueError, match="target_rel_error"):
+                SigmaEvaluator(make_lattice(1, 1j), backend=backend, target_rel_error=target)
+
     def test_concurrent_evaluation(self, square_fast):
         # evaluators are immutable after construction: parallel reads agree
         from concurrent.futures import ThreadPoolExecutor
