@@ -4,18 +4,19 @@ DirectProduct evaluates the canonical genus-2 product
 
     sigma(z) = z * prod_{lam in L \\ {0}} (1 - z/lam) * exp(z/lam + z^2/(2*lam^2))
 
-truncated by sup-norm shells; it converges slowly (tail O(|z|^3 / N) in log sigma),
-builds its points for each sum and serves as the low-accuracy oracle.  The shell
-set is symmetric under lam -> -lam, so each of its lattice sums runs over one
-point of every pair {lam, -lam} with the mirror term folded into the summand:
+truncated by sup-norm shells; it converges slowly (tail O(|z|^4 / N^2) in log
+sigma), builds its points for each sum and serves as the low-accuracy oracle.  The
+shell set is symmetric under lam -> -lam, so each of its lattice sums runs over
+one point of every pair {lam, -lam} with the mirror term folded into the summand:
 log sigma sums log(1 - z^2/lam^2) + z^2/lam^2, the same truncation set as the
-product above.  It takes one complex log per product of 64 factors 1 - z^2/lam^2
-(the phase is wrapped at the end, so the sum of their logs is exact mod 2*pi*i)
-and sums z^2/lam^2 apart; a block of points with a product outside the normal
-double range, which only |z| far outside the cell reaches, takes one log per
-factor.  Its `a_priori_bound` is the truncation tail (16/3)|z|^3/(c^3 N) plus
-a roundoff term, ~258 eps per product of 64 factors over 2N(N+1)/64 products,
-that dominates below |z| ~ 1e-3 |P1| (~7e-11 at 200 shells).  The points come
+product above.  It multiplies the factors 1 - z^2/lam^2 of a block into one
+product and takes one complex log per block (the phase is wrapped at the end, so
+the sum of their logs is exact mod 2*pi*i), and sums z^2/lam^2 apart; a block
+whose product leaves the normal double range, which only |z| outside the cell
+reaches, takes one log per product of 64 factors, and one per factor where
+those leave it too.  Its `a_priori_bound` is the paired truncation tail
+(4/3)(|z|/c)^4/N^2 plus a roundoff term, ~4 eps per factor and 2 eps per block
+log, that dominates below |z| ~ 4e-2 |P1| (~7e-11 at 200 shells).  The points come
 from the cached float64 shell coordinates of `_shell_arrays`, in blocks of
 SHELL_BLOCK points (`_point_blocks`); the shell list, its blocks and the bounds
 that count them (`a_priori_bound`, `_direct_sum_tail`) all live in this module.
@@ -49,8 +50,9 @@ reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
 pair for the original basis combines them with the integer coordinates of P1, P2
 from `nearest_lattice_point`.  DirectProduct sums eta_j by `eta_from_sum` when
-`eta` asks for it, once per process for each exact period pair, j and N: the
-sum is memoised for the last 16 of them (8 lattices with both periods).
+`eta` asks for it, once per process for each exact period pair and N: one pass
+over the points sums both periods, and the pair is memoised for the last 8
+lattices.
 
 Translation constant: for any xi0 and either period p_j the four-factor ratio
 
@@ -110,8 +112,9 @@ _EPS = 2.2e-16
 #: largest truncation_shells; each direct sum builds 2N(N+1) lattice points, one per {lam, -lam}.
 MAX_SHELLS = 1000
 
-#: logs of the smallest and largest normal doubles.
-LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+#: the smallest and largest normal doubles, and their logs.
+_NORMAL = (sys.float_info.min, sys.float_info.max)
+LOG_NORMAL_RANGE = (math.log(_NORMAL[0]), math.log(_NORMAL[1]))
 
 #: Points per block of a direct lattice sum.  The allocator reuses temporaries of
 #: this size from call to call; full-length ones were mapped and page-faulted in
@@ -119,11 +122,8 @@ LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 #: 200 shells, on a 2-vCPU Xeon).
 SHELL_BLOCK = 8192
 
-#: factors per complex log in the direct log sigma.
+#: factors per partial product of a block in the direct log sigma.
 _PRODUCT = 64
-
-#: eps-roundings of one such product and its log, as `a_priori_bound` counts them.
-_PRODUCT_ROUNDINGS = 4 * _PRODUCT + 2
 
 #: A running FastSeries product takes a complex log once its magnitude leaves
 #: this window, so one more factor keeps it a normal double.  A factor
@@ -290,37 +290,47 @@ def eta_from_sum(lat: Lattice, j: int, N: int) -> complex:
     term -p_j/(lam^2 (lam+p_j)^2), which turns the O(1/N) truncation tail into
     O(1/N^2).  Adding the mirror -lam gives -2p_j(lam^2+p_j^2)/(lam^2 (lam^2-p_j^2)^2),
     summed over one point of every pair {lam, -lam}; the pair {p_j, -p_j} adds
-    only the paired term of p_j, -1/(4 p_j^3), since -p_j is excluded.  In the
-    scale-free u = lam/p_j that is eta_j = (25/8 + sum (u^2+1)/(u^2 (u^2-1)^2)) / p_j.
+    only the paired term of p_j, -1/(4 p_j^3), since -p_j is excluded.  With
+    s = (lam/p_j)^2 that is eta_j = (25/8 + sum (s+1)/(s (s-1)^2)) / p_j.
 
-    The sum does not depend on any xi0, so it is memoised for the life of the
-    process on the exact periods, j and N, for the last 16 of them: `eta` of a
-    DirectProduct evaluator and `v_constant(..., "direct")` on the same lattice
+    One pass builds the scale-free points u = lam/p1 once and sums both
+    periods: s = u^2 for eta_1 and s = u^2 (p1/p2)^2 for eta_2.  The pair does
+    not depend on any xi0, so it is memoised for the life of the process on
+    the exact periods and N, for the last 8 lattices: `eta` of a DirectProduct
+    evaluator for either j and `v_constant(..., "direct")` on the same lattice
     run it once between them.
     """
     # Lattice equality merges +0.0 and -0.0; the repr of the periods keeps the sign
-    return _eta_sum(repr((lat.p1, lat.p2)), lat.p1, lat.p2, j, N)
+    return _eta_sums(repr((lat.p1, lat.p2)), lat.p1, lat.p2, N)[j - 1]
 
 
-@lru_cache(maxsize=16)  # both periods of 8 lattices
-def _eta_sum(periods: str, p1: complex, p2: complex, j: int, N: int) -> complex:
-    """The paired sum of `eta_from_sum`, cached on the exact periods (their repr), j and N."""
+def _paired_sum(s: np.ndarray) -> complex:
+    """sum (s+1)/(s (s-1)^2) over the array s, which it overwrites."""
+    d = s - 1
+    d *= d
+    d *= s
+    s += 1
+    s /= d
+    return complex(s.sum())
+
+
+@lru_cache(maxsize=8)
+def _eta_sums(periods: str, p1: complex, p2: complex, N: int) -> tuple[complex, complex]:
+    """(eta_1, eta_2), the paired sums of `eta_from_sum`, cached on the exact periods (their repr) and N."""
     import numpy as np
 
-    pj = p1 if j == 1 else p2
-    total = 3 + 1 / 8
-    blocks = _point_blocks(N, p1 / pj, p2 / pj)
-    # 1/8 is the pair {p_j, -p_j}, so drop p_j = (1, 0) or (0, 1), index 2 or 0 of shell 1,
-    # by its place: at the 1e-6 period floor lam^2 - p_j^2 is ~1e-12 for its neighbours too
-    for u in itertools.chain([np.delete(next(blocks), 2 * (2 - j))], blocks):
-        u *= u
-        d = u - 1
-        d *= d
-        d *= u
-        u += 1
-        u /= d
-        total += complex(u.sum())
-    return total / pj
+    scale = (p1 / p2) ** 2
+    total1 = total2 = 3 + 1 / 8
+    for i, s1 in enumerate(_point_blocks(N, 1 + 0j, p2 / p1)):
+        s1 *= s1
+        s2 = s1 * scale
+        if not i:
+            # 1/8 is the pair {p_j, -p_j}, so drop p_1 = (1, 0) and p_2 = (0, 1), index 2
+            # and 0 of shell 1, by their place: the s of p_2 is 1 only up to rounding
+            s1, s2 = np.delete(s1, 2), np.delete(s2, 0)
+        total1 += _paired_sum(s1)
+        total2 += _paired_sum(s2)
+    return total1 / p1, total2 / p2
 
 
 def _direct_sum_tail(lat: Lattice, pj_abs: float, N: int) -> float:
@@ -345,7 +355,9 @@ class SigmaEvaluator:
 
     Only the FastSeries backend holds state (eta1, eta2, the theta series);
     `eta(ev, j)` serves both, reading the DirectProduct lattice sum from the
-    process-wide memo of `eta_from_sum`, which runs it on the first request.
+    process-wide memo of `eta_from_sum`, whose first request for either j runs
+    one pass for both periods.  A DirectProduct sigma takes one complex log per
+    block of SHELL_BLOCK points; its `a_priori_bound` is the paired tail bound.
     """
 
     def __init__(
@@ -395,26 +407,32 @@ class SigmaEvaluator:
         """Bound on the error of log sigma at z: the configured target for FastSeries.
 
         DirectProduct: truncation plus roundoff, with c = `_unit_frame_distance`,
-        so |lam| >= c*k on shell k, and w = z/lam.  Truncation: the per-point
-        tail |log(1-w)+w+w^2/2| <= (2/3)|w|^3 for |w| <= 1/2 summed over shells
-        beyond N gives (16/3)|z|^3/(c^3 N), valid once c*N >= 2|z|; elsewhere
-        the bound is infinite.  Roundoff, to first order in eps = _EPS >= 2u:
+        so |lam| >= c*k on shell k, and w = z/lam.  Truncation: the paired term
+        t(w) = log(1 - w^2) + w^2 = -sum_{k>=2} w^(2k)/k has |t(w)| <= (2/3)|w|^4
+        for |w| <= 1/2 (the series gives 0.603|w|^4 there).  Shell k holds 4k
+        pairs, and sum_{k>N} k^-3 <= 1/(2N^2), so the shells beyond N add at
+        most (4/3)(|z|/c)^4/N^2, valid once c*N >= 2|z|; elsewhere the bound is
+        infinite.  Roundoff, to first order in eps = _EPS >= 2u:
 
         - A factor (1 - w)(1 + w) is off by (2 + sqrt 5)u relative (two sums and
-          a complex product, Brent-Percival-Zimmermann 2007), and each of the 63
-          products that make a product of 64 factors adds sqrt(5)u: under 4 eps
-          per factor, and the log adds 2 eps, so _PRODUCT_ROUNDINGS eps per
-          product.  B blocks of SHELL_BLOCK points make at most 2N(N+1)/64 + B
-          products.
+          a complex product, Brent-Percival-Zimmermann 2007), and each of the
+          n - 1 products that multiply a block's n factors into one adds
+          sqrt(5)u: under 4 eps per factor.  The one log per block adds 2 eps.
+          B blocks of SHELL_BLOCK points: 8N(N+1) + 2B roundings.
         - w is off by at most (kappa + 3) eps relative, kappa = (|p1| + |p2|)/c,
           from rounding lam = m*p1 + n*p2 (|m|, |n| <= k) and the division.  That
-          moves 1 - w^2 by (8/3)|w|^2 and w^2 by 2|w|^2 times it; with the sums
-          of the logs (|log(1 - w^2)| <= (4/3)|w|^2) and of w^2 it stays under
-          (5 kappa + 50) eps sum |w|^2, and sum |w|^2 <= sum_k 4k |z|^2/(c k)^2
-          <= 4 (ln N + 1) |z|^2/c^2.
+          moves 1 - w^2 by (8/3)|w|^2 and w^2 by 2|w|^2 times it; with the sum
+          of w^2 it stays under (5 kappa + 50) eps sum |w|^2, and
+          sum |w|^2 <= sum_k 4k |z|^2/(c k)^2 <= 4 (ln N + 1) |z|^2/c^2.
         - log z and the 2B additions to it: (B + 1) eps (|ln |z|| + pi).
 
-        Next to the origin the products dominate: ~1,300 of them at 200 shells.
+        A block whose product leaves the normal range takes one log per 64
+        factors or per factor, at most 2 eps more per factor.  That needs
+        |sum log(1 - w^2)| > 708 over the block, so some |w| > 1/2, |z| > c/2
+        (below, the sum is at most (16/3)(ln N + 1)(|z|/c)^2 < 11); there the
+        truncation term's slack, 9% of it, exceeds 2 eps * 2N(N+1) at every
+        N <= MAX_SHELLS.  Next to the origin the products dominate: ~3.2e5
+        roundings at 200 shells, ~7e-11.
         """
         if self.backend is Backend.FAST_SERIES:
             return self.target_rel_error
@@ -423,15 +441,15 @@ class SigmaEvaluator:
         if c * N < 2 * r:
             return math.inf
         blocks = -(-2 * N * (N + 1) // SHELL_BLOCK)
-        products = 2 * N * (N + 1) / _PRODUCT + blocks
         kappa = (abs(lat.p1) + abs(lat.p2)) / c
         log_z = abs(math.log(r)) + math.pi if r else 0.0
         roundoff = _EPS * (
-            _PRODUCT_ROUNDINGS * products
+            8 * N * (N + 1)
+            + 2 * blocks
             + (5 * kappa + 50) * 4 * (math.log(N) + 1) * (r / c) ** 2
             + (blocks + 1) * log_z
         )
-        return (16.0 / 3.0) * r**3 / (c**3 * N) + roundoff
+        return (4.0 / 3.0) * (r / c) ** 4 / N**2 + roundoff
 
 
 def _roundoff_refusal(certified: float, target: float, z: complex, w: complex) -> AccuracyNotMet:
@@ -475,15 +493,24 @@ def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
             # 1 - w^2 as (1 - w)(1 + w) keeps it accurate next to a lattice point
             t = 1 - w
             t *= 1 + w
-            # one log per product of _PRODUCT factors: the phase is wrapped at
-            # the end, so a sum of logs of products is exact mod 2*pi*i
+            # one log per block: the phase is wrapped at the end, so a sum of
+            # logs of products is exact mod 2*pi*i.  Each product of _PRODUCT
+            # factors takes one from every 64th of the block, so the products
+            # are alike and their running product moves steadily to the block's.
             k = len(t) - len(t) % _PRODUCT
-            logs = np.log(np.append(t[:k].reshape(_PRODUCT, -1).prod(axis=0), t[k:].prod()))
-            if not ((low < logs.real) & (logs.real < high)).all():
-                # a product left the normal range: |z| is far outside the cell
-                logs = np.log(t)
+            products = np.append(t[:k].reshape(_PRODUCT, -1).prod(axis=0), t[k:].prod())
+            block = products.prod()
+            if _NORMAL[0] <= abs(block) <= _NORMAL[1]:
+                log = cmath.log(block)
+            else:
+                # the block's product left the normal range, which needs |z| > c/2
+                logs = np.log(products)
+                if not ((low < logs.real) & (logs.real < high)).all():
+                    # so did a product of _PRODUCT factors: |z| is far outside it
+                    logs = np.log(t)
+                log = complex(logs.sum())
             w *= w
-            log_sigma += complex(logs.sum()) + complex(w.sum())
+            log_sigma += log + complex(w.sum())
     return complex(log_sigma.real, wrap_angle(log_sigma.imag))
 
 

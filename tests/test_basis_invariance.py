@@ -36,7 +36,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from conftest import random_cell_point, random_lattice  # noqa: E402
 
 from ellipse_phase.lattice import nearest_lattice_point  # noqa: E402
-from ellipse_phase.weierstrass import zeta  # noqa: E402
+from ellipse_phase.weierstrass import _unit_frame_distance, zeta  # noqa: E402
 
 #: (basis matrix M, k): the presented basis is (p1, p2) = M (P1, P2).
 PRESENTATIONS = (
@@ -108,15 +108,17 @@ def test_verify_passes_on_sheared_bases(rng, k):
     assert report_passes(verify_spec(spec), spec)
 
 
-def theta_oracle(p1: complex, p2: complex, points) -> tuple[complex, list[complex], list[complex]]:
-    """eta_1, and log sigma and zeta at the points, from mpmath's theta_1 at 30 digits.
+def theta_oracle(
+    p1: complex, p2: complex, points, digits: int = 30
+) -> tuple[complex, list[complex], list[complex]]:
+    """eta_1, and log sigma and zeta at the points, from mpmath's theta_1 at `digits` digits.
 
     sigma(z) = (p1/pi) exp(eta1 z^2 / (2 p1)) theta1(pi z / p1) / theta1'(0), its
     log-derivative zeta(z) = eta1 z / p1 + (pi/p1) theta1'(pi z / p1) / theta1(pi z / p1)
     and eta1 = -pi^2 theta1'''(0) / (3 p1 theta1'(0)), with nome q = exp(i pi p2/p1);
     p2 is negated if need be so that Im(p2/p1) > 0, which keeps the lattice.
     """
-    with mpmath.workdps(30):
+    with mpmath.workdps(digits):
         P1, P2 = mpmath.mpc(p1), mpmath.mpc(p2)
         if (P2 / P1).imag < 0:
             P2 = -P2
@@ -194,3 +196,29 @@ def test_theta_oracle_next_to_a_period():
             got = sigma(ev, z)
             diff = complex(got.log_mag - want.real, wrap_angle(got.phase - want.imag))
             assert abs(diff) <= 1e-13 * (1 + abs(want))
+
+
+#: plain, sheared and swapped presentations of a lattice, for the direct bound
+DIRECT_BASES = (((1, 0), (0, 1)), ((1, 0), (2, 1)), ((0, 1), (-1, 0)))
+
+
+@PROPERTY
+@given(
+    LATTICES,
+    st.sampled_from(DIRECT_BASES),
+    st.integers(2, 300),
+    st.floats(-5, 0),
+    st.floats(0, 2 * cmath.pi),
+)
+def test_direct_log_sigma_within_its_bound(rng, matrix, N, exponent, angle):
+    # the paired tail (4/3)(|z|/c)^4/N^2 plus roundoff, against 50 digits, at
+    # |z| from 1e-5 to 1 of c*N/2, the largest |z| with a finite bound
+    lat = present(random_lattice(rng), matrix)
+    ev = SigmaEvaluator(lat, "direct", N)
+    z = 10**exponent * _unit_frame_distance(lat) * N / 2 * cmath.exp(1j * angle)
+    got = sigma(ev, z)
+    hypothesis.assume(not got.is_zero())
+    red = reduce_basis(lat)
+    _, (want,), _ = theta_oracle(red.p1, red.p2, [z], digits=50)
+    diff = complex(got.log_mag - want.real, wrap_angle(got.phase - want.imag))
+    assert abs(diff) <= ev.a_priori_bound(z)

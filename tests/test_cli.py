@@ -947,7 +947,25 @@ class TestSpecReload:
         r = run_cli("verify", "--spec", str(spec_path))
         assert r.returncode == 1
         assert r.stdout == ""
-        assert "spec field 'm'" in r.stderr
+        assert r.stderr.startswith("ValueError: m1 and m2 must be integers, got 1.9 and 0.0"), r.stderr
+
+    @pytest.mark.parametrize(
+        "command, m, shown",
+        [("plot", [0.5, 0], "0.5 and 0.0"), ("verify", ["inf", 0], "inf and 0.0")],
+        ids=["plot-half", "verify-inf"],
+    )
+    def test_m_refused_by_synthesize(self, tmp_path, spec_m12, command, m, shown):
+        # spec_from_obj passes m through, and synthesize makes the one integrality check
+        obj = json.loads(spec_m12)
+        obj["m"] = [float(v) for v in m]
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(obj))
+        out = tmp_path / "bad.ppm"
+        args = ["--out", str(out)] if command == "plot" else []
+        r = run_cli(command, "--spec", str(spec_path), *args)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith(f"ValueError: m1 and m2 must be integers, got {shown}"), r.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("m", ["12", [1, 2, 99], [1]], ids=["string", "three", "one"])
     def test_malformed_m_exits_1(self, tmp_path, spec_m12, m):

@@ -191,8 +191,8 @@ class TestDirectLatticeSum:
     @pytest.fixture
     def sums(self):
         # an empty memo, so the count is of sums that run, whatever ran before
-        weierstrass._eta_sum.cache_clear()
-        return lambda: weierstrass._eta_sum.cache_info().misses
+        weierstrass._eta_sums.cache_clear()
+        return lambda: weierstrass._eta_sums.cache_info().misses
 
     def test_sigma_runs_no_sum(self, sums):
         ev = SigmaEvaluator(make_lattice(1, 0.3 + 1.1j), backend="direct", truncation_shells=50)
@@ -231,27 +231,32 @@ class TestDirectLatticeSum:
 @pytest.mark.parametrize("N", [4, 70])
 @pytest.mark.parametrize("j", [1, 2])
 def test_eta_sum_omits_exactly_p_j(j, N):
-    # _eta_sum drops p_j by its place in shell 1; a coordinate mask on the shell
-    # list picks the same points.  Each term is more than 1e-4 of the sum at
-    # N = 4 and 1e-9 at N = 70 (two blocks), and p_j's would divide by zero.
-    lat = make_lattice(1.3 - 0.2j, 0.4 + 1.1j)
-    pj = lat.p1 if j == 1 else lat.p2
+    # the pass drops p_1 and p_2 by their places in shell 1; a coordinate mask on
+    # the shell list picks the same points, scaled by 1/p_j alone.  Each term is
+    # more than 1e-4 of the sum at N = 4 and 1e-9 at N = 70 (two blocks), and
+    # p_j's would divide by zero.  (1, 500i) puts the terms of p_1 and p_2 six
+    # orders apart; 1e-6 and 1e75 are the period floor and ceiling.
     m, n = _shell_arrays(N)
     keep = (m != 2 - j) | (n != j - 1)
     assert np.count_nonzero(~keep) == 1
-    u = (m[keep] * lat.p1 + n[keep] * lat.p2) / pj
-    expected = (25 / 8 + complex(np.sum((u**2 + 1) / (u**2 * (u**2 - 1) ** 2)))) / pj
-    weierstrass._eta_sum.cache_clear()
-    assert weierstrass.eta_from_sum(lat, j, N) == pytest.approx(expected, rel=1e-13)
+    for p1, p2 in [(1.3 - 0.2j, 0.4 + 1.1j), (1, 500j), *REF_BASES.values()]:
+        shortest, longest = sorted((abs(p1), abs(p2)))
+        for scale in (1.0, 1e-6 / shortest, 1e75 / longest):
+            lat = make_lattice(scale * p1, scale * p2)
+            pj = lat.p1 if j == 1 else lat.p2
+            u = (m[keep] * lat.p1 + n[keep] * lat.p2) / pj
+            expected = (25 / 8 + complex(np.sum((u**2 + 1) / (u**2 * (u**2 - 1) ** 2)))) / pj
+            weierstrass._eta_sums.cache_clear()
+            assert weierstrass.eta_from_sum(lat, j, N) == pytest.approx(expected, rel=1e-13)
 
 
 class TestEtaMemo:
-    """`eta_from_sum` runs each lattice sum once per process, keyed on the exact periods, j and N."""
+    """`eta_from_sum` runs one pass for both periods per process, keyed on the exact periods and N."""
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        # one _point_blocks call per sum that runs
-        weierstrass._eta_sum.cache_clear()
+        # one _point_blocks call per pass that runs
+        weierstrass._eta_sums.cache_clear()
         calls = []
         real = weierstrass._point_blocks
         monkeypatch.setattr(
@@ -267,17 +272,18 @@ class TestEtaMemo:
         for j in (1, 2):
             value = eta(SigmaEvaluator(lat_eta, "direct", 60), j)
             assert v_constant(lat_v, xi0, j, "direct", 60).v == -xi0 * value
-        assert len(blocks) == 2
+        assert len(blocks) == 1
 
-    def test_other_j_shells_or_lattice_run_a_new_sum(self, blocks):
+    def test_other_shells_or_lattice_run_a_new_sum(self, blocks):
         lat = make_lattice(1, 0.3 + 1.1j)
         weierstrass.eta_from_sum(lat, 1, 40)
         weierstrass.eta_from_sum(lat, 2, 40)
+        assert len(blocks) == 1
         weierstrass.eta_from_sum(lat, 1, 41)
         weierstrass.eta_from_sum(make_lattice(1, 0.3 + 1.2j), 1, 40)
-        assert len(blocks) == 4
-        weierstrass.eta_from_sum(lat, 1, 40)
-        assert len(blocks) == 4
+        assert len(blocks) == 3
+        weierstrass.eta_from_sum(lat, 2, 40)
+        assert len(blocks) == 3
 
     @pytest.mark.parametrize(
         "periods",
@@ -292,14 +298,13 @@ class TestEtaMemo:
     def test_cached_value_is_the_fresh_sum(self, blocks, periods):
         lats = [make_lattice(*p) for p in periods]
         assert all(lat == lats[0] for lat in lats)
-        for j in (1, 2):
-            cached = [weierstrass.eta_from_sum(lat, j, 30) for lat in lats for _ in range(2)]
-            fresh = []
-            for lat in lats:
-                weierstrass._eta_sum.cache_clear()
-                fresh.append(weierstrass.eta_from_sum(lat, j, 30))
-            assert [repr(v) for v in cached] == [repr(v) for v in fresh for _ in range(2)]
-        assert len(blocks) == 4 * len(lats)
+        cached = [weierstrass.eta_from_sum(lat, j, 30) for lat in lats for _ in range(2) for j in (1, 2)]
+        fresh = []
+        for lat in lats:
+            weierstrass._eta_sums.cache_clear()
+            fresh.append([weierstrass.eta_from_sum(lat, j, 30) for j in (1, 2)])
+        assert [repr(v) for v in cached] == [repr(v) for pair in fresh for _ in range(2) for v in pair]
+        assert len(blocks) == 2 * len(lats)
 
 
 REF_SHELLS = 20
@@ -381,14 +386,32 @@ class TestDirectReferenceSums:
         ref = LogValue.from_log(reference_log_sigma(lat, z, 200))
         assert log_distance(direct, ref) <= 1e-12 * (1 + abs(ref.log_mag))
 
+    def test_sigma_where_the_block_product_overflows(self):
+        # at |z| = 30 on the square the products of 64 factors stay within e^21,
+        # but the first block's product overflows, so that block takes one log
+        # per product of 64 factors; the bound is finite here (c*N = 200 >= 60)
+        lat, z = make_lattice(1, 1j), 30 * cmath.exp(0.3j)
+        w = z / next(_point_blocks(200, lat.p1, lat.p2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (1 - w) * (1 + w)
+            k = len(t) - len(t) % weierstrass._PRODUCT
+            products = t[:k].reshape(weierstrass._PRODUCT, -1).prod(axis=0)
+            assert np.all(np.abs(np.log(np.abs(products))) < 25)
+            assert not np.isfinite(products.prod() * t[k:].prod())
+        ev = SigmaEvaluator(lat, "direct", 200)
+        direct = sigma(ev, z)
+        ref = LogValue.from_log(reference_log_sigma(lat, z, 200))
+        assert log_distance(direct, ref) <= 1e-12 * (1 + abs(ref.log_mag))
+        assert log_distance(direct, sigma(SigmaEvaluator(lat), z)) <= ev.a_priori_bound(z) + 1e-12
+
     @pytest.mark.parametrize(
         "p1, p2",
         [(1, 1j), (1, 0.2 + 1.1j), (1.3 + 0.2j, 0.4 + 1.5j)],
         ids=["square", "sheared", "generic"],
     )
     def test_bound_counts_roundoff_next_to_the_origin(self, p1, p2):
-        # below |z| ~ 1e-3|P1| the truncation term (~|z|^3) falls under the
-        # roundoff of the ~1,300 products of 64 factors, ~1e-12 measured
+        # below |z| ~ 4e-2|P1| the truncation term (~|z|^4) falls under the
+        # roundoff of the 80,400 factors and 10 block logs, ~1e-12 measured
         lat = make_lattice(p1, p2)
         ev = SigmaEvaluator(lat, "direct", 200)
         size = abs(reduce_basis(lat).p1)
@@ -398,12 +421,12 @@ class TestDirectReferenceSums:
                 ref = LogValue.from_log(reference_log_sigma(lat, z, 200))
                 assert log_distance(sigma(ev, z), ref) <= ev.a_priori_bound(z)
         # from |z| = 0.1|P1| on, where the benchmark's oracle checks sigma, the
-        # roundoff adds under 1e-5 of the truncation term
+        # roundoff adds ~2% of the paired truncation term, and ~2e-6 at |P1|
         c = _unit_frame_distance(lat)
-        for scale in (0.1, 0.3, 1.0):
+        for scale, share in ((0.1, 0.025), (0.3, 3e-4), (1.0, 3e-6)):
             z = scale * size * cmath.exp(0.7j)
-            truncation = (16 / 3) * abs(z) ** 3 / (c**3 * 200)
-            assert truncation < ev.a_priori_bound(z) <= truncation * (1 + 1e-5)
+            truncation = (4 / 3) * (abs(z) / c) ** 4 / 200**2
+            assert truncation < ev.a_priori_bound(z) <= truncation * (1 + share)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6])
     def test_eta(self, lat, scale):
@@ -467,8 +490,9 @@ class TestBackends:
             assert rel_diff(sigma(ev, z), sigma(evr, z)) <= 1e-10
 
     def test_direct_reports_bound(self, square_direct):
+        # the paired tail (4/3)(|z|/c)^4/N^2, and roundoff ~7e-11 (3.4e-5 of it here)
         assert square_direct.a_priori_bound(0.4 + 0.3j) == pytest.approx(
-            (16 / 3) * 0.5**3 / 200
+            (4 / 3) * 0.5**4 / 200**2, rel=1e-4
         )
         assert math.isinf(square_direct.a_priori_bound(150.0))
         # sigma(0) is exactly zero; its bound is finite, so CLI sigma prints it
