@@ -13,8 +13,7 @@ product above.  It multiplies the factors 1 - z^2/lam^2 of a block into one
 product and takes one complex log per block (the phase is wrapped at the end, so
 the sum of their logs is exact mod 2*pi*i), and sums z^2/lam^2 apart; a block
 whose product leaves the normal double range, which only |z| outside the cell
-reaches, takes one log per product of 64 factors, and one per factor where
-those leave it too.  Its `a_priori_bound` is the paired truncation tail
+reaches, takes one log per factor.  Its `a_priori_bound` is the paired truncation tail
 (4/3)(|z|/c)^4/N^2 plus a roundoff term, ~4 eps per factor and 2 eps per block
 log, that dominates below |z| ~ 4e-2 |P1| (~7e-11 at 200 shells).  The points come
 from the cached float64 shell coordinates of `_shell_arrays`, in blocks of
@@ -50,9 +49,8 @@ reduced basis eta1' = -pi^2 theta1'''(0) / (3 P1 theta1'(0)) and eta2' follows
 from the Legendre relation eta1' P2 - eta2' P1 = 2*pi*i (Im(P2/P1) > 0); the
 pair for the original basis combines them with the integer coordinates of P1, P2
 from `nearest_lattice_point`.  DirectProduct sums eta_j by `eta_from_sum` when
-`eta` asks for it, once per process for each exact period pair and N: one pass
-over the points sums both periods, and the pair is memoised for the last 8
-lattices.
+`eta` asks for it, once per process for each exact period pair, j and N: the
+sum is memoised for the last 16 of them (8 lattices with both periods).
 
 Translation constant: for any xi0 and either period p_j the four-factor ratio
 
@@ -112,9 +110,8 @@ _EPS = 2.2e-16
 #: largest truncation_shells; each direct sum builds 2N(N+1) lattice points, one per {lam, -lam}.
 MAX_SHELLS = 1000
 
-#: the smallest and largest normal doubles, and their logs.
-_NORMAL = (sys.float_info.min, sys.float_info.max)
-LOG_NORMAL_RANGE = (math.log(_NORMAL[0]), math.log(_NORMAL[1]))
+#: logs of the smallest and largest normal doubles.
+LOG_NORMAL_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 #: Points per block of a direct lattice sum.  The allocator reuses temporaries of
 #: this size from call to call; full-length ones were mapped and page-faulted in
@@ -290,47 +287,37 @@ def eta_from_sum(lat: Lattice, j: int, N: int) -> complex:
     term -p_j/(lam^2 (lam+p_j)^2), which turns the O(1/N) truncation tail into
     O(1/N^2).  Adding the mirror -lam gives -2p_j(lam^2+p_j^2)/(lam^2 (lam^2-p_j^2)^2),
     summed over one point of every pair {lam, -lam}; the pair {p_j, -p_j} adds
-    only the paired term of p_j, -1/(4 p_j^3), since -p_j is excluded.  With
-    s = (lam/p_j)^2 that is eta_j = (25/8 + sum (s+1)/(s (s-1)^2)) / p_j.
+    only the paired term of p_j, -1/(4 p_j^3), since -p_j is excluded.  In the
+    scale-free u = lam/p_j that is eta_j = (25/8 + sum (u^2+1)/(u^2 (u^2-1)^2)) / p_j.
 
-    One pass builds the scale-free points u = lam/p1 once and sums both
-    periods: s = u^2 for eta_1 and s = u^2 (p1/p2)^2 for eta_2.  The pair does
-    not depend on any xi0, so it is memoised for the life of the process on
-    the exact periods and N, for the last 8 lattices: `eta` of a DirectProduct
-    evaluator for either j and `v_constant(..., "direct")` on the same lattice
+    The sum does not depend on any xi0, so it is memoised for the life of the
+    process on the exact periods, j and N, for the last 16 of them: `eta` of a
+    DirectProduct evaluator and `v_constant(..., "direct")` on the same lattice
     run it once between them.
     """
     # Lattice equality merges +0.0 and -0.0; the repr of the periods keeps the sign
-    return _eta_sums(repr((lat.p1, lat.p2)), lat.p1, lat.p2, N)[j - 1]
+    return _eta_sum(repr((lat.p1, lat.p2)), lat.p1, lat.p2, j, N)
 
 
-def _paired_sum(s: np.ndarray) -> complex:
-    """sum (s+1)/(s (s-1)^2) over the array s, which it overwrites."""
-    d = s - 1
-    d *= d
-    d *= s
-    s += 1
-    s /= d
-    return complex(s.sum())
-
-
-@lru_cache(maxsize=8)
-def _eta_sums(periods: str, p1: complex, p2: complex, N: int) -> tuple[complex, complex]:
-    """(eta_1, eta_2), the paired sums of `eta_from_sum`, cached on the exact periods (their repr) and N."""
+@lru_cache(maxsize=16)  # both periods of 8 lattices
+def _eta_sum(periods: str, p1: complex, p2: complex, j: int, N: int) -> complex:
+    """The paired sum of `eta_from_sum`, cached on the exact periods (their repr), j and N."""
     import numpy as np
 
-    scale = (p1 / p2) ** 2
-    total1 = total2 = 3 + 1 / 8
-    for i, s1 in enumerate(_point_blocks(N, 1 + 0j, p2 / p1)):
-        s1 *= s1
-        s2 = s1 * scale
-        if not i:
-            # 1/8 is the pair {p_j, -p_j}, so drop p_1 = (1, 0) and p_2 = (0, 1), index 2
-            # and 0 of shell 1, by their place: the s of p_2 is 1 only up to rounding
-            s1, s2 = np.delete(s1, 2), np.delete(s2, 0)
-        total1 += _paired_sum(s1)
-        total2 += _paired_sum(s2)
-    return total1 / p1, total2 / p2
+    pj = p1 if j == 1 else p2
+    total = 3 + 1 / 8
+    blocks = _point_blocks(N, p1 / pj, p2 / pj)
+    # 1/8 is the pair {p_j, -p_j}, so drop p_j = (1, 0) or (0, 1), index 2 or 0 of shell 1,
+    # by its place: at the 1e-6 period floor lam^2 - p_j^2 is ~1e-12 for its neighbours too
+    for u in itertools.chain([np.delete(next(blocks), 2 * (2 - j))], blocks):
+        u *= u
+        d = u - 1
+        d *= d
+        d *= u
+        u += 1
+        u /= d
+        total += complex(u.sum())
+    return total / pj
 
 
 def _direct_sum_tail(lat: Lattice, pj_abs: float, N: int) -> float:
@@ -355,9 +342,9 @@ class SigmaEvaluator:
 
     Only the FastSeries backend holds state (eta1, eta2, the theta series);
     `eta(ev, j)` serves both, reading the DirectProduct lattice sum from the
-    process-wide memo of `eta_from_sum`, whose first request for either j runs
-    one pass for both periods.  A DirectProduct sigma takes one complex log per
-    block of SHELL_BLOCK points; its `a_priori_bound` is the paired tail bound.
+    process-wide memo of `eta_from_sum`, which runs it on the first request.
+    A DirectProduct sigma takes one complex log per block of SHELL_BLOCK
+    points; its `a_priori_bound` is the paired tail bound.
     """
 
     def __init__(
@@ -426,8 +413,8 @@ class SigmaEvaluator:
           sum |w|^2 <= sum_k 4k |z|^2/(c k)^2 <= 4 (ln N + 1) |z|^2/c^2.
         - log z and the 2B additions to it: (B + 1) eps (|ln |z|| + pi).
 
-        A block whose product leaves the normal range takes one log per 64
-        factors or per factor, at most 2 eps more per factor.  That needs
+        A block whose product leaves the normal range takes one log per factor,
+        at most 2 eps more per factor.  That needs
         |sum log(1 - w^2)| > 708 over the block, so some |w| > 1/2, |z| > c/2
         (below, the sum is at most (16/3)(ln N + 1)(|z|/c)^2 < 11); there the
         truncation term's slack, 9% of it, exceeds 2 eps * 2N(N+1) at every
@@ -482,7 +469,6 @@ def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
         return None
     import numpy as np
 
-    low, high = LOG_NORMAL_RANGE
     log_sigma = cmath.log(z)
     blocks = _point_blocks(ev.truncation_shells, ev.lattice.p1, ev.lattice.p2)
     # a product that over- or underflows is caught below, so numpy need not warn
@@ -498,17 +484,12 @@ def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
             # factors takes one from every 64th of the block, so the products
             # are alike and their running product moves steadily to the block's.
             k = len(t) - len(t) % _PRODUCT
-            products = np.append(t[:k].reshape(_PRODUCT, -1).prod(axis=0), t[k:].prod())
-            block = products.prod()
-            if _NORMAL[0] <= abs(block) <= _NORMAL[1]:
+            block = np.append(t[:k].reshape(_PRODUCT, -1).prod(axis=0), t[k:].prod()).prod()
+            if sys.float_info.min <= abs(block) <= sys.float_info.max:
                 log = cmath.log(block)
             else:
                 # the block's product left the normal range, which needs |z| > c/2
-                logs = np.log(products)
-                if not ((low < logs.real) & (logs.real < high)).all():
-                    # so did a product of _PRODUCT factors: |z| is far outside it
-                    logs = np.log(t)
-                log = complex(logs.sum())
+                log = complex(np.log(t).sum())
             w *= w
             log_sigma += log + complex(w.sum())
     return complex(log_sigma.real, wrap_angle(log_sigma.imag))

@@ -191,8 +191,8 @@ class TestDirectLatticeSum:
     @pytest.fixture
     def sums(self):
         # an empty memo, so the count is of sums that run, whatever ran before
-        weierstrass._eta_sums.cache_clear()
-        return lambda: weierstrass._eta_sums.cache_info().misses
+        weierstrass._eta_sum.cache_clear()
+        return lambda: weierstrass._eta_sum.cache_info().misses
 
     def test_sigma_runs_no_sum(self, sums):
         ev = SigmaEvaluator(make_lattice(1, 0.3 + 1.1j), backend="direct", truncation_shells=50)
@@ -231,11 +231,11 @@ class TestDirectLatticeSum:
 @pytest.mark.parametrize("N", [4, 70])
 @pytest.mark.parametrize("j", [1, 2])
 def test_eta_sum_omits_exactly_p_j(j, N):
-    # the pass drops p_1 and p_2 by their places in shell 1; a coordinate mask on
-    # the shell list picks the same points, scaled by 1/p_j alone.  Each term is
-    # more than 1e-4 of the sum at N = 4 and 1e-9 at N = 70 (two blocks), and
-    # p_j's would divide by zero.  (1, 500i) puts the terms of p_1 and p_2 six
-    # orders apart; 1e-6 and 1e75 are the period floor and ceiling.
+    # _eta_sum drops p_j by its place in shell 1; a coordinate mask on the shell
+    # list picks the same points.  Each term is more than 1e-4 of the sum at
+    # N = 4 and 1e-9 at N = 70 (two blocks), and p_j's would divide by zero.
+    # The plain, sheared and swapped bases, (1, 500i), whose p_1 and p_2 terms
+    # are six orders apart, and the 1e-6 period floor and 1e75 ceiling.
     m, n = _shell_arrays(N)
     keep = (m != 2 - j) | (n != j - 1)
     assert np.count_nonzero(~keep) == 1
@@ -246,17 +246,17 @@ def test_eta_sum_omits_exactly_p_j(j, N):
             pj = lat.p1 if j == 1 else lat.p2
             u = (m[keep] * lat.p1 + n[keep] * lat.p2) / pj
             expected = (25 / 8 + complex(np.sum((u**2 + 1) / (u**2 * (u**2 - 1) ** 2)))) / pj
-            weierstrass._eta_sums.cache_clear()
+            weierstrass._eta_sum.cache_clear()
             assert weierstrass.eta_from_sum(lat, j, N) == pytest.approx(expected, rel=1e-13)
 
 
 class TestEtaMemo:
-    """`eta_from_sum` runs one pass for both periods per process, keyed on the exact periods and N."""
+    """`eta_from_sum` runs each lattice sum once per process, keyed on the exact periods, j and N."""
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        # one _point_blocks call per pass that runs
-        weierstrass._eta_sums.cache_clear()
+        # one _point_blocks call per sum that runs
+        weierstrass._eta_sum.cache_clear()
         calls = []
         real = weierstrass._point_blocks
         monkeypatch.setattr(
@@ -272,18 +272,17 @@ class TestEtaMemo:
         for j in (1, 2):
             value = eta(SigmaEvaluator(lat_eta, "direct", 60), j)
             assert v_constant(lat_v, xi0, j, "direct", 60).v == -xi0 * value
-        assert len(blocks) == 1
+        assert len(blocks) == 2
 
-    def test_other_shells_or_lattice_run_a_new_sum(self, blocks):
+    def test_other_j_shells_or_lattice_run_a_new_sum(self, blocks):
         lat = make_lattice(1, 0.3 + 1.1j)
         weierstrass.eta_from_sum(lat, 1, 40)
         weierstrass.eta_from_sum(lat, 2, 40)
-        assert len(blocks) == 1
         weierstrass.eta_from_sum(lat, 1, 41)
         weierstrass.eta_from_sum(make_lattice(1, 0.3 + 1.2j), 1, 40)
-        assert len(blocks) == 3
-        weierstrass.eta_from_sum(lat, 2, 40)
-        assert len(blocks) == 3
+        assert len(blocks) == 4
+        weierstrass.eta_from_sum(lat, 1, 40)
+        assert len(blocks) == 4
 
     @pytest.mark.parametrize(
         "periods",
@@ -298,13 +297,14 @@ class TestEtaMemo:
     def test_cached_value_is_the_fresh_sum(self, blocks, periods):
         lats = [make_lattice(*p) for p in periods]
         assert all(lat == lats[0] for lat in lats)
-        cached = [weierstrass.eta_from_sum(lat, j, 30) for lat in lats for _ in range(2) for j in (1, 2)]
-        fresh = []
-        for lat in lats:
-            weierstrass._eta_sums.cache_clear()
-            fresh.append([weierstrass.eta_from_sum(lat, j, 30) for j in (1, 2)])
-        assert [repr(v) for v in cached] == [repr(v) for pair in fresh for _ in range(2) for v in pair]
-        assert len(blocks) == 2 * len(lats)
+        for j in (1, 2):
+            cached = [weierstrass.eta_from_sum(lat, j, 30) for lat in lats for _ in range(2)]
+            fresh = []
+            for lat in lats:
+                weierstrass._eta_sum.cache_clear()
+                fresh.append(weierstrass.eta_from_sum(lat, j, 30))
+            assert [repr(v) for v in cached] == [repr(v) for v in fresh for _ in range(2)]
+        assert len(blocks) == 4 * len(lats)
 
 
 REF_SHELLS = 20
@@ -389,7 +389,7 @@ class TestDirectReferenceSums:
     def test_sigma_where_the_block_product_overflows(self):
         # at |z| = 30 on the square the products of 64 factors stay within e^21,
         # but the first block's product overflows, so that block takes one log
-        # per product of 64 factors; the bound is finite here (c*N = 200 >= 60)
+        # per factor; the bound is finite here (c*N = 200 >= 60)
         lat, z = make_lattice(1, 1j), 30 * cmath.exp(0.3j)
         w = z / next(_point_blocks(200, lat.p1, lat.p2))
         with np.errstate(over="ignore", invalid="ignore"):
