@@ -239,8 +239,9 @@ def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
     k and are sorted by (m, n) within a shell, so shell 1 is (0, 1), (1, -1),
     (1, 0), (1, 1).  The shell set is symmetric under lam -> -lam, so a lattice
     sum folds the mirror term into its summand.  The coordinates are stored as
-    float64, exact integers that multiply a complex period without a cast.
-    Cached and shared; treat the returned arrays as read-only.
+    complex128, exact integers that multiply a complex period without a cast
+    (a float64 list costs each block of `_point_blocks` ~40% more).  Cached
+    and shared; treat the returned arrays as read-only.
     """
     import numpy as np
 
@@ -250,7 +251,7 @@ def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
     keep = (m > 0) | (n > 0)
     m, n = m[keep], n[keep]
     order = np.lexsort((n, m, np.maximum(m, np.abs(n))))
-    return m[order], n[order]
+    return m[order].astype(complex), n[order].astype(complex)
 
 
 def _point_blocks(N: int, a: complex, b: complex):
@@ -484,7 +485,7 @@ def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
             # factors takes one from every 64th of the block, so the products
             # are alike and their running product moves steadily to the block's.
             k = len(t) - len(t) % _PRODUCT
-            block = np.append(t[:k].reshape(_PRODUCT, -1).prod(axis=0), t[k:].prod()).prod()
+            block = t[:k].reshape(_PRODUCT, -1).prod(axis=0).prod() * t[k:].prod()
             if sys.float_info.min <= abs(block) <= sys.float_info.max:
                 log = cmath.log(block)
             else:
