@@ -16,7 +16,7 @@ whose product leaves the normal double range, which only |z| outside the cell
 reaches, takes one log per factor.  Its `a_priori_bound` is the paired truncation tail
 (4/3)(|z|/c)^4/N^2 plus a roundoff term, ~4 eps per factor and 2 eps per block
 log, that dominates below |z| ~ 4e-2 |P1| (~7e-11 at 200 shells).  The points come
-from the cached float64 shell coordinates of `_shell_arrays`, in blocks of
+from the cached complex128 shell coordinates of `_shell_arrays`, in blocks of
 SHELL_BLOCK points (`_point_blocks`); the shell list, its blocks and the bounds
 that count them (`a_priori_bound`, `_direct_sum_tail`) all live in this module.
 

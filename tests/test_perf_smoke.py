@@ -112,14 +112,14 @@ def test_direct_oracle_calls():
 
 
 def test_direct_eta_pair():
-    # measured median ~1.6 ms: eta_1 and eta_2 at 200 shells on one lattice,
+    # measured median ~1.5 ms: eta_1 and eta_2 at 200 shells on one lattice,
     # from an empty memo, two passes over the 80,400 points
     def both_periods():
         weierstrass._eta_sum.cache_clear()
         for j in (1, 2):
             weierstrass.eta_from_sum(LAT, j, 200)
 
-    assert median_ms(both_periods) < 16.0
+    assert median_ms(both_periods) < 15.0
 
 
 def test_spec_round_trip(spec5):
