@@ -13,12 +13,13 @@ product above.  It multiplies the factors 1 - z^2/lam^2 of a block into one
 product and takes one complex log per block (the phase is wrapped at the end, so
 the sum of their logs is exact mod 2*pi*i), and sums z^2/lam^2 apart; a block
 whose product leaves the normal double range, which only |z| outside the cell
-reaches, takes one log per factor.  Its `a_priori_bound` is the paired truncation tail
-(4/3)(|z|/c)^4/N^2 plus a roundoff term, ~4 eps per factor and 2 eps per block
-log, that dominates below |z| ~ 4e-2 |P1| (~7e-11 at 200 shells).  The points come
-from the cached complex128 shell coordinates of `_shell_arrays`, in blocks of
-SHELL_BLOCK points (`_point_blocks`); the shell list, its blocks and the bounds
-that count them (`a_priori_bound`, `_direct_sum_tail`) all live in this module.
+reaches, takes one log per factor.  Its `a_priori_bound` is the paired
+truncation tail (4/3)(|z|/c)^4/N^2 plus a roundoff term, ~4 eps per factor and
+2 eps per block log, that dominates below |z| ~ 4e-2 |P1| (~7e-11 at 200
+shells).  The points come from the cached complex128 shell coordinates of
+`_shell_arrays`, in blocks of SHELL_BLOCK points (`_point_blocks`); the shell
+list, its blocks and the bounds that count them (`a_priori_bound`,
+`_direct_sum_tail`) all live in this module.
 
 FastSeries is the production path: after Gauss-reducing the basis the nome
 q = exp(i*pi*omega') satisfies |q| <= exp(-pi*sqrt(3)/2), and sigma is assembled
@@ -240,8 +241,8 @@ def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
     (1, 0), (1, 1).  The shell set is symmetric under lam -> -lam, so a lattice
     sum folds the mirror term into its summand.  The coordinates are stored as
     complex128, exact integers that multiply a complex period without a cast
-    (a float64 list costs each block of `_point_blocks` ~40% more).  Cached
-    and shared; treat the returned arrays as read-only.
+    (numpy casts float64 ones, and a block of `_point_blocks` then takes ~60%
+    longer).  Cached and shared; treat the returned arrays as read-only.
     """
     import numpy as np
 
