@@ -10,6 +10,7 @@ accepted and ignored: `verify` draws no random numbers.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -113,14 +114,15 @@ def _cmd_sigma(args) -> int:
     lat = jsonio.lattice_from_obj(_read_json_arg(args.lattice))
     ev = SigmaEvaluator(lat, backend=Backend(args.backend), truncation_shells=args.shells)
     z = _parse_complex(args.z)
-    lv = sigma(ev, z)
     # library sigma still returns the truncated product where it has no bound
-    # (tests compare it there on purpose); the CLI prints only bounded values
-    if ev.a_priori_bound(z) == math.inf:
+    # (tests compare it there on purpose); the CLI prints only bounded values and
+    # refuses before it sums.  sigma itself rejects a non-finite z (ValueError)
+    if ev.a_priori_bound(z) == math.inf and cmath.isfinite(z):
         raise AccuracyNotMet(
             f"the direct product has no error bound at |z| = {abs(z):.6g}"
             f" with {ev.truncation_shells} shells"
         )
+    lv = sigma(ev, z)
     print(f"log_mag={_fmt(lv.log_mag)} phase={_fmt(lv.phase)}")
     return 0
 

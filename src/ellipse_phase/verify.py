@@ -321,5 +321,5 @@ def failed_checks(
 
 
 def report_passes(report: VerificationReport, spec: PhaseFunctionSpec, tol: float = 1e-6) -> bool:
-    """Tolerance gate used for the CLI exit code: no check of `failed_checks` fails."""
+    """True when `failed_checks` finds no failure; the CLI exit code reads `failed_checks` itself."""
     return not failed_checks(report, spec, tol)

@@ -72,12 +72,11 @@ lattice.  `sigma` is the quotient with the single zero 0, and
 `eval_elliptic` (so `eval_f`) calls it once per point; each wraps the
 phase once, in `LogValue.from_log`.  DirectProduct adds and subtracts the log
 sigma of each factor.  FastSeries runs one loop over the factors: it repeats
-the rounding of `nearest_lattice_point` inline, multiplies sin(v0) S(cos 2v0)
-into one running product for the zeros and one for the poles, and adds the
-terms in eta1' and n to one sum.  A product takes a complex log only when its
-magnitude leaves `_WINDOW`, chosen so that one more factor keeps it a normal
-double, and once at the end; the constant log(P1/pi) - log(theta1'(0)/2) is
-added once, times the number of zeros less poles.  Its derivative,
+the rounding of `nearest_lattice_point` inline and adds each factor's
+log(sin(v0) S(cos 2v0)) and its terms in eta1' and n to one sum for the zeros
+and one for the poles, so a quotient of k factors takes k calls of cmath.sin
+and k of cmath.log; the constant log(P1/pi) - log(theta1'(0)/2) is added
+once, times the number of zeros less poles.  Its derivative,
 `_dlog_quotient` (FastSeries only), adds the zeta of each factor in order to
 one sum, S and S' in one Horner pass, after the rounding of
 `nearest_lattice_point`; `zeta` is its one-factor case and
@@ -96,7 +95,7 @@ import sys
 from functools import lru_cache
 
 from .errors import AccuracyNotMet, PoleOrZeroHit, Value, set_field
-from .lattice import MAX_PERIOD, SNAP_TOL, Lattice, nearest_lattice_point, reduce_basis, torus_distance
+from .lattice import SNAP_TOL, Lattice, nearest_lattice_point, reduce_basis, torus_distance
 
 # type checkers honour this as typing.TYPE_CHECKING, whose import costs ~4 ms of start-up
 TYPE_CHECKING = False
@@ -122,16 +121,6 @@ SHELL_BLOCK = 8192
 
 #: factors per partial product of a block in the direct log sigma.
 _PRODUCT = 64
-
-#: A running FastSeries product takes a complex log once its magnitude leaves
-#: this window, so one more factor keeps it a normal double.  A factor
-#: sin(v0) S(cos 2v0) is about q^(1/4) sin(v0) with |Im v0| <= pi*Im(omega)/2:
-#: at most |q|^(-1/4), and off the lattice at least |q|^(1/4) pi*SNAP_TOL/MAX_PERIOD,
-#: where |q| >= the least subnormal (q == 0 is refused); e^2 covers the rest of S.
-_WINDOW = (
-    sys.float_info.min / (5e-324**0.25 * math.pi * SNAP_TOL / MAX_PERIOD / math.e**2),
-    sys.float_info.max / (5e-324**-0.25 * math.e**2),
-)
 
 
 def wrap_angle(x: float) -> float:
@@ -519,14 +508,12 @@ def _log_quotient(ev: SigmaEvaluator, z: complex, zeros, poles) -> tuple[complex
         return log, *hits
 
     p1, p2, om_re, om_im, top, rest, quad_coef, pi_omega, target, log_const = ev._theta
-    low, high = _WINDOW
     total = (len(zeros) - len(poles)) * log_const
     zero_hits = pole_hits = parity = 0
     is_pole = False  # the zeros' pass, then the poles'
     for points in (zeros, poles):
         hits = 0
         linear = 0j
-        prod = 1 + 0j
         for w in points:
             u = z - w
             # nearest_lattice_point(u, red), inlined: a call per factor cost as much as its theta sum
@@ -557,13 +544,8 @@ def _log_quotient(ev: SigmaEvaluator, z: complex, zeros, poles) -> tuple[complex
             if certified > target:
                 raise _roundoff_refusal(certified, target, z, w)
             parity += m + n
-            linear += quad
-            prod *= sin_v * s
-            if not low < abs(prod) < high:
-                linear += cmath.log(prod)
-                prod = 1 + 0j
-        if prod != 1:
-            linear += cmath.log(prod)
+            # |sin(v0) S(c)|, ~|q|^(1/4) pi SNAP_TOL/MAX_PERIOD to ~|q|^(-1/4) e^2, is a normal double
+            linear += quad + cmath.log(sin_v * s)
         if is_pole:
             total -= linear
             pole_hits = hits

@@ -1,4 +1,4 @@
-"""Basis invariance of sigma, eta, xi0 and verify, and a 30-digit theta oracle for sigma, eta and zeta.
+"""Basis invariance of sigma, eta, xi0 and verify, and a 30-digit theta oracle for sigma, eta, zeta and eval_f.
 
 sigma, the quasi-period of a lattice vector and the divisor class depend only
 on the lattice, so every basis of one lattice must give the same values up to
@@ -10,13 +10,16 @@ bound 1e-12 * (1 + |k|).  `verify_spec` must pass on every sheared basis with
 """
 
 import cmath
+import math
 import random
 
 import pytest
 
 from ellipse_phase import (
+    LogValue,
     SigmaEvaluator,
     eta,
+    eval_f,
     make_divisor,
     make_lattice,
     reduce_basis,
@@ -34,6 +37,7 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import random_cell_point, random_lattice  # noqa: E402
+from test_sigma_kernel import certificate  # noqa: E402
 
 from ellipse_phase.lattice import nearest_lattice_point  # noqa: E402
 from ellipse_phase.weierstrass import _unit_frame_distance, zeta  # noqa: E402
@@ -198,7 +202,7 @@ def test_theta_oracle_next_to_a_period():
             assert abs(diff) <= 1e-13 * (1 + abs(want))
 
 
-#: plain, sheared and swapped presentations of a lattice, for the direct bound
+#: plain, sheared and swapped presentations of a lattice, for the direct bound and eval_f
 DIRECT_BASES = (((1, 0), (0, 1)), ((1, 0), (2, 1)), ((0, 1), (-1, 0)))
 
 
@@ -222,3 +226,28 @@ def test_direct_log_sigma_within_its_bound(rng, matrix, N, exponent, angle):
     _, (want,), _ = theta_oracle(red.p1, red.p2, [z], digits=50)
     diff = complex(got.log_mag - want.real, wrap_angle(got.phase - want.imag))
     assert abs(diff) <= ev.a_priori_bound(z)
+
+
+@settings(PROPERTY, max_examples=16)
+@given(LATTICES, st.sampled_from(DIRECT_BASES), st.integers(1, 5))
+def test_eval_f_within_its_certificate(rng, matrix, pairs):
+    # eval_f against the 30-digit log sigma of each factor of its quotient, at
+    # points up to 3 periods from the cell: the error stays under the sum of
+    # the per-factor roundoff certificates
+    base = random_lattice(rng)
+    lat = present(base, matrix)
+    points = [(random_cell_point(rng, base), 1) for _ in range(2 * pairs)]
+    d = make_divisor(points[:pairs], points[pairs:], lat)
+    spec = synthesize(d, rng.randint(-2, 2), rng.randint(-2, 2), lat)
+    q = spec.quotient
+    for _ in range(3):
+        z = random_cell_point(rng, base) + rng.randint(-3, 3) * base.p1 + rng.randint(-3, 3) * base.p2
+        got = eval_f(spec, spec.ev, z)
+        if not isinstance(got, LogValue) or got.is_zero():
+            continue  # a repeated draw can put z on the divisor
+        _, logs, _ = theta_oracle(lat.p1, lat.p2, [z - w for w in (*q.zeros, *q.poles)])
+        k = len(q.zeros)
+        terms = [q.exponent * z + q.log_scale, *logs[:k], *(-x for x in logs[k:])]
+        want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        diff = complex(got.log_mag - want.real, wrap_angle(got.phase - want.imag))
+        assert abs(diff) <= certificate(q, spec.ev, z)

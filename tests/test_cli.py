@@ -109,6 +109,19 @@ class TestSigmaCommand:
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr.startswith("AccuracyNotMet:"), r.stderr
 
+    @pytest.mark.parametrize("z", ["1e20,0.5", "150.5,0.5"])
+    def test_direct_refusal_comes_before_the_sum(self, monkeypatch, tmp_path, capsys, z):
+        # the unit square at 200 shells has a bound only for |z| <= 100
+        from ellipse_phase import weierstrass
+
+        calls = []
+        blocks = weierstrass._point_blocks
+        monkeypatch.setattr(weierstrass, "_point_blocks", lambda *a: calls.append(a) or blocks(*a))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _main(capsys, "sigma", "--lattice", LATTICE, f"--z={z}", "--backend", "direct")
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("AccuracyNotMet: the direct product has no error bound"), err
+
     @pytest.mark.parametrize("z", ["1e15,0", "1e16,0", "1e17,0", "1e20,0"])
     def test_far_point_is_not_an_exact_zero(self, monkeypatch, tmp_path, capsys, z):
         # no lattice point, but z - lam had lost every bit: log_mag=-inf phase=0, exit 0
