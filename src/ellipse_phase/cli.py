@@ -10,7 +10,6 @@ accepted and ignored: `verify` draws no random numbers.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -116,8 +115,8 @@ def _cmd_sigma(args) -> int:
     z = _parse_complex(args.z)
     # library sigma still returns the truncated product where it has no bound
     # (tests compare it there on purpose); the CLI prints only bounded values and
-    # refuses before it sums.  sigma itself rejects a non-finite z (ValueError)
-    if ev.a_priori_bound(z) == math.inf and cmath.isfinite(z):
+    # refuses before it sums.  The bound rejects a non-finite z (ValueError)
+    if ev.a_priori_bound(z) == math.inf:
         raise AccuracyNotMet(
             f"the direct product has no error bound at |z| = {abs(z):.6g}"
             f" with {ev.truncation_shells} shells"

@@ -5,7 +5,7 @@ DirectProduct evaluates the canonical genus-2 product
     sigma(z) = z * prod_{lam in L \\ {0}} (1 - z/lam) * exp(z/lam + z^2/(2*lam^2))
 
 truncated by sup-norm shells; it converges slowly (tail O(|z|^4 / N^2) in log
-sigma), builds its points for each sum and serves as the low-accuracy oracle.  The
+sigma), builds its points for each sum and is the oracle of sigma and eta only.  The
 shell set is symmetric under lam -> -lam, so each of its lattice sums runs over
 one point of every pair {lam, -lam} with the mirror term folded into the summand:
 log sigma sums log(1 - z^2/lam^2) + z^2/lam^2, the same truncation set as the
@@ -65,19 +65,20 @@ the same lattice, or after `eta`, reuses the memoised sum); ViaEta reuses the
 theta-series quasi-period and is the accurate default.
 
 All values are in log form because |sigma| grows like exp(quadratic) across
-cells.  `_log_quotient(ev, z, zeros, poles)` is the one sigma kernel of both
-backends: it returns the unwrapped log of prod sigma(z - w) over the zeros
-over prod sigma(z - w) over the poles, with the counts of factors on the
-lattice.  `sigma` is the quotient with the single zero 0, and
-`eval_elliptic` (so `eval_f`) calls it once per point; each wraps the
-phase once, in `LogValue.from_log`.  DirectProduct adds and subtracts the log
-sigma of each factor.  FastSeries runs one loop over the factors: it repeats
-the rounding of `nearest_lattice_point` inline and adds each factor's
-log(sin(v0) S(cos 2v0)) and its terms in eta1' and n to one sum for the zeros
-and one for the poles, so a quotient of k factors takes k calls of cmath.sin
-and k of cmath.log; the constant log(P1/pi) - log(theta1'(0)/2) is added
-once, times the number of zeros less poles.  Its derivative,
-`_dlog_quotient` (FastSeries only), adds the zeta of each factor in order to
+cells.  `_log_quotient(ev, z, zeros, poles)` is the one sigma-quotient
+kernel, on the theta series: it returns the unwrapped log of prod sigma(z - w)
+over the zeros over prod sigma(z - w) over the poles, with the counts of
+factors on the lattice.  FastSeries `sigma` is the quotient with the single
+zero 0, and `eval_elliptic` (so `eval_f`) calls it once per point; each wraps
+the phase once, in `LogValue.from_log`.  DirectProduct `sigma` is one call of
+`_log_sigma_direct`, wrapped the same way, and a DirectProduct evaluator is a
+ValueError in either kernel.  The quotient kernel runs one loop over the
+factors: it repeats the rounding of `nearest_lattice_point` inline and adds
+each factor's log(sin(v0) S(cos 2v0)) and its terms in eta1' and n to one sum
+for the zeros and one for the poles, so a quotient of k factors takes k calls
+of cmath.sin and k of cmath.log; the constant log(P1/pi) - log(theta1'(0)/2)
+is added once, times the number of zeros less poles.  Its derivative,
+`_dlog_quotient`, adds the zeta of each factor in order to
 one sum, S and S' in one Horner pass, after the rounding of
 `nearest_lattice_point`; `zeta` is its one-factor case and
 `log_derivative` the exact f'/f.  In both kernels a factor counts as
@@ -219,7 +220,7 @@ def _cosine_polynomial(coeffs: list[complex]) -> list[complex]:
     return poly[::-1]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer coordinates (m, n) of one point of every pair {lam, -lam} with shell index <= N.
 
@@ -231,7 +232,7 @@ def _shell_arrays(N: int) -> tuple[np.ndarray, np.ndarray]:
     sum folds the mirror term into its summand.  The coordinates are stored as
     complex128, exact integers that multiply a complex period without a cast
     (numpy casts float64 ones, and a block of `_point_blocks` then takes ~60%
-    longer).  Cached and shared; treat the returned arrays as read-only.
+    longer).  Only the last list is cached, 64 MB at MAX_SHELLS; treat it as read-only.
     """
     import numpy as np
 
@@ -410,8 +411,10 @@ class SigmaEvaluator:
         (below, the sum is at most (16/3)(ln N + 1)(|z|/c)^2 < 11); there the
         truncation term's slack, 9% of it, exceeds 2 eps * 2N(N+1) at every
         N <= MAX_SHELLS.  Next to the origin the products dominate: ~3.2e5
-        roundings at 200 shells, ~7e-11.
+        roundings at 200 shells, ~7e-11.  A non-finite z is a ValueError, as in `sigma`.
         """
+        if not cmath.isfinite(z):
+            raise ValueError(f"point {z} is not finite")
         if self.backend is Backend.FAST_SERIES:
             return self.target_rel_error
         lat, N = self.lattice, self.truncation_shells
@@ -455,7 +458,7 @@ def _certify_hit(
 
 
 def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
-    """log sigma(z) of the DirectProduct backend, phase wrapped onto (-pi, pi], or None on the lattice."""
+    """Unwrapped log sigma(z) of the DirectProduct backend, or None on the lattice; `sigma` wraps it."""
     if torus_distance(z, 0j, ev.lattice) <= SNAP_TOL:
         return None
     import numpy as np
@@ -483,30 +486,18 @@ def _log_sigma_direct(ev: SigmaEvaluator, z: complex) -> complex | None:
                 log = complex(np.log(t).sum())
             w *= w
             log_sigma += log + complex(w.sum())
-    return complex(log_sigma.real, wrap_angle(log_sigma.imag))
+    return log_sigma
 
 
 def _log_quotient(ev: SigmaEvaluator, z: complex, zeros, poles) -> tuple[complex, int, int]:
     """(log, zero hits, pole hits) of prod sigma(z - w) over zeros / prod sigma(z - w) over poles.
 
-    The one sigma kernel of both backends, laid out in the module docstring; z
-    must be a finite complex number.  log is unwrapped, and only meaningful
-    when neither count is positive.
+    The theta-series quotient kernel laid out in the module docstring; z must
+    be a finite complex number.  log is unwrapped, and only meaningful when
+    neither count is positive.  A DirectProduct evaluator is a ValueError.
     """
     if ev._reduced is None:
-        log = 0j
-        hits = [0, 0]
-        for k, points in enumerate((zeros, poles)):
-            for w in points:
-                log_sigma = _log_sigma_direct(ev, z - w)
-                if log_sigma is None:
-                    hits[k] += 1
-                elif k:
-                    log -= log_sigma
-                else:
-                    log += log_sigma
-        return log, *hits
-
+        raise ValueError("a sigma quotient needs the FastSeries backend")
     p1, p2, om_re, om_im, top, rest, quad_coef, pi_omega, target, log_const = ev._theta
     total = (len(zeros) - len(poles)) * log_const
     zero_hits = pole_hits = parity = 0
@@ -563,7 +554,11 @@ def sigma(ev: SigmaEvaluator, z: complex) -> LogValue:
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"point {z} is not finite")
-    log_sigma, hits, _ = _log_quotient(ev, z, (0j,), ())
+    if ev._reduced is None:
+        log_sigma = _log_sigma_direct(ev, z)
+        hits = log_sigma is None
+    else:
+        log_sigma, hits, _ = _log_quotient(ev, z, (0j,), ())
     return LogValue.zero() if hits else LogValue.from_log(log_sigma)
 
 

@@ -7,14 +7,17 @@ the lines as they happen.
 
 import cmath
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import ellipse_phase
 from ellipse_phase import (
     Backend,
     GridSpec,
@@ -36,6 +39,9 @@ from ellipse_phase.weierstrass import LogValue, VMethod
 from conftest import log_ratio, log_spread, random_cell_point, random_lattice
 
 TAU = 2 * math.pi
+
+# the CLI children import the package this process imported, from any working directory
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(ellipse_phase.__file__).resolve().parent.parent))
 
 
 @contextmanager
@@ -210,7 +216,7 @@ def test_a9_portrait_determinism_and_translation(tmp_path):
         synth = subprocess.run(
             [sys.executable, "-m", "ellipse_phase.cli", "synth",
              "--lattice", lattice_json, "--divisor", divisor_json],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert synth.returncode == 0
         spec_path = tmp_path / "spec.json"
@@ -222,7 +228,7 @@ def test_a9_portrait_determinism_and_translation(tmp_path):
                  "--spec", str(spec_path), "--out", str(out),
                  "--center", center, "--width", "1", "--height", "1",
                  "--resolution", "256x256"],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=CLI_ENV,
             )
             assert r.returncode == 0
 

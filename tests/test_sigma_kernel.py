@@ -1,19 +1,20 @@
 """One sigma-quotient kernel behind sigma and eval_f, and one derivative kernel behind zeta and f'/f.
 
-`eval_f` evaluates its whole quotient in one kernel pass, `sigma` is the
-quotient with the single zero 0, and the phase is wrapped once, at the end.
-On the direct backend the pass adds and subtracts each factor's log, so
-`eval_f` equals, to the bit, the same sum written with the public
-`sigma(...).log()`.  On the fast backend the pass takes one log per factor
-too, but adds the constant term once per quotient and the parity sign once at
-the end, which rounds differently: there the two agree within the sum of the
-per-factor roundoff certificates and eps times the exponential's log.  Both
-hold at points whose range reduction takes odd and even lattice coordinates,
-and the zero and pole hits agree exactly.  The kernel repeats
-`nearest_lattice_point`'s rounding inline, pinned here factor by factor.  The
-exact f'/f that `verify_spec` integrates has a kernel of its own,
-`_dlog_quotient`: `zeta` is its one-factor case, and `log_derivative` equals,
-to the bit, the exponent plus the signed `zeta` of each factor.
+`eval_f` evaluates its whole quotient in one theta-series kernel pass,
+`sigma` is the quotient with the single zero 0, and the phase is wrapped
+once, at the end.  The pass takes one log per factor, but adds the constant
+term once per quotient and the parity sign once at the end, so it rounds
+differently from the same sum written with the public `sigma(...).log()`:
+the two agree within the sum of the per-factor roundoff certificates and eps
+times the exponential's log, at points whose range reduction takes odd and
+even lattice coordinates, and the zero and pole hits agree exactly.  The
+direct backend serves only `sigma` (and `eta`): `eval_f` and
+`eval_elliptic` refuse it, and a caller sums its `sigma` logs as `literal`
+does.  The kernel repeats `nearest_lattice_point`'s rounding inline, pinned
+here factor by factor.  The exact f'/f that `verify_spec` integrates has a
+kernel of its own, `_dlog_quotient`: `zeta` is its one-factor case, and
+`log_derivative` equals, to the bit, the exponent plus the signed `zeta` of
+each factor.
 """
 
 import cmath
@@ -118,13 +119,19 @@ def test_eval_f_equals_sum_of_sigma_logs(basis, backend):
     for _ in range(4):
         spec = seeded_spec(rng, lat)
         q = spec.quotient
+        if backend != "fast":
+            # the quotient kernel is theta-series only; the literal sum stays open
+            z = outside_points(rng, lat)[0]
+            with pytest.raises(ValueError, match="FastSeries"):
+                eval_f(spec, ev, z)
+            with pytest.raises(ValueError, match="FastSeries"):
+                eval_elliptic(spec.g, ev, z)
+            assert isinstance(literal(q, ev, z), LogValue)
+            continue
         for z in outside_points(rng, lat):
             got = eval_f(spec, ev, z)
             assert isinstance(got, LogValue) and not got.is_zero()
-            if backend == "fast":
-                assert log_distance(got, literal(q, ev, z)) <= certificate(q, ev, z)
-            else:
-                assert got == literal(q, ev, z)
+            assert log_distance(got, literal(q, ev, z)) <= certificate(q, ev, z)
         zero_hit = q.zeros[0] + 2 * lat.p1 - 3 * lat.p2
         pole_hit = q.poles[0] - lat.p1 + lat.p2
         assert eval_f(spec, ev, zero_hit) == literal(q, ev, zero_hit) == LogValue.zero()

@@ -211,6 +211,13 @@ class TestDirectLatticeSum:
         eta(ev, 2)
         assert sums() == 1
 
+    def test_sums_at_two_N_cache_one_shell_list(self):
+        # a list takes 32 * 2N(N+1) bytes, 64 MB at MAX_SHELLS, and a process sums at one N
+        lat = make_lattice(1, 0.3 + 1.1j)
+        sigma(SigmaEvaluator(lat, "direct", 30), 0.3 + 0.2j)
+        sigma(SigmaEvaluator(lat, "direct", 40), 0.3 + 0.2j)
+        assert _shell_arrays.cache_info().currsize == 1
+
     def test_direct_v_runs_one_sum(self, sums):
         v_constant(make_lattice(1, 0.3 + 1.1j), 0.2 - 0.1j, 1, method="direct", shells=50)
         assert sums() == 1
@@ -497,6 +504,14 @@ class TestBackends:
         assert math.isinf(square_direct.a_priori_bound(150.0))
         # sigma(0) is exactly zero; its bound is finite, so CLI sigma prints it
         assert math.isfinite(square_direct.a_priori_bound(0j))
+
+    @pytest.mark.parametrize("backend", Backend)
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(math.inf, 0), -math.inf * 1j])
+    def test_bound_refuses_non_finite_point(self, backend, z):
+        # with sigma's message; the direct bound would otherwise read nan at a NaN z
+        ev = SigmaEvaluator(make_lattice(1, 1j), backend, 20)
+        with pytest.raises(ValueError, match=r"^point .* is not finite$"):
+            ev.a_priori_bound(z)
 
     def test_direct_skips_theta_setup(self):
         # Im(P2/P1) = 500 is beyond the theta backend but fine for the lattice sum
